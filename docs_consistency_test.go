@@ -7,10 +7,12 @@ package lca_test
 
 import (
 	"os"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
 
+	"lca/internal/oracle"
 	"lca/internal/serve"
 	"lca/internal/source"
 	"lca/internal/trace"
@@ -256,6 +258,36 @@ func TestDocsHotPath(t *testing.T) {
 	} {
 		if !strings.Contains(docGo, token) {
 			t.Errorf("doc.go quickstart does not mention %s", token)
+		}
+	}
+}
+
+// TestDocsTelemetry: ARCHITECTURE.md's telemetry table has one row per
+// oracle.TelemetryFields entry, naming the Go field, its JSON name and
+// its metric — serve_<name>_total for a counter, the gauge marked as
+// such.
+func TestDocsTelemetry(t *testing.T) {
+	arch := readDoc(t, "ARCHITECTURE.md")
+	for _, token := range []string{"### Telemetry", "telemetry.go", "Unwrap() Oracle", "Meter", "source.LocalityOf"} {
+		if !strings.Contains(arch, token) {
+			t.Errorf("ARCHITECTURE.md does not mention %s", token)
+		}
+	}
+	fields := reflect.TypeFor[oracle.Telemetry]()
+	for i, f := range oracle.TelemetryFields {
+		var row string
+		for _, line := range strings.Split(arch, "\n") {
+			if strings.HasPrefix(line, "|") && strings.Contains(line, "`"+f.Name+"`") {
+				row = line
+				break
+			}
+		}
+		want := "`serve_" + f.Name + "_total`"
+		if f.Gauge {
+			want = "gauge"
+		}
+		if row == "" || !strings.Contains(row, want) || !strings.Contains(row, "`"+fields.Field(i).Name+"`") {
+			t.Errorf("ARCHITECTURE.md has no telemetry row for %s (%s) with %s (row %q)", f.Name, fields.Field(i).Name, want, row)
 		}
 	}
 }

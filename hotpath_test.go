@@ -10,10 +10,16 @@ package lca_test
 // this file holds the public-API end of the contract.
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
 	"lca"
+	"lca/internal/gen"
+	"lca/internal/graph"
+	"lca/internal/source"
 )
 
 // TestTieredSessionBoundedHeap runs the TestHugeSourceBoundedAllocs
@@ -120,5 +126,59 @@ func TestTieredSessionAnswersUnchanged(t *testing.T) {
 	}
 	if ps.Total() != ts.Total() {
 		t.Errorf("probe counts diverge: plain %d, tiered %d", ps.Total(), ts.Total())
+	}
+}
+
+// TestAttestedSessionReportsLocality: an attested mmap source keeps its
+// page locality visible — a Session over NewAttested(OpenCSRMmap(...))
+// reports exactly the page touches and local hits the mapped file
+// counted under its queries, with prefetch on and off. The attesting
+// wrapper carries locality only through its dynamic capability view.
+func TestAttestedSessionReportsLocality(t *testing.T) {
+	g, err := gen.RandomRegular(2000, 6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "g.csr")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := graph.WriteCSR(f, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, prefetch := range []bool{false, true} {
+		mm, err := source.OpenCSRMmap(path)
+		if errors.Is(err, source.ErrMmapUnsupported) {
+			t.Skip(err)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := lca.NewSessionFromSource(source.NewAttested(mm), lca.WithSeed(7), lca.WithPrefetch(prefetch))
+		pages0, local0 := mm.PageTouches(), mm.LocalHits()
+		for v := 0; v < 2000; v += 40 {
+			if _, err := s.Vertex("mis", v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ps, err := s.ProbeStats("mis")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages, local := mm.PageTouches()-pages0, mm.LocalHits()-local0
+		if pages == 0 {
+			t.Fatalf("prefetch=%v: the mapped file counted no page touches", prefetch)
+		}
+		if ps.PageTouches != pages || ps.LocalHits != local {
+			t.Errorf("prefetch=%v: session reports page_touches=%d local_hits=%d, the mapped file counted %d and %d",
+				prefetch, ps.PageTouches, ps.LocalHits, pages, local)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

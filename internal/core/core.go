@@ -45,9 +45,9 @@ type ProbeReporter interface {
 }
 
 // QueryStats aggregates per-query probe counts across a batch of queries.
-// ByKind carries the exploration-era transport accounting too: Batches
-// (neighborhood operations issued) and RoundTrips (backend network round
-// trips, 0 on local chains) accumulate alongside the cell counts, while
+// ByKind carries the transport accounting too: Batches (neighborhood
+// operations issued) and the chain's Telemetry (round trips, 0 on local
+// chains, and the rest) accumulate alongside the cell counts, while
 // MaxTotal/SumTotal/Mean stay pure cell-probe measures — the theory's
 // metric is untouched by how probes are transported.
 type QueryStats struct {
@@ -65,23 +65,7 @@ func (q *QueryStats) Observe(delta oracle.Stats) {
 		q.MaxTotal = t
 	}
 	q.SumTotal += t
-	q.ByKind.Neighbor += delta.Neighbor
-	q.ByKind.Degree += delta.Degree
-	q.ByKind.Adjacency += delta.Adjacency
-	q.ByKind.Batches += delta.Batches
-	q.ByKind.RoundTrips += delta.RoundTrips
-	q.ByKind.Failovers += delta.Failovers
-	q.ByKind.Hedges += delta.Hedges
-	q.ByKind.AttestFailures += delta.AttestFailures
-	q.ByKind.ProofBytes += delta.ProofBytes
-	q.ByKind.RemainderTrips += delta.RemainderTrips
-	q.ByKind.PageTouches += delta.PageTouches
-	q.ByKind.LocalHits += delta.LocalHits
-	// FetchWidth is a gauge, not a counter: keep the latest nonzero
-	// snapshot rather than summing widths across queries.
-	if delta.FetchWidth > 0 {
-		q.ByKind.FetchWidth = delta.FetchWidth
-	}
+	q.ByKind.Add(delta)
 }
 
 // Merge folds another aggregate into q (sums are added, max is the true
@@ -92,21 +76,7 @@ func (q *QueryStats) Merge(s QueryStats) {
 	if s.MaxTotal > q.MaxTotal {
 		q.MaxTotal = s.MaxTotal
 	}
-	q.ByKind.Neighbor += s.ByKind.Neighbor
-	q.ByKind.Degree += s.ByKind.Degree
-	q.ByKind.Adjacency += s.ByKind.Adjacency
-	q.ByKind.Batches += s.ByKind.Batches
-	q.ByKind.RoundTrips += s.ByKind.RoundTrips
-	q.ByKind.Failovers += s.ByKind.Failovers
-	q.ByKind.Hedges += s.ByKind.Hedges
-	q.ByKind.AttestFailures += s.ByKind.AttestFailures
-	q.ByKind.ProofBytes += s.ByKind.ProofBytes
-	q.ByKind.RemainderTrips += s.ByKind.RemainderTrips
-	q.ByKind.PageTouches += s.ByKind.PageTouches
-	q.ByKind.LocalHits += s.ByKind.LocalHits
-	if s.ByKind.FetchWidth > 0 {
-		q.ByKind.FetchWidth = s.ByKind.FetchWidth
-	}
+	q.ByKind.Add(s.ByKind)
 }
 
 // Mean returns the mean probes per query.
@@ -126,34 +96,15 @@ func (q QueryStats) MeanRoundTrips() float64 {
 	return float64(q.ByKind.RoundTrips) / float64(q.Queries)
 }
 
-// String renders the stats compactly; the round-trip, failover and hedge
-// figures appear only when a network backend made them meaningful.
+// String renders the stats compactly; each telemetry figure appears, as
+// name=value under its oracle.TelemetryFields name, only when nonzero.
 func (q QueryStats) String() string {
 	s := fmt.Sprintf("queries=%d max=%d mean=%.1f (nbr=%d deg=%d adj=%d)",
 		q.Queries, q.MaxTotal, q.Mean(), q.ByKind.Neighbor, q.ByKind.Degree, q.ByKind.Adjacency)
-	if q.ByKind.RoundTrips > 0 {
-		s += fmt.Sprintf(" rt=%d", q.ByKind.RoundTrips)
-	}
-	if q.ByKind.Failovers > 0 {
-		s += fmt.Sprintf(" failover=%d", q.ByKind.Failovers)
-	}
-	if q.ByKind.Hedges > 0 {
-		s += fmt.Sprintf(" hedge=%d", q.ByKind.Hedges)
-	}
-	if q.ByKind.AttestFailures > 0 {
-		s += fmt.Sprintf(" attest_fail=%d", q.ByKind.AttestFailures)
-	}
-	if q.ByKind.ProofBytes > 0 {
-		s += fmt.Sprintf(" proof_bytes=%d", q.ByKind.ProofBytes)
-	}
-	if q.ByKind.RemainderTrips > 0 {
-		s += fmt.Sprintf(" remainder=%d", q.ByKind.RemainderTrips)
-	}
-	if q.ByKind.FetchWidth > 0 {
-		s += fmt.Sprintf(" width=%d", q.ByKind.FetchWidth)
-	}
-	if q.ByKind.PageTouches > 0 || q.ByKind.LocalHits > 0 {
-		s += fmt.Sprintf(" pages=%d local=%d", q.ByKind.PageTouches, q.ByKind.LocalHits)
+	for _, f := range oracle.TelemetryFields {
+		if v := f.Value(&q.ByKind.Telemetry); v > 0 {
+			s += fmt.Sprintf(" %s=%d", f.Name, v)
+		}
 	}
 	return s
 }

@@ -2,8 +2,8 @@ package oracle
 
 // Tests for the learned prefetch width: the degree-bound clamp
 // regression, the estimator's bounds and convergence properties, the
-// rowfull fast path through source.RowFetcher, and the capability
-// forwarding that surfaces width and remainder trips in Stats.
+// rowfull fast path through source.RowFetcher, and the chain walk that
+// surfaces width and remainder trips in Stats.
 
 import (
 	"fmt"
@@ -82,7 +82,7 @@ func TestPrefetchWidthClampRegression(t *testing.T) {
 	src := newBatchSource(testGraph())
 	src.maxDeg = 1 << 30
 	p := NewPrefetch(src)
-	if got := p.FetchWidth(); got != MaxFetchWidth {
+	if got := measure(p).FetchWidth; got != MaxFetchWidth {
 		t.Fatalf("width under an absurd degree bound = %d, want the %d clamp", got, MaxFetchWidth)
 	}
 	// The clamped width must still answer correctly.
@@ -109,7 +109,7 @@ func TestAdaptiveWidthWithinBounds(t *testing.T) {
 	p := NewPrefetch(&noBoundSource{b: newBatchSource(g)})
 	for v := 0; v < g.N(); v++ {
 		p.Prefetch(v)
-		if w := p.FetchWidth(); w < 1 || w > MaxFetchWidth {
+		if w := measure(p).FetchWidth; w < 1 || w > MaxFetchWidth {
 			t.Fatalf("after observing %d rows the width is %d, outside [1, %d]", v+1, w, MaxFetchWidth)
 		}
 	}
@@ -122,13 +122,13 @@ func TestAdaptiveWidthConvergesOnRing(t *testing.T) {
 	g := ringGraph(200)
 	src := &noBoundSource{b: newBatchSource(g)}
 	p := NewPrefetch(src)
-	if got := p.FetchWidth(); got != DefaultFetchWidth {
+	if got := measure(p).FetchWidth; got != DefaultFetchWidth {
 		t.Fatalf("unbounded source starts at width %d, want DefaultFetchWidth %d", got, DefaultFetchWidth)
 	}
 	for v := 0; v < 100; v++ {
 		p.Prefetch(v)
 	}
-	if got := p.FetchWidth(); got != 2 {
+	if got := measure(p).FetchWidth; got != 2 {
 		t.Fatalf("width after 100 degree-2 rows = %d, want 2", got)
 	}
 	// Converged width exactly covers the rows: one batch per hint, no
@@ -140,7 +140,7 @@ func TestAdaptiveWidthConvergesOnRing(t *testing.T) {
 	if trips := src.RoundTrips() - before; trips != 50 {
 		t.Fatalf("50 converged hints cost %d trips, want 50", trips)
 	}
-	if rem := p.RemainderTrips(); rem != 0 {
+	if rem := measure(p).RemainderTrips; rem != 0 {
 		t.Fatalf("constant-degree rows paid %d remainder trips, want 0", rem)
 	}
 	for v := 0; v < 150; v++ {
@@ -162,7 +162,7 @@ func TestAdaptiveWidthBeatsStaticOnWideRows(t *testing.T) {
 	for v := 0; v < rows; v++ {
 		static.Prefetch(v)
 	}
-	staticRem := static.RemainderTrips()
+	staticRem := measure(static).RemainderTrips
 	if staticRem != rows {
 		t.Fatalf("static width paid %d remainder trips over %d wide rows, want one each", staticRem, rows)
 	}
@@ -171,19 +171,19 @@ func TestAdaptiveWidthBeatsStaticOnWideRows(t *testing.T) {
 	for v := 0; v < rows; v++ {
 		adaptive.Prefetch(v)
 	}
-	adaptiveRem := adaptive.RemainderTrips()
+	adaptiveRem := measure(adaptive).RemainderTrips
 	if adaptiveRem >= staticRem {
 		t.Fatalf("adaptive width paid %d remainder trips, static paid %d; learning must strictly reduce them", adaptiveRem, staticRem)
 	}
-	if w := adaptive.FetchWidth(); w < 100 {
+	if w := measure(adaptive).FetchWidth; w < 100 {
 		t.Fatalf("width after observing degree-100 rows = %d, want at least 100", w)
 	}
 	// Once converged, further wide rows are remainder-free.
-	before := adaptive.RemainderTrips()
+	before := measure(adaptive).RemainderTrips
 	for v := rows; v < rows+20; v++ {
 		adaptive.Prefetch(v)
 	}
-	if got := adaptive.RemainderTrips() - before; got != 0 {
+	if got := measure(adaptive).RemainderTrips - before; got != 0 {
 		t.Fatalf("converged learner still paid %d remainder trips", got)
 	}
 	// And the answers never depended on the width.
@@ -237,7 +237,7 @@ func TestPrefetchUsesRowFetcher(t *testing.T) {
 	if src.calls != 1 {
 		t.Fatalf("hint over 5 wide rows cost %d FetchRows calls, want 1", src.calls)
 	}
-	if rem := p.RemainderTrips(); rem != 0 {
+	if rem := measure(p).RemainderTrips; rem != 0 {
 		t.Fatalf("rowfull path paid %d remainder trips, want 0", rem)
 	}
 	for v := 0; v < 5; v++ {
@@ -263,9 +263,9 @@ func TestPrefetchUsesRowFetcher(t *testing.T) {
 	}
 }
 
-// TestPrefetchReporterForwarding walks the wrapper chain: width and
-// remainder trips must stay visible through Caching, Limit and Counter.
-func TestPrefetchReporterForwarding(t *testing.T) {
+// TestPrefetchTelemetryThroughCounter walks the wrapper chain: width and
+// remainder trips must stay visible through Caching and Counter.
+func TestPrefetchTelemetryThroughCounter(t *testing.T) {
 	g := wideGraph(101)
 	p := NewPrefetch(&noBoundSource{b: newBatchSource(g)}, WithFetchWidth(DefaultFetchWidth))
 	c := NewCounter(NewCaching(p))
@@ -284,17 +284,12 @@ func TestPrefetchReporterForwarding(t *testing.T) {
 	if st := c.Stats(); st.RemainderTrips != 0 {
 		t.Fatalf("after Reset the counter still reports %d remainder trips", st.RemainderTrips)
 	}
-	// The budget wrappers forward the capability too.
-	l := NewLimit(p, 1<<20)
-	if l.FetchWidth() != DefaultFetchWidth || l.RemainderTrips() == 0 {
-		t.Fatal("LimitOracle does not forward the prefetch reporter")
+}
+
+// measure reads o's chain telemetry the way a Counter above it would.
+func measure(o Oracle) Telemetry {
+	if m := newChainMeter(o); m != nil {
+		return *m.read()
 	}
-	lt := NewLimitTrips(p, 1<<20)
-	pr, ok := lt.(PrefetchReporter)
-	if !ok {
-		t.Fatal("trip-limited chain lost the PrefetchReporter capability")
-	}
-	if pr.FetchWidth() != DefaultFetchWidth {
-		t.Fatalf("trip-limited FetchWidth = %d, want %d", pr.FetchWidth(), DefaultFetchWidth)
-	}
+	return Telemetry{}
 }

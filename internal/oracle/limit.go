@@ -52,6 +52,9 @@ func NewLimit(inner Oracle, budget uint64) *LimitOracle {
 	return &LimitOracle{inner: inner, budget: budget}
 }
 
+// Unwrap returns the budgeted oracle.
+func (l *LimitOracle) Unwrap() Oracle { return l.inner }
+
 // Used returns the number of probes spent so far.
 func (l *LimitOracle) Used() uint64 { return l.used }
 
@@ -127,88 +130,6 @@ func (l *LimitOracle) Neighbors(v int) []int {
 // actually reads count against the budget.
 func (l *LimitOracle) Prefetch(vs ...int) { Prefetch(l.inner, vs...) }
 
-// RoundTrips forwards the chain's round-trip count (0 when local), keeping
-// the source.RoundTripCounter capability visible through the budget
-// wrapper.
-func (l *LimitOracle) RoundTrips() uint64 {
-	if rt, ok := l.inner.(source.RoundTripCounter); ok {
-		return rt.RoundTrips()
-	}
-	return 0
-}
-
-// Failovers forwards the chain's failover count (0 when non-sharded),
-// keeping the source.FailoverCounter capability visible through the
-// budget wrapper.
-func (l *LimitOracle) Failovers() uint64 {
-	if fo, ok := l.inner.(source.FailoverCounter); ok {
-		return fo.Failovers()
-	}
-	return 0
-}
-
-// Hedges forwards the chain's hedge count (0 when non-sharded).
-func (l *LimitOracle) Hedges() uint64 {
-	if fo, ok := l.inner.(source.FailoverCounter); ok {
-		return fo.Hedges()
-	}
-	return 0
-}
-
-// AttestFailures forwards the chain's attestation-failure count (0 when
-// unattested).
-func (l *LimitOracle) AttestFailures() uint64 {
-	if ac, ok := l.inner.(source.AttestCounter); ok {
-		return ac.AttestFailures()
-	}
-	return 0
-}
-
-// ProofBytes forwards the chain's transported-proof-byte count (0 when
-// unattested).
-func (l *LimitOracle) ProofBytes() uint64 {
-	if ac, ok := l.inner.(source.AttestCounter); ok {
-		return ac.ProofBytes()
-	}
-	return 0
-}
-
-// FetchWidth forwards the chain's speculative prefetch width (0 when no
-// prefetch tier is underneath).
-func (l *LimitOracle) FetchWidth() int {
-	if pr, ok := l.inner.(PrefetchReporter); ok {
-		return pr.FetchWidth()
-	}
-	return 0
-}
-
-// RemainderTrips forwards the chain's remainder-trip count (0 when no
-// prefetch tier is underneath).
-func (l *LimitOracle) RemainderTrips() uint64 {
-	if pr, ok := l.inner.(PrefetchReporter); ok {
-		return pr.RemainderTrips()
-	}
-	return 0
-}
-
-// PageTouches forwards the chain's page-touch count (0 when no
-// page-mapped backend is underneath).
-func (l *LimitOracle) PageTouches() uint64 {
-	if lr, ok := l.inner.(source.LocalityReporter); ok {
-		return lr.PageTouches()
-	}
-	return 0
-}
-
-// LocalHits forwards the chain's same-page-hit count (0 when no
-// page-mapped backend is underneath).
-func (l *LimitOracle) LocalHits() uint64 {
-	if lr, ok := l.inner.(source.LocalityReporter); ok {
-		return lr.LocalHits()
-	}
-	return 0
-}
-
 // ErrTripBudgetExceeded is the panic value raised by the round-trip
 // limiter once the backend has consumed more than Budget network round
 // trips for the wrapped chain. Typed like ErrBudgetExceeded so harnesses
@@ -223,15 +144,15 @@ func (e ErrTripBudgetExceeded) Error() string {
 }
 
 // NewLimitTrips wraps inner with a hard network round-trip budget: once
-// the chain's source.RoundTripCounter has advanced more than budget trips
-// past its value at construction, the next oracle operation panics with
-// ErrTripBudgetExceeded. Round trips are consumed inside the backend, so
+// the source.RoundTripCounter at the bottom of inner's chain has advanced
+// more than budget trips past its value at construction, the next oracle
+// operation panics with ErrTripBudgetExceeded. Round trips are consumed inside the backend, so
 // the check runs after each operation — the overshoot is bounded by one
 // operation's trips (one batch at most), and no answer past the budget
 // ever reaches the caller's logic. Chains without the capability (local
 // backends) have nothing to bound and are returned unchanged.
 func NewLimitTrips(inner Oracle, budget uint64) Oracle {
-	rt, ok := inner.(source.RoundTripCounter)
+	rt, ok := bottom(inner).(source.RoundTripCounter)
 	if !ok {
 		return inner
 	}
@@ -252,6 +173,9 @@ var (
 	_ Oracle   = (*limitTripsOracle)(nil)
 	_ Explorer = (*limitTripsOracle)(nil)
 )
+
+// Unwrap returns the trip-budgeted oracle.
+func (l *limitTripsOracle) Unwrap() Oracle { return l.inner }
 
 func (l *limitTripsOracle) check() {
 	if l.rt.RoundTrips()-l.rt0 > l.budget {
@@ -299,80 +223,6 @@ func (l *limitTripsOracle) Neighbors(v int) []int {
 func (l *limitTripsOracle) Prefetch(vs ...int) {
 	Prefetch(l.inner, vs...)
 	l.check()
-}
-
-// RoundTrips forwards the chain's round-trip count, keeping the
-// capability visible through the wrapper.
-func (l *limitTripsOracle) RoundTrips() uint64 { return l.rt.RoundTrips() }
-
-// Failovers forwards the chain's failover count (0 when non-sharded).
-func (l *limitTripsOracle) Failovers() uint64 {
-	if fo, ok := l.inner.(source.FailoverCounter); ok {
-		return fo.Failovers()
-	}
-	return 0
-}
-
-// Hedges forwards the chain's hedge count (0 when non-sharded).
-func (l *limitTripsOracle) Hedges() uint64 {
-	if fo, ok := l.inner.(source.FailoverCounter); ok {
-		return fo.Hedges()
-	}
-	return 0
-}
-
-// AttestFailures forwards the chain's attestation-failure count (0 when
-// unattested).
-func (l *limitTripsOracle) AttestFailures() uint64 {
-	if ac, ok := l.inner.(source.AttestCounter); ok {
-		return ac.AttestFailures()
-	}
-	return 0
-}
-
-// ProofBytes forwards the chain's transported-proof-byte count (0 when
-// unattested).
-func (l *limitTripsOracle) ProofBytes() uint64 {
-	if ac, ok := l.inner.(source.AttestCounter); ok {
-		return ac.ProofBytes()
-	}
-	return 0
-}
-
-// FetchWidth forwards the chain's speculative prefetch width (0 when no
-// prefetch tier is underneath).
-func (l *limitTripsOracle) FetchWidth() int {
-	if pr, ok := l.inner.(PrefetchReporter); ok {
-		return pr.FetchWidth()
-	}
-	return 0
-}
-
-// RemainderTrips forwards the chain's remainder-trip count (0 when no
-// prefetch tier is underneath).
-func (l *limitTripsOracle) RemainderTrips() uint64 {
-	if pr, ok := l.inner.(PrefetchReporter); ok {
-		return pr.RemainderTrips()
-	}
-	return 0
-}
-
-// PageTouches forwards the chain's page-touch count (0 when no
-// page-mapped backend is underneath).
-func (l *limitTripsOracle) PageTouches() uint64 {
-	if lr, ok := l.inner.(source.LocalityReporter); ok {
-		return lr.PageTouches()
-	}
-	return 0
-}
-
-// LocalHits forwards the chain's same-page-hit count (0 when no
-// page-mapped backend is underneath).
-func (l *limitTripsOracle) LocalHits() uint64 {
-	if lr, ok := l.inner.(source.LocalityReporter); ok {
-		return lr.LocalHits()
-	}
-	return 0
 }
 
 // WithinBudget runs fn and reports whether it completed without exhausting

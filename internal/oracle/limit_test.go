@@ -131,8 +131,12 @@ func TestLimitTripsForwardsCounters(t *testing.T) {
 	inner := &tripCountingOracle{Oracle: New(testGraph())}
 	inner.trips = 7 // pre-existing traffic: the budget window starts here
 	l := NewLimitTrips(inner, 100)
-	l.Degree(0)
-	if rt := l.(interface{ RoundTrips() uint64 }).RoundTrips(); rt != 8 {
-		t.Fatalf("RoundTrips = %d, want 8", rt)
+	c := NewCounter(l)
+	c.Degree(0)
+	if rt := measure(l).RoundTrips; rt != 8 {
+		t.Fatalf("RoundTrips through the limiter = %d, want 8", rt)
+	}
+	if rt := c.Stats().RoundTrips; rt != 1 {
+		t.Fatalf("Counter over the limiter: RoundTrips = %d, want 1", rt)
 	}
 }

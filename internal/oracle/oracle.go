@@ -121,10 +121,10 @@ func Prefetch(o Oracle, vs ...int) {
 	}
 }
 
-// Stats is a snapshot of probe counts by type, plus the batch/round-trip
-// accounting of the exploration API. Total — the theory's probe-complexity
-// measure — counts cells only; Batches and RoundTrips price the transport
-// and are reported separately.
+// Stats is a snapshot of probe counts by type, plus the batch accounting
+// of the exploration API and the chain's telemetry. Total — the theory's
+// probe-complexity measure — counts cells only; Batches and the Telemetry
+// figures price the transport and are reported separately.
 type Stats struct {
 	Neighbor  uint64
 	Degree    uint64
@@ -132,79 +132,32 @@ type Stats struct {
 	// Batches counts neighborhood-exploration operations issued through
 	// the oracle (one per Neighbors call and per non-empty Prefetch hint).
 	Batches uint64
-	// RoundTrips counts backend network round trips consumed, read through
-	// the source.RoundTripCounter capability when the wrapped oracle chain
-	// exposes one; 0 on purely local chains.
-	RoundTrips uint64
-	// Failovers counts probe operations a sharded backend served away from
-	// their rendezvous replica (dead or erroring shards), read through the
-	// source.FailoverCounter capability; 0 on non-sharded chains.
-	Failovers uint64
-	// Hedges counts hedged requests a sharded backend fired because the
-	// first-ranked replica exceeded the hedge delay.
-	Hedges uint64
-	// AttestFailures counts probe answers that failed verification against
-	// a pinned graph commitment — each one a detected Byzantine answer the
-	// backend discarded and re-routed — read through the
-	// source.AttestCounter capability; 0 on unattested chains.
-	AttestFailures uint64
-	// ProofBytes counts the Merkle proof bytes transported alongside
-	// attested probe answers (the verification overhead's wire cost).
-	ProofBytes uint64
-	// RemainderTrips counts the extra batches a prefetching tier issued
-	// because a row's degree exceeded its speculative width (0 when no
-	// PrefetchOracle is in the chain, or when the backend answers full
-	// rows natively).
-	RemainderTrips uint64
-	// FetchWidth is the prefetching tier's current speculative width — a
-	// gauge, not a counter; with the learned-width estimator it moves as
-	// observed degrees accumulate. 0 when no PrefetchOracle is in the chain.
-	FetchWidth uint64
-	// PageTouches counts backend loads that landed on a different page than
-	// the load before them, read through the source.LocalityReporter
-	// capability (the mmap CSR backend); 0 on chains without it.
-	PageTouches uint64
-	// LocalHits counts backend loads that stayed on the previous load's
-	// page — the near-free majority when probes exhibit the locality the
-	// hot path is built for.
-	LocalHits uint64
+	Telemetry
 }
 
 // Total returns the total cell-probe count (the model's complexity
 // measure; batches and round trips are transport accounting, not probes).
 func (s Stats) Total() uint64 { return s.Neighbor + s.Degree + s.Adjacency }
 
-// Sub returns s - t componentwise, for before/after deltas.
-func (s Stats) Sub(t Stats) Stats {
-	return Stats{
-		Neighbor:       s.Neighbor - t.Neighbor,
-		Degree:         s.Degree - t.Degree,
-		Adjacency:      s.Adjacency - t.Adjacency,
-		Batches:        s.Batches - t.Batches,
-		RoundTrips:     s.RoundTrips - t.RoundTrips,
-		Failovers:      s.Failovers - t.Failovers,
-		Hedges:         s.Hedges - t.Hedges,
-		AttestFailures: s.AttestFailures - t.AttestFailures,
-		ProofBytes:     s.ProofBytes - t.ProofBytes,
-		// RemainderTrips is a counter like the rest; FetchWidth is a gauge,
-		// so the delta keeps the newer snapshot's value.
-		RemainderTrips: s.RemainderTrips - t.RemainderTrips,
-		FetchWidth:     s.FetchWidth,
-		PageTouches:    s.PageTouches - t.PageTouches,
-		LocalHits:      s.LocalHits - t.LocalHits,
-	}
+// Add folds t into s, the Telemetry half by Telemetry.Add.
+func (s *Stats) Add(t Stats) {
+	s.Neighbor += t.Neighbor
+	s.Degree += t.Degree
+	s.Adjacency += t.Adjacency
+	s.Batches += t.Batches
+	s.Telemetry.Add(t.Telemetry)
 }
 
-// PrefetchReporter is the optional capability of a prefetching oracle tier
-// to report its speculative width and remainder-trip count. PrefetchOracle
-// implements it; the accounting wrappers forward it so a Counter stacked
-// anywhere above the tier can include both in its Stats.
-type PrefetchReporter interface {
-	// FetchWidth returns the current speculative width (a gauge).
-	FetchWidth() int
-	// RemainderTrips returns the cumulative count of remainder batches
-	// issued because a row exceeded the speculative width.
-	RemainderTrips() uint64
+// Sub returns s - t, for before/after deltas; the Telemetry half by
+// Telemetry.Sub.
+func (s Stats) Sub(t Stats) Stats {
+	return Stats{
+		Neighbor:  s.Neighbor - t.Neighbor,
+		Degree:    s.Degree - t.Degree,
+		Adjacency: s.Adjacency - t.Adjacency,
+		Batches:   s.Batches - t.Batches,
+		Telemetry: s.Telemetry.Sub(t.Telemetry),
+	}
 }
 
 // Counter wraps an Oracle and counts probes by type. It is not safe for
@@ -214,26 +167,14 @@ type PrefetchReporter interface {
 // Counter is exploration-aware: Neighbors charges exactly what the scalar
 // loop would (one Degree plus one Neighbor per cell) and Prefetch charges
 // nothing per cell — both count one batch operation — so probe complexity
-// is measured identically however the algorithm expresses its scans. When
-// the wrapped chain exposes the source.RoundTripCounter capability, Stats
-// additionally reports the network round trips consumed since
-// construction (or the last Reset).
+// is measured identically however the algorithm expresses its scans.
+// Stats additionally carries the telemetry the wrapped chain produced
+// since construction (or the last Reset): every Meter down the chain, and
+// the producers of the source at its bottom.
 type Counter struct {
 	inner Oracle
 	stats Stats
-	rt    source.RoundTripCounter // non-nil when the chain reports round trips
-	rt0   uint64                  // round-trip count at construction/Reset
-	fo    source.FailoverCounter  // non-nil when the chain reports failovers/hedges
-	fo0   uint64                  // failover count at construction/Reset
-	he0   uint64                  // hedge count at construction/Reset
-	ac    source.AttestCounter    // non-nil when the chain verifies attested probes
-	af0   uint64                  // attestation-failure count at construction/Reset
-	pb0   uint64                  // proof-byte count at construction/Reset
-	pr    PrefetchReporter        // non-nil when the chain has a prefetch tier
-	rem0  uint64                  // remainder-trip count at construction/Reset
-	lr    source.LocalityReporter // non-nil when the chain reports page locality
-	pt0   uint64                  // page-touch count at construction/Reset
-	lh0   uint64                  // local-hit count at construction/Reset
+	chain *chainMeter // nil when the chain produces no telemetry
 }
 
 var (
@@ -243,29 +184,11 @@ var (
 
 // NewCounter wraps inner with probe accounting.
 func NewCounter(inner Oracle) *Counter {
-	c := &Counter{inner: inner}
-	if rt, ok := inner.(source.RoundTripCounter); ok {
-		c.rt = rt
-		c.rt0 = rt.RoundTrips()
-	}
-	if fo, ok := inner.(source.FailoverCounter); ok {
-		c.fo = fo
-		c.fo0, c.he0 = fo.Failovers(), fo.Hedges()
-	}
-	if ac, ok := inner.(source.AttestCounter); ok {
-		c.ac = ac
-		c.af0, c.pb0 = ac.AttestFailures(), ac.ProofBytes()
-	}
-	if pr, ok := inner.(PrefetchReporter); ok {
-		c.pr = pr
-		c.rem0 = pr.RemainderTrips()
-	}
-	if lr, ok := inner.(source.LocalityReporter); ok {
-		c.lr = lr
-		c.pt0, c.lh0 = lr.PageTouches(), lr.LocalHits()
-	}
-	return c
+	return &Counter{inner: inner, chain: newChainMeter(inner)}
 }
+
+// Unwrap returns the wrapped oracle.
+func (c *Counter) Unwrap() Oracle { return c.inner }
 
 // N implements Oracle (not counted; n is public knowledge in the model).
 func (c *Counter) N() int { return c.inner.N() }
@@ -307,109 +230,11 @@ func (c *Counter) Prefetch(vs ...int) {
 	Prefetch(c.inner, vs...)
 }
 
-// RoundTrips forwards the chain's round-trip count (0 when local), so
-// stacked wrappers keep the capability visible.
-func (c *Counter) RoundTrips() uint64 {
-	if c.rt != nil {
-		return c.rt.RoundTrips()
-	}
-	return 0
-}
-
-// Failovers forwards the chain's failover count (0 when non-sharded), so
-// stacked wrappers keep the capability visible.
-func (c *Counter) Failovers() uint64 {
-	if c.fo != nil {
-		return c.fo.Failovers()
-	}
-	return 0
-}
-
-// Hedges forwards the chain's hedge count (0 when non-sharded).
-func (c *Counter) Hedges() uint64 {
-	if c.fo != nil {
-		return c.fo.Hedges()
-	}
-	return 0
-}
-
-// AttestFailures forwards the chain's attestation-failure count (0 when
-// unattested), so stacked wrappers keep the capability visible.
-func (c *Counter) AttestFailures() uint64 {
-	if c.ac != nil {
-		return c.ac.AttestFailures()
-	}
-	return 0
-}
-
-// ProofBytes forwards the chain's transported-proof-byte count (0 when
-// unattested).
-func (c *Counter) ProofBytes() uint64 {
-	if c.ac != nil {
-		return c.ac.ProofBytes()
-	}
-	return 0
-}
-
-// FetchWidth forwards the chain's speculative prefetch width (0 when no
-// prefetch tier is present), so stacked wrappers keep the capability
-// visible.
-func (c *Counter) FetchWidth() int {
-	if c.pr != nil {
-		return c.pr.FetchWidth()
-	}
-	return 0
-}
-
-// RemainderTrips forwards the chain's remainder-trip count (0 when no
-// prefetch tier is present).
-func (c *Counter) RemainderTrips() uint64 {
-	if c.pr != nil {
-		return c.pr.RemainderTrips()
-	}
-	return 0
-}
-
-// PageTouches forwards the chain's page-touch count (0 when no
-// page-mapped backend is underneath), so stacked wrappers keep the
-// capability visible.
-func (c *Counter) PageTouches() uint64 {
-	if c.lr != nil {
-		return c.lr.PageTouches()
-	}
-	return 0
-}
-
-// LocalHits forwards the chain's same-page-hit count (0 when no
-// page-mapped backend is underneath).
-func (c *Counter) LocalHits() uint64 {
-	if c.lr != nil {
-		return c.lr.LocalHits()
-	}
-	return 0
-}
-
 // Stats returns the probe counts so far.
 func (c *Counter) Stats() Stats {
 	s := c.stats
-	if c.rt != nil {
-		s.RoundTrips = c.rt.RoundTrips() - c.rt0
-	}
-	if c.fo != nil {
-		s.Failovers = c.fo.Failovers() - c.fo0
-		s.Hedges = c.fo.Hedges() - c.he0
-	}
-	if c.ac != nil {
-		s.AttestFailures = c.ac.AttestFailures() - c.af0
-		s.ProofBytes = c.ac.ProofBytes() - c.pb0
-	}
-	if c.pr != nil {
-		s.RemainderTrips = c.pr.RemainderTrips() - c.rem0
-		s.FetchWidth = uint64(c.pr.FetchWidth())
-	}
-	if c.lr != nil {
-		s.PageTouches = c.lr.PageTouches() - c.pt0
-		s.LocalHits = c.lr.LocalHits() - c.lh0
+	if c.chain != nil {
+		s.Telemetry = c.chain.delta()
 	}
 	return s
 }
@@ -417,20 +242,8 @@ func (c *Counter) Stats() Stats {
 // Reset zeroes the counters.
 func (c *Counter) Reset() {
 	c.stats = Stats{}
-	if c.rt != nil {
-		c.rt0 = c.rt.RoundTrips()
-	}
-	if c.fo != nil {
-		c.fo0, c.he0 = c.fo.Failovers(), c.fo.Hedges()
-	}
-	if c.ac != nil {
-		c.af0, c.pb0 = c.ac.AttestFailures(), c.ac.ProofBytes()
-	}
-	if c.pr != nil {
-		c.rem0 = c.pr.RemainderTrips()
-	}
-	if c.lr != nil {
-		c.pt0, c.lh0 = c.lr.PageTouches(), c.lr.LocalHits()
+	if c.chain != nil {
+		c.chain.reset()
 	}
 }
 
@@ -537,6 +350,9 @@ func NewCaching(inner Oracle) *CachingOracle {
 	return &CachingOracle{inner: inner}
 }
 
+// Unwrap returns the memoized oracle.
+func (c *CachingOracle) Unwrap() Oracle { return c.inner }
+
 // cacheKey packs a probe's two operands into one map key (operands are
 // vertex IDs or list indices, both well under 2^32).
 func cacheKey(a, b int) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }
@@ -616,83 +432,3 @@ func (c *CachingOracle) Neighbors(v int) []int {
 // Prefetch implements Explorer, forwarding the hint so a prefetching inner
 // oracle can prime its rows; the memo itself fills only from reads.
 func (c *CachingOracle) Prefetch(vs ...int) { Prefetch(c.inner, vs...) }
-
-// RoundTrips forwards the chain's round-trip count (0 when local), so a
-// Counter stacked above a shared caching tier — the parallel label
-// assembly's chain — still reports the network cost underneath.
-func (c *CachingOracle) RoundTrips() uint64 {
-	if rt, ok := c.inner.(source.RoundTripCounter); ok {
-		return rt.RoundTrips()
-	}
-	return 0
-}
-
-// Failovers forwards the chain's failover count (0 when non-sharded).
-func (c *CachingOracle) Failovers() uint64 {
-	if fo, ok := c.inner.(source.FailoverCounter); ok {
-		return fo.Failovers()
-	}
-	return 0
-}
-
-// Hedges forwards the chain's hedge count (0 when non-sharded).
-func (c *CachingOracle) Hedges() uint64 {
-	if fo, ok := c.inner.(source.FailoverCounter); ok {
-		return fo.Hedges()
-	}
-	return 0
-}
-
-// AttestFailures forwards the chain's attestation-failure count (0 when
-// unattested).
-func (c *CachingOracle) AttestFailures() uint64 {
-	if ac, ok := c.inner.(source.AttestCounter); ok {
-		return ac.AttestFailures()
-	}
-	return 0
-}
-
-// ProofBytes forwards the chain's transported-proof-byte count (0 when
-// unattested).
-func (c *CachingOracle) ProofBytes() uint64 {
-	if ac, ok := c.inner.(source.AttestCounter); ok {
-		return ac.ProofBytes()
-	}
-	return 0
-}
-
-// FetchWidth forwards the chain's speculative prefetch width (0 when no
-// prefetch tier is underneath).
-func (c *CachingOracle) FetchWidth() int {
-	if pr, ok := c.inner.(PrefetchReporter); ok {
-		return pr.FetchWidth()
-	}
-	return 0
-}
-
-// RemainderTrips forwards the chain's remainder-trip count (0 when no
-// prefetch tier is underneath).
-func (c *CachingOracle) RemainderTrips() uint64 {
-	if pr, ok := c.inner.(PrefetchReporter); ok {
-		return pr.RemainderTrips()
-	}
-	return 0
-}
-
-// PageTouches forwards the chain's page-touch count (0 when no
-// page-mapped backend is underneath).
-func (c *CachingOracle) PageTouches() uint64 {
-	if lr, ok := c.inner.(source.LocalityReporter); ok {
-		return lr.PageTouches()
-	}
-	return 0
-}
-
-// LocalHits forwards the chain's same-page-hit count (0 when no
-// page-mapped backend is underneath).
-func (c *CachingOracle) LocalHits() uint64 {
-	if lr, ok := c.inner.(source.LocalityReporter); ok {
-		return lr.LocalHits()
-	}
-	return 0
-}

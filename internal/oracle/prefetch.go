@@ -94,9 +94,9 @@ type PrefetchOracle struct {
 }
 
 var (
-	_ Oracle           = (*PrefetchOracle)(nil)
-	_ Explorer         = (*PrefetchOracle)(nil)
-	_ PrefetchReporter = (*PrefetchOracle)(nil)
+	_ Oracle   = (*PrefetchOracle)(nil)
+	_ Explorer = (*PrefetchOracle)(nil)
+	_ Meter    = (*PrefetchOracle)(nil)
 )
 
 // PrefetchStats is the transport-side accounting of a PrefetchOracle.
@@ -182,21 +182,6 @@ func NewPrefetch(src source.Source, opts ...PrefetchOption) *PrefetchOracle {
 	return p
 }
 
-// FetchWidth reports the current speculative fetch width — fixed when
-// pinned, the estimator's latest choice otherwise.
-func (p *PrefetchOracle) FetchWidth() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.width
-}
-
-// RemainderTrips reports the remainder round trips issued so far.
-func (p *PrefetchOracle) RemainderTrips() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats.RemainderTrips
-}
-
 // PrefetchStats returns the transport accounting so far.
 func (p *PrefetchOracle) PrefetchStats() PrefetchStats {
 	p.mu.Lock()
@@ -204,71 +189,17 @@ func (p *PrefetchOracle) PrefetchStats() PrefetchStats {
 	return p.stats
 }
 
-// RoundTrips implements source.RoundTripCounter by forwarding the
-// backend's count: the true network cost, scalar fallthroughs included.
-// Local backends (no capability) report 0 — their batches cross no wire.
-func (p *PrefetchOracle) RoundTrips() uint64 {
-	if rt, ok := p.src.(source.RoundTripCounter); ok {
-		return rt.RoundTrips()
-	}
-	return 0
-}
+// Unwrap returns the source the tier fetches from.
+func (p *PrefetchOracle) Unwrap() Oracle { return p.src }
 
-// Failovers forwards the backend's failover count (0 when non-sharded),
-// keeping the source.FailoverCounter capability visible through the
-// prefetching tier.
-func (p *PrefetchOracle) Failovers() uint64 {
-	if fo, ok := p.src.(source.FailoverCounter); ok {
-		return fo.Failovers()
-	}
-	return 0
-}
-
-// Hedges forwards the backend's hedge count (0 when non-sharded).
-func (p *PrefetchOracle) Hedges() uint64 {
-	if fo, ok := p.src.(source.FailoverCounter); ok {
-		return fo.Hedges()
-	}
-	return 0
-}
-
-// AttestFailures forwards the backend's attestation-failure count (0 when
-// unattested), keeping the source.AttestCounter capability visible
-// through the prefetching tier.
-func (p *PrefetchOracle) AttestFailures() uint64 {
-	if ac, ok := p.src.(source.AttestCounter); ok {
-		return ac.AttestFailures()
-	}
-	return 0
-}
-
-// ProofBytes forwards the backend's transported-proof-byte count (0 when
-// unattested).
-func (p *PrefetchOracle) ProofBytes() uint64 {
-	if ac, ok := p.src.(source.AttestCounter); ok {
-		return ac.ProofBytes()
-	}
-	return 0
-}
-
-// PageTouches forwards the backend's page-touch count (0 when no
-// page-mapped backend is underneath), keeping the
-// source.LocalityReporter capability visible through the prefetching
-// tier.
-func (p *PrefetchOracle) PageTouches() uint64 {
-	if lr, ok := source.LocalityOf(p.src); ok {
-		return lr.PageTouches()
-	}
-	return 0
-}
-
-// LocalHits forwards the backend's same-page-hit count (0 when no
-// page-mapped backend is underneath).
-func (p *PrefetchOracle) LocalHits() uint64 {
-	if lr, ok := source.LocalityOf(p.src); ok {
-		return lr.LocalHits()
-	}
-	return 0
+// Measure implements Meter: the remainder trips issued so far and the
+// current speculative width — fixed when pinned, the estimator's latest
+// choice otherwise.
+func (p *PrefetchOracle) Measure(t *Telemetry) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	t.RemainderTrips += p.stats.RemainderTrips
+	t.FetchWidth = uint64(p.width)
 }
 
 // N implements Oracle (free, as everywhere in the model).

@@ -161,7 +161,7 @@ func TestPrefetchOracleScalarFallback(t *testing.T) {
 			}
 		}
 	}
-	if p.RoundTrips() != 0 {
+	if measure(p).RoundTrips != 0 {
 		t.Fatal("local fallback reported network round trips")
 	}
 }

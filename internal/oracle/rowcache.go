@@ -379,13 +379,6 @@ func (c *RowCache) unlink(i int) {
 	}
 }
 
-// TieredStats is a snapshot of a TieredOracle's tier traffic.
-type TieredStats struct {
-	// L1Hits answered from the instance's own row store, L2Hits from the
-	// shared cache, Misses from the backend.
-	L1Hits, L2Hits, Misses uint64
-}
-
 // DefaultL1Rows bounds the per-instance L1 row store; a polylog working
 // set fits thousands of times over, so overflow resets are rare.
 const DefaultL1Rows = 1 << 12
@@ -402,14 +395,16 @@ type TieredOracle struct {
 	n   int
 	l2  *RowCache // nil: L1 only
 
-	mu    sync.Mutex
-	l1    rowStore
-	stats TieredStats
+	mu sync.Mutex
+	l1 rowStore
+	// l1Hits and l2Hits count rows answered from each tier.
+	l1Hits, l2Hits uint64
 }
 
 var (
 	_ Oracle   = (*TieredOracle)(nil)
 	_ Explorer = (*TieredOracle)(nil)
+	_ Meter    = (*TieredOracle)(nil)
 )
 
 // NewTiered returns a tiered row-cache oracle over src. l2 may be nil
@@ -418,28 +413,31 @@ func NewTiered(src source.Source, l2 *RowCache) *TieredOracle {
 	return &TieredOracle{src: src, n: src.N(), l2: l2, l1: newRowStore(DefaultL1Rows)}
 }
 
-// TierStats returns the tier-traffic snapshot so far.
-func (t *TieredOracle) TierStats() TieredStats {
+// Unwrap returns the source the tiers cache.
+func (t *TieredOracle) Unwrap() Oracle { return t.src }
+
+// Measure implements Meter: the rows answered from L1 and from L2 so far.
+func (t *TieredOracle) Measure(tel *Telemetry) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.stats
+	tel.L1Hits += t.l1Hits
+	tel.L2Hits += t.l2Hits
 }
 
 // row returns v's full adjacency row: L1, then L2 (copying into the L1
 // arena), then the backend. Caller holds mu.
 func (t *TieredOracle) row(v int) []int {
 	if row, ok := t.l1.get(v); ok {
-		t.stats.L1Hits++
+		t.l1Hits++
 		return row
 	}
 	if t.l2 != nil {
 		if row, ok := t.l2.Get(v, t.l1.arena.alloc); ok {
-			t.stats.L2Hits++
+			t.l2Hits++
 			t.l1.put(v, row)
 			return row
 		}
 	}
-	t.stats.Misses++
 	row := t.fetch(v)
 	t.l1.put(v, row)
 	if t.l2 != nil {
@@ -528,67 +526,4 @@ func (t *TieredOracle) Prefetch(vs ...int) {
 			t.row(v)
 		}
 	}
-}
-
-// Capability forwarders: the tier must not hide the chain's transport
-// accounting from the Counter stacked above it.
-
-// RoundTrips forwards the backend's round-trip count (0 when local).
-func (t *TieredOracle) RoundTrips() uint64 {
-	if rt, ok := t.src.(source.RoundTripCounter); ok {
-		return rt.RoundTrips()
-	}
-	return 0
-}
-
-// Failovers forwards the backend's failover count (0 when non-sharded).
-func (t *TieredOracle) Failovers() uint64 {
-	if fo, ok := t.src.(source.FailoverCounter); ok {
-		return fo.Failovers()
-	}
-	return 0
-}
-
-// Hedges forwards the backend's hedge count (0 when non-sharded).
-func (t *TieredOracle) Hedges() uint64 {
-	if fo, ok := t.src.(source.FailoverCounter); ok {
-		return fo.Hedges()
-	}
-	return 0
-}
-
-// AttestFailures forwards the backend's attestation-failure count (0
-// when unattested).
-func (t *TieredOracle) AttestFailures() uint64 {
-	if ac, ok := t.src.(source.AttestCounter); ok {
-		return ac.AttestFailures()
-	}
-	return 0
-}
-
-// ProofBytes forwards the backend's transported-proof-byte count (0 when
-// unattested).
-func (t *TieredOracle) ProofBytes() uint64 {
-	if ac, ok := t.src.(source.AttestCounter); ok {
-		return ac.ProofBytes()
-	}
-	return 0
-}
-
-// PageTouches forwards the backend's page-touch count (0 when no
-// page-mapped backend is underneath).
-func (t *TieredOracle) PageTouches() uint64 {
-	if lr, ok := source.LocalityOf(t.src); ok {
-		return lr.PageTouches()
-	}
-	return 0
-}
-
-// LocalHits forwards the backend's same-page-hit count (0 when no
-// page-mapped backend is underneath).
-func (t *TieredOracle) LocalHits() uint64 {
-	if lr, ok := source.LocalityOf(t.src); ok {
-		return lr.LocalHits()
-	}
-	return 0
 }

@@ -177,7 +177,8 @@ func TestRowCacheRecyclesEvictedBuffers(t *testing.T) {
 func TestTieredOracleMatchesSource(t *testing.T) {
 	g := tierGraph(300, 6)
 	for _, shared := range []*RowCache{nil, NewRowCache(64, EvictLRU), NewRowCache(64, EvictClock)} {
-		to := NewTiered(g, shared)
+		backend := NewCounter(g) // each tier miss reads one degree here
+		to := NewTiered(backend, shared)
 		if to.N() != g.N() {
 			t.Fatalf("N = %d, want %d", to.N(), g.N())
 		}
@@ -202,9 +203,8 @@ func TestTieredOracleMatchesSource(t *testing.T) {
 			to.Adjacency(-1, 0) != -1 || to.Adjacency(0, g.N()) != -1 || to.Neighbors(-1) != nil {
 			t.Fatal("out-of-range probes must answer the source conventions")
 		}
-		st := to.TierStats()
-		if st.L1Hits == 0 || st.Misses == 0 {
-			t.Fatalf("tier stats not accounted: %+v", st)
+		if st := measure(to); st.L1Hits == 0 || backend.Stats().Degree == 0 {
+			t.Fatalf("tier traffic not accounted: %+v, %d misses", st, backend.Stats().Degree)
 		}
 	}
 }
@@ -218,18 +218,19 @@ func TestTieredOracleSharedL2(t *testing.T) {
 	}
 	// A second instance over the same L2 must hit it instead of the
 	// backend for rows the first one fetched.
-	cold := NewTiered(g, l2)
+	backend := NewCounter(g) // each tier miss reads one degree here
+	cold := NewTiered(backend, l2)
 	for v := 0; v < g.N(); v++ {
 		if got, want := cold.Degree(v), g.Degree(v); got != want {
 			t.Fatalf("Degree(%d) via L2 = %d, want %d", v, got, want)
 		}
 	}
-	st := cold.TierStats()
+	st := measure(cold)
 	if st.L2Hits == 0 {
 		t.Fatalf("second instance never hit the shared L2: %+v", st)
 	}
-	if st.L2Hits+st.Misses != uint64(g.N()) {
-		t.Fatalf("first-pass probes unaccounted: %+v over n=%d", st, g.N())
+	if misses := backend.Stats().Degree; st.L2Hits+misses != uint64(g.N()) {
+		t.Fatalf("first-pass probes unaccounted: %+v and %d misses over n=%d", st, misses, g.N())
 	}
 }
 
@@ -283,13 +284,15 @@ func TestTieredOracleNeighborsSurvivesReset(t *testing.T) {
 func TestTieredOracleForwardsTransportCounters(t *testing.T) {
 	bs := newBatchSource(tierGraph(50, 4))
 	to := NewTiered(bs, nil)
-	to.Degree(1)
-	if to.RoundTrips() == 0 {
-		t.Fatal("RoundTrips not forwarded through the tier")
+	c := NewCounter(to)
+	c.Degree(1)
+	st := measure(to)
+	if st.RoundTrips == 0 || c.Stats().RoundTrips != st.RoundTrips {
+		t.Fatalf("RoundTrips not read through the tier: %+v, Counter %+v", st, c.Stats().Telemetry)
 	}
-	if to.Failovers() != 0 || to.Hedges() != 0 || to.AttestFailures() != 0 ||
-		to.ProofBytes() != 0 || to.PageTouches() != 0 || to.LocalHits() != 0 {
-		t.Fatal("absent capabilities must read 0")
+	if st.Failovers != 0 || st.Hedges != 0 || st.AttestFailures != 0 ||
+		st.ProofBytes != 0 || st.PageTouches != 0 || st.LocalHits != 0 {
+		t.Fatalf("absent capabilities must read 0: %+v", st)
 	}
 }
 

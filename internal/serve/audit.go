@@ -188,8 +188,8 @@ func (l *auditLog) append(r *AuditRecord) error {
 // Degree/Neighbor/Adjacency the algorithm issues, with its answer, in
 // order. It sits outermost in the oracle chain (directly under the LCA),
 // so the transcript is transport-independent — prefetch and budget tiers
-// underneath change how probes travel, never what gets recorded. The
-// accounting capabilities are forwarded so stats still flow to answers.
+// underneath change how probes travel, never what gets recorded. Unwrap
+// keeps the chain's telemetry visible to the Counter above it.
 // Per-flight and single-query, so no locking.
 type auditOracle struct {
 	inner  oracle.Oracle
@@ -202,6 +202,9 @@ var (
 )
 
 func newAuditOracle(inner oracle.Oracle) *auditOracle { return &auditOracle{inner: inner} }
+
+// Unwrap returns the recorded oracle.
+func (a *auditOracle) Unwrap() oracle.Oracle { return a.inner }
 
 // N implements Oracle (free, not recorded — n is public knowledge).
 func (a *auditOracle) N() int { return a.inner.N() }
@@ -242,79 +245,6 @@ func (a *auditOracle) Neighbors(v int) []int {
 // Prefetch implements Explorer; hints read nothing, so they leave no
 // transcript.
 func (a *auditOracle) Prefetch(vs ...int) { oracle.Prefetch(a.inner, vs...) }
-
-// RoundTrips forwards the chain's round-trip count, keeping the
-// capability visible through the audit tier.
-func (a *auditOracle) RoundTrips() uint64 {
-	if rt, ok := a.inner.(source.RoundTripCounter); ok {
-		return rt.RoundTrips()
-	}
-	return 0
-}
-
-// Failovers forwards the chain's failover count.
-func (a *auditOracle) Failovers() uint64 {
-	if fo, ok := a.inner.(source.FailoverCounter); ok {
-		return fo.Failovers()
-	}
-	return 0
-}
-
-// Hedges forwards the chain's hedge count.
-func (a *auditOracle) Hedges() uint64 {
-	if fo, ok := a.inner.(source.FailoverCounter); ok {
-		return fo.Hedges()
-	}
-	return 0
-}
-
-// AttestFailures forwards the chain's attestation-failure count.
-func (a *auditOracle) AttestFailures() uint64 {
-	if ac, ok := a.inner.(source.AttestCounter); ok {
-		return ac.AttestFailures()
-	}
-	return 0
-}
-
-// ProofBytes forwards the chain's transported-proof-byte count.
-func (a *auditOracle) ProofBytes() uint64 {
-	if ac, ok := a.inner.(source.AttestCounter); ok {
-		return ac.ProofBytes()
-	}
-	return 0
-}
-
-// FetchWidth forwards the chain's speculative prefetch width.
-func (a *auditOracle) FetchWidth() int {
-	if pr, ok := a.inner.(oracle.PrefetchReporter); ok {
-		return pr.FetchWidth()
-	}
-	return 0
-}
-
-// RemainderTrips forwards the chain's remainder-trip count.
-func (a *auditOracle) RemainderTrips() uint64 {
-	if pr, ok := a.inner.(oracle.PrefetchReporter); ok {
-		return pr.RemainderTrips()
-	}
-	return 0
-}
-
-// PageTouches forwards the chain's page-touch count.
-func (a *auditOracle) PageTouches() uint64 {
-	if lr, ok := a.inner.(source.LocalityReporter); ok {
-		return lr.PageTouches()
-	}
-	return 0
-}
-
-// LocalHits forwards the chain's same-page-hit count.
-func (a *auditOracle) LocalHits() uint64 {
-	if lr, ok := a.inner.(source.LocalityReporter); ok {
-		return lr.LocalHits()
-	}
-	return 0
-}
 
 // replay ----------------------------------------------------------------
 

@@ -14,13 +14,8 @@ package serve
 //	serve_queries_total{kind=edge|vertex|label|estimate}
 //	serve_query_latency_us{kind=...}        histogram, microseconds
 //	serve_probes_total                      cell probes charged by queries
-//	serve_round_trips_total                 backend network round trips
-//	serve_failovers_total                   probes served off-rendezvous
-//	serve_hedges_total                      hedged probes fired
-//	serve_attest_failures_total             probe answers that failed attestation
-//	serve_proof_bytes_total                 Merkle proof bytes transported
-//	serve_page_touches_total                mapped-backend loads off the previous page
-//	serve_local_hits_total                  mapped-backend loads on the previous page
+//	serve_<name>_total                      one per oracle.Telemetry counter; the
+//	                                        table is in ARCHITECTURE.md, "Telemetry"
 //	serve_audit_records_total               signed audit-log records written
 //	serve_probes_per_query                  histogram
 //	serve_round_trips_per_query             histogram (network sources)
@@ -62,14 +57,10 @@ type serverMetrics struct {
 	queries map[string]*metrics.Counter
 	latency map[string]*metrics.Histogram
 
-	probes       *metrics.Counter
-	roundTrips   *metrics.Counter
-	failovers    *metrics.Counter
-	hedges       *metrics.Counter
-	attestFails  *metrics.Counter
-	proofBytes   *metrics.Counter
-	pageTouches  *metrics.Counter
-	localHits    *metrics.Counter
+	probes *metrics.Counter
+	// telemetry holds serve_<name>_total per oracle.TelemetryFields row,
+	// nil for the gauge.
+	telemetry    []*metrics.Counter
 	auditRecords *metrics.Counter
 
 	probesPerQuery *metrics.Histogram
@@ -87,13 +78,7 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 		queries:        map[string]*metrics.Counter{},
 		latency:        map[string]*metrics.Histogram{},
 		probes:         reg.Counter("serve_probes_total"),
-		roundTrips:     reg.Counter("serve_round_trips_total"),
-		failovers:      reg.Counter("serve_failovers_total"),
-		hedges:         reg.Counter("serve_hedges_total"),
-		attestFails:    reg.Counter("serve_attest_failures_total"),
-		proofBytes:     reg.Counter("serve_proof_bytes_total"),
-		pageTouches:    reg.Counter("serve_page_touches_total"),
-		localHits:      reg.Counter("serve_local_hits_total"),
+		telemetry:      make([]*metrics.Counter, len(oracle.TelemetryFields)),
 		auditRecords:   reg.Counter("serve_audit_records_total"),
 		probesPerQuery: reg.Histogram("serve_probes_per_query", metrics.CountBuckets),
 		rtPerQuery:     reg.Histogram("serve_round_trips_per_query", metrics.CountBuckets),
@@ -101,6 +86,11 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 		probeRequests:  reg.Counter("serve_probe_requests_total"),
 		traces:         reg.Counter("serve_traces_total"),
 		slowQueries:    reg.Counter("serve_slow_queries_total"),
+	}
+	for i, f := range oracle.TelemetryFields {
+		if !f.Gauge {
+			m.telemetry[i] = reg.Counter("serve_" + f.Name + "_total")
+		}
 	}
 	for _, kind := range queryKinds {
 		m.queries[kind] = reg.Counter(fmt.Sprintf("serve_queries_total{kind=%s}", kind))
@@ -116,15 +106,13 @@ func (m *serverMetrics) observeExec(st oracle.Stats) {
 	m.probes.Add(st.Total())
 	m.probesPerQuery.Observe(float64(st.Total()))
 	if st.RoundTrips > 0 {
-		m.roundTrips.Add(st.RoundTrips)
 		m.rtPerQuery.Observe(float64(st.RoundTrips))
 	}
-	m.failovers.Add(st.Failovers)
-	m.hedges.Add(st.Hedges)
-	m.attestFails.Add(st.AttestFailures)
-	m.proofBytes.Add(st.ProofBytes)
-	m.pageTouches.Add(st.PageTouches)
-	m.localHits.Add(st.LocalHits)
+	for i, f := range oracle.TelemetryFields {
+		if c := m.telemetry[i]; c != nil {
+			c.Add(f.Value(&st.Telemetry))
+		}
+	}
 }
 
 // observeRequest records one served query request (coalesced waiters

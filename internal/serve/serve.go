@@ -655,20 +655,14 @@ func statsOf(inst any) oracle.Stats {
 // kind handlers --------------------------------------------------------
 
 type edgeAnswer struct {
-	Algo        string       `json:"algo"`
-	U           int          `json:"u"`
-	V           int          `json:"v"`
-	In          bool         `json:"in"`
-	Probes      uint64       `json:"probes"`
-	RoundTrips  uint64       `json:"round_trips,omitempty"`
-	Failovers   uint64       `json:"failovers,omitempty"`
-	Hedges      uint64       `json:"hedges,omitempty"`
-	AttestFail  uint64       `json:"attest_failures,omitempty"`
-	Remainders  uint64       `json:"remainder_trips,omitempty"`
-	PageTouches uint64       `json:"page_touches,omitempty"`
-	LocalHits   uint64       `json:"local_hits,omitempty"`
-	TraceID     string       `json:"trace_id,omitempty"`
-	Trace       []trace.Span `json:"trace,omitempty"`
+	Algo   string `json:"algo"`
+	U      int    `json:"u"`
+	V      int    `json:"v"`
+	In     bool   `json:"in"`
+	Probes uint64 `json:"probes"`
+	oracle.Telemetry
+	TraceID string       `json:"trace_id,omitempty"`
+	Trace   []trace.Span `json:"trace,omitempty"`
 }
 
 func (s *Server) handleEdge(w http.ResponseWriter, r *http.Request) {
@@ -737,9 +731,7 @@ func (s *Server) handleEdge(w http.ResponseWriter, r *http.Request) {
 		st := statsOf(inst)
 		s.met.observeExec(st)
 		ans := edgeAnswer{Algo: d.Name, U: u, V: v, In: in,
-			Probes: st.Total(), RoundTrips: st.RoundTrips, Failovers: st.Failovers, Hedges: st.Hedges,
-			AttestFail: st.AttestFailures, Remainders: st.RemainderTrips,
-			PageTouches: st.PageTouches, LocalHits: st.LocalHits}
+			Probes: st.Total(), Telemetry: st.Telemetry}
 		s.recordAudit("edge", d, ns, p, map[string]int{"u": u, "v": v}, rec, map[string]any{"in": in})
 		ans.TraceID, ans.Trace = s.finishTrace(qt, st, nil)
 		return ans, nil
@@ -754,19 +746,13 @@ func (s *Server) handleEdge(w http.ResponseWriter, r *http.Request) {
 }
 
 type vertexAnswer struct {
-	Algo        string       `json:"algo"`
-	V           int          `json:"v"`
-	In          bool         `json:"in"`
-	Probes      uint64       `json:"probes"`
-	RoundTrips  uint64       `json:"round_trips,omitempty"`
-	Failovers   uint64       `json:"failovers,omitempty"`
-	Hedges      uint64       `json:"hedges,omitempty"`
-	AttestFail  uint64       `json:"attest_failures,omitempty"`
-	Remainders  uint64       `json:"remainder_trips,omitempty"`
-	PageTouches uint64       `json:"page_touches,omitempty"`
-	LocalHits   uint64       `json:"local_hits,omitempty"`
-	TraceID     string       `json:"trace_id,omitempty"`
-	Trace       []trace.Span `json:"trace,omitempty"`
+	Algo   string `json:"algo"`
+	V      int    `json:"v"`
+	In     bool   `json:"in"`
+	Probes uint64 `json:"probes"`
+	oracle.Telemetry
+	TraceID string       `json:"trace_id,omitempty"`
+	Trace   []trace.Span `json:"trace,omitempty"`
 }
 
 func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {
@@ -823,9 +809,7 @@ func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {
 		st := statsOf(inst)
 		s.met.observeExec(st)
 		ans := vertexAnswer{Algo: d.Name, V: v, In: in,
-			Probes: st.Total(), RoundTrips: st.RoundTrips, Failovers: st.Failovers, Hedges: st.Hedges,
-			AttestFail: st.AttestFailures, Remainders: st.RemainderTrips,
-			PageTouches: st.PageTouches, LocalHits: st.LocalHits}
+			Probes: st.Total(), Telemetry: st.Telemetry}
 		s.recordAudit("vertex", d, ns, p, map[string]int{"v": v}, rec, map[string]any{"in": in})
 		ans.TraceID, ans.Trace = s.finishTrace(qt, st, nil)
 		return ans, nil
@@ -840,19 +824,13 @@ func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {
 }
 
 type labelAnswer struct {
-	Algo        string       `json:"algo"`
-	V           int          `json:"v"`
-	Label       int          `json:"label"`
-	Probes      uint64       `json:"probes"`
-	RoundTrips  uint64       `json:"round_trips,omitempty"`
-	Failovers   uint64       `json:"failovers,omitempty"`
-	Hedges      uint64       `json:"hedges,omitempty"`
-	AttestFail  uint64       `json:"attest_failures,omitempty"`
-	Remainders  uint64       `json:"remainder_trips,omitempty"`
-	PageTouches uint64       `json:"page_touches,omitempty"`
-	LocalHits   uint64       `json:"local_hits,omitempty"`
-	TraceID     string       `json:"trace_id,omitempty"`
-	Trace       []trace.Span `json:"trace,omitempty"`
+	Algo   string `json:"algo"`
+	V      int    `json:"v"`
+	Label  int    `json:"label"`
+	Probes uint64 `json:"probes"`
+	oracle.Telemetry
+	TraceID string       `json:"trace_id,omitempty"`
+	Trace   []trace.Span `json:"trace,omitempty"`
 }
 
 func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request) {
@@ -909,9 +887,7 @@ func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request) {
 		st := statsOf(inst)
 		s.met.observeExec(st)
 		ans := labelAnswer{Algo: d.Name, V: v, Label: label,
-			Probes: st.Total(), RoundTrips: st.RoundTrips, Failovers: st.Failovers, Hedges: st.Hedges,
-			AttestFail: st.AttestFailures, Remainders: st.RemainderTrips,
-			PageTouches: st.PageTouches, LocalHits: st.LocalHits}
+			Probes: st.Total(), Telemetry: st.Telemetry}
 		s.recordAudit("label", d, ns, p, map[string]int{"v": v}, rec, map[string]any{"label": label})
 		ans.TraceID, ans.Trace = s.finishTrace(qt, st, nil)
 		return ans, nil

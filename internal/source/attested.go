@@ -141,5 +141,8 @@ func capsOf(src Source) Caps {
 	if at, ok := AttestorOf(src); ok {
 		c.Attest = func() Attestor { return at }
 	}
+	if lr, ok := LocalityOf(src); ok {
+		c.Locality = func() (uint64, uint64) { return lr.PageTouches(), lr.LocalHits() }
+	}
 	return c
 }
