@@ -18,6 +18,7 @@ import (
 
 	"lca"
 	"lca/internal/attest"
+	"lca/internal/gen"
 	"lca/internal/graph"
 	"lca/internal/source"
 )
@@ -232,5 +233,72 @@ func TestCrossBackendDeterminismGoldens(t *testing.T) {
 		if d != golden {
 			t.Errorf("backend %s digest %s differs from implicit %s: the same spec+seed must answer byte-identically", name, d, golden)
 		}
+	}
+}
+
+// denseSpannerDigest queries spanner3 and spanner5 through s on a fixed
+// sample of g's edges and hashes each answer together with the probes it
+// cost.
+func denseSpannerDigest(t *testing.T, s *lca.Session, g *graph.Graph) string {
+	t.Helper()
+	defer s.Close()
+	h := sha256.New()
+	for i := 0; i < 24; i++ {
+		u := (i * 577) % g.N()
+		d := g.Degree(u)
+		if d == 0 {
+			continue
+		}
+		v := g.Neighbor(u, (i*131)%d)
+		for _, algo := range []string{"spanner3", "spanner5"} {
+			before, err := s.ProbeStats(algo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in, err := s.Edge(algo, u, v)
+			if err != nil {
+				t.Fatalf("%s(%d,%d): %v", algo, u, v, err)
+			}
+			after, _ := s.ProbeStats(algo)
+			fmt.Fprintf(h, "%s %d-%d:%v %d;", algo, u, v, in, after.Total()-before.Total())
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestDenseSpannerGolden pins the spanners' dense regime on a shuffled
+// mmap CSR file. Every degree of Gnp(2000, 0.1) is far above sqrt(n), so
+// queries leave E_low and reach the cluster scans of scanPart.scanKeep,
+// whose Adjacency probes are linear scans of the unsorted rows. Answers
+// and per-query probe counts must match the recorded digest and a
+// Session over the same graph in memory.
+func TestDenseSpannerGolden(t *testing.T) {
+	const golden = "4ef26636f3077728134058336838276494caa95b1402a46801eabafb1599efd4"
+	g := gen.Gnp(2000, 0.1, 17)
+	path := filepath.Join(t.TempDir(), "dense.csr")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := graph.WriteCSR(f, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	src, err := lca.OpenSource("csr:"+path+"?mmap=1", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := src.(*source.CSRMmap); ok && m.Sorted() {
+		t.Fatal("Gnp wrote sorted rows; the golden must cover the unsorted scan")
+	}
+	mmap := denseSpannerDigest(t, lca.NewSessionFromSource(src, lca.WithSeed(42)), g)
+	mem := denseSpannerDigest(t, lca.NewSession(g, lca.WithSeed(42)), g)
+	if mmap != mem {
+		t.Errorf("mmap CSR digest %s differs from in-memory %s", mmap, mem)
+	}
+	if mmap != golden {
+		t.Errorf("dense spanner digest %s, want golden %s", mmap, golden)
 	}
 }

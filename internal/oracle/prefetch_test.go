@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"lca/internal/graph"
@@ -11,11 +12,12 @@ import (
 // batchSource wraps a graph as a Source with the BatchProber,
 // DegreeBounder and RoundTripCounter capabilities, counting one round
 // trip per scalar probe and one per batch — a local stand-in for a
-// remote shard with exact transport accounting.
+// remote shard with exact transport accounting. The trip counter is
+// atomic because concurrent-probing tests share one fake.
 type batchSource struct {
 	g      *graph.Graph
 	maxDeg int
-	trips  uint64
+	trips  atomic.Uint64
 	// failBatches makes ProbeBatch return an error, to test the panic
 	// contract.
 	failBatches bool
@@ -27,21 +29,21 @@ func newBatchSource(g *graph.Graph) *batchSource {
 
 func (b *batchSource) N() int { return b.g.N() }
 
-func (b *batchSource) Degree(v int) int { b.trips++; return b.g.Degree(v) }
+func (b *batchSource) Degree(v int) int { b.trips.Add(1); return b.g.Degree(v) }
 
-func (b *batchSource) Neighbor(v, i int) int { b.trips++; return b.g.Neighbor(v, i) }
+func (b *batchSource) Neighbor(v, i int) int { b.trips.Add(1); return b.g.Neighbor(v, i) }
 
-func (b *batchSource) Adjacency(u, v int) int { b.trips++; return b.g.Adjacency(u, v) }
+func (b *batchSource) Adjacency(u, v int) int { b.trips.Add(1); return b.g.Adjacency(u, v) }
 
 func (b *batchSource) MaxDegree() int { return b.maxDeg }
 
-func (b *batchSource) RoundTrips() uint64 { return b.trips }
+func (b *batchSource) RoundTrips() uint64 { return b.trips.Load() }
 
 func (b *batchSource) ProbeBatch(probes []source.ProbeReq) ([]int, error) {
 	if b.failBatches {
 		return nil, fmt.Errorf("batch backend down")
 	}
-	b.trips++
+	b.trips.Add(1)
 	out := make([]int, len(probes))
 	for i, p := range probes {
 		switch p.Op {

@@ -691,8 +691,10 @@ func TestConformanceFaults(t *testing.T, open FaultFactory) {
 			t.Fatal("a replica served malformed payloads but Failovers() == 0")
 		}
 		// Malformed bytes are a broken replica, not a proven liar: it goes
-		// dead like any failure and healing revives it.
-		waitShardState(t, src, 0, ShardDead, "after truncated responses")
+		// dead like any failure and healing revives it. Truncation spares
+		// the health plane, so the reviver's ping can bring the replica
+		// back before a poll sees it dead; keep routing data to it.
+		probeUntilShardState(t, src, sample, want, 0, ShardDead, "after truncated responses")
 		binj.Heal(0)
 		waitShardState(t, src, 0, ShardLive, "after healing the truncating replica")
 		if got := conformanceSnapshot(src, sample); got != want {
@@ -764,6 +766,26 @@ func TestConformanceFaults(t *testing.T, open FaultFactory) {
 // wanted state or the deadline passes.
 func waitShardState(t *testing.T, src Source, i int, state, context string) {
 	t.Helper()
+	pollShardState(t, src, i, state, context, func() { time.Sleep(5 * time.Millisecond) })
+}
+
+// probeUntilShardState is waitShardState for faults that only the data
+// plane sees: between polls it probes the sample, checking every answer
+// against want, so a replica that passes health pings but fails probes
+// fails again whenever the reviver brings it back.
+func probeUntilShardState(t *testing.T, src Source, sample []int, want string, i int, state, context string) {
+	t.Helper()
+	pollShardState(t, src, i, state, context, func() {
+		if got := conformanceSnapshot(src, sample); got != want {
+			t.Fatalf("answers changed while waiting for shard %d to be %q %s:\n got %s\nwant %s", i, state, context, got, want)
+		}
+	})
+}
+
+// pollShardState runs between each poll of the fleet's health until
+// shard i reaches the wanted state or the deadline passes.
+func pollShardState(t *testing.T, src Source, i int, state, context string, between func()) {
+	t.Helper()
 	deadline := time.Now().Add(faultDeadline)
 	for {
 		health, ok := HealthOf(src)
@@ -776,7 +798,7 @@ func waitShardState(t *testing.T, src Source, i int, state, context string) {
 		if time.Now().After(deadline) {
 			t.Fatalf("shard %d stuck in state %q, want %q %s", i, health[i].State, state, context)
 		}
-		time.Sleep(5 * time.Millisecond)
+		between()
 	}
 }
 

@@ -9,11 +9,15 @@ package source
 // per-probe allocation and zero syscalls.
 //
 // The reader keeps probe-locality counters (the LocalityReporter
-// capability): a probe landing on the same 4KiB page as the previous one
+// capability): a load landing on the same 4KiB page as the load before it
 // is a local hit (near-free), a different page is a page touch (page
 // cache or fault work). The split is what benchmarks and served answers
 // surface to show whether a workload's probes actually exhibit the
-// locality the cache hierarchy is sized for.
+// locality the cache hierarchy is sized for. A probe counts its loads in
+// locals and publishes them once, with one exchange of the shared last
+// page and at most two adds, so an Adjacency probe on an unsorted file
+// costs an O(deg) loop of plain loads and compares; a sequential caller
+// still gets exactly the per-load counts.
 
 import (
 	"encoding/binary"
@@ -132,36 +136,78 @@ func (c *CSRMmap) M() int { return int(c.h.Entries / 2) }
 // loads instead of O(deg).
 func (c *CSRMmap) Sorted() bool { return c.h.Sorted }
 
-// PageTouches implements LocalityReporter: probes that landed on a
-// different page than the probe before them.
+// PageTouches implements LocalityReporter: loads that landed on a
+// different page than the load before them.
 func (c *CSRMmap) PageTouches() uint64 { return c.pageTouches.Load() }
 
-// LocalHits implements LocalityReporter: probes that stayed on the page
-// the previous probe touched.
+// LocalHits implements LocalityReporter: loads that stayed on the page
+// of the load before them.
 func (c *CSRMmap) LocalHits() uint64 { return c.localHits.Load() }
 
-// touch records the locality of one load at byte offset pos. One Swap
-// keeps the counter pair allocation-free and race-safe; under concurrency
-// the same-page attribution is approximate, which is all a locality
-// signal needs to be.
-func (c *CSRMmap) touch(pos int64) {
+// probeLoc replays one probe's loads through LocalityReporter's
+// per-load model in plain locals; touch then publishes the result once.
+// Zero value: a probe that has loaded nothing.
+type probeLoc struct {
+	first, last int64  // pages of the probe's first and latest load
+	moves       uint64 // loads that left the page of the load before them
+	loads       uint64
+}
+
+// load records one load at byte offset pos.
+func (p *probeLoc) load(pos int64) {
 	page := pos >> csrPageShift
-	if c.lastPage.Swap(page) == page {
-		c.localHits.Add(1)
-	} else {
-		c.pageTouches.Add(1)
+	if p.loads == 0 {
+		p.first = page
+	} else if page != p.last {
+		p.moves++
+	}
+	p.last = page
+	p.loads++
+}
+
+// span records k > 0 ascending loads of contiguous cells whose first
+// and last byte offsets are lo and hi. Cells never straddle a page, so
+// the run enters every page from lo's to hi's exactly once.
+func (p *probeLoc) span(lo, hi int64, k uint64) {
+	p.load(lo)
+	p.moves += uint64(hi>>csrPageShift - lo>>csrPageShift)
+	p.last = hi >> csrPageShift
+	p.loads += k - 1
+}
+
+// touch publishes one probe's locality with one lastPage exchange and at
+// most two adds. Under the per-load model the probe's first load is a
+// touch unless the previous probe ended on its page, each later load is a
+// touch exactly when it changes page, and every other load is a local
+// hit; a sequential caller gets exactly those counts. Under concurrency
+// the exchange orders whole probes rather than loads, so the same-page
+// attribution is approximate, which is all a locality signal needs to be.
+func (c *CSRMmap) touch(p *probeLoc) {
+	if p.loads == 0 {
+		return
+	}
+	touches := p.moves
+	if c.lastPage.Swap(p.last) != p.first {
+		touches++
+	}
+	if touches > 0 {
+		c.pageTouches.Add(touches)
+	}
+	if hits := p.loads - touches; hits > 0 {
+		c.localHits.Add(hits)
 	}
 }
 
 // run returns the adjacency cell range [lo, hi) of v, or ok=false on a
 // corrupt offset pair (probe answers degrade to "no neighbor" rather than
-// panicking mid-query, matching the cold reader).
-func (c *CSRMmap) run(v int) (lo, hi int64, ok bool) {
+// panicking mid-query, matching the cold reader). The offset load is
+// recorded in p unless v is out of range.
+func (c *CSRMmap) run(p *probeLoc, v int) (lo, hi int64, ok bool) {
 	if v < 0 || int64(v) >= c.h.N {
 		return 0, 0, false
 	}
 	pos := c.h.OffsetPos(int64(v))
-	c.touch(pos)
+	p.load(pos)
 	lo = int64(binary.LittleEndian.Uint64(c.data[pos:]))
 	hi = int64(binary.LittleEndian.Uint64(c.data[pos+8:]))
 	if lo < 0 || lo > hi || hi > c.h.Entries {
@@ -170,16 +216,18 @@ func (c *CSRMmap) run(v int) (lo, hi int64, ok bool) {
 	return lo, hi, true
 }
 
-// cell returns adjacency cell i.
-func (c *CSRMmap) cell(i int64) int {
+// cell returns adjacency cell i, recording its load in p.
+func (c *CSRMmap) cell(p *probeLoc, i int64) int {
 	pos := c.h.NeighborPos(i)
-	c.touch(pos)
+	p.load(pos)
 	return int(binary.LittleEndian.Uint32(c.data[pos:]))
 }
 
 // Degree implements Source.
 func (c *CSRMmap) Degree(v int) int {
-	lo, hi, ok := c.run(v)
+	var p probeLoc
+	lo, hi, ok := c.run(&p, v)
+	c.touch(&p)
 	if !ok {
 		return 0
 	}
@@ -188,39 +236,70 @@ func (c *CSRMmap) Degree(v int) int {
 
 // Neighbor implements Source.
 func (c *CSRMmap) Neighbor(v, i int) int {
-	lo, hi, ok := c.run(v)
-	if !ok || i < 0 || int64(i) >= hi-lo {
-		return -1
+	var p probeLoc
+	lo, hi, ok := c.run(&p, v)
+	w := -1
+	if ok && i >= 0 && int64(i) < hi-lo {
+		w = c.cell(&p, lo+int64(i))
 	}
-	return c.cell(lo + int64(i))
+	c.touch(&p)
+	return w
 }
 
 // Adjacency implements Source: binary search on sorted files, linear scan
 // otherwise.
 func (c *CSRMmap) Adjacency(u, v int) int {
-	lo, hi, ok := c.run(u)
-	if !ok {
-		return -1
+	var p probeLoc
+	lo, hi, ok := c.run(&p, u)
+	idx := -1
+	switch {
+	case !ok:
+	case c.h.Sorted:
+		idx = c.search(&p, lo, hi, v)
+	default:
+		idx = c.scan(&p, lo, hi, v)
 	}
-	if c.h.Sorted {
-		origLo, origHi := lo, hi
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if w := c.cell(mid); w < v {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+	c.touch(&p)
+	return idx
+}
+
+// search binary-searches the sorted cells [lo, hi) for v: O(log deg)
+// loads, each recorded in p.
+func (c *CSRMmap) search(p *probeLoc, lo, hi int64, v int) int {
+	origLo, origHi := lo, hi
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if w := c.cell(p, mid); w < v {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		if lo < origHi && c.cell(lo) == v {
-			return int(lo - origLo)
-		}
-		return -1
 	}
-	for i := lo; i < hi; i++ {
-		if c.cell(i) == v {
-			return int(i - lo)
-		}
+	if lo < origHi && c.cell(p, lo) == v {
+		return int(lo - origLo)
 	}
 	return -1
+}
+
+// scan finds v in the unsorted cells [lo, hi) with a plain compare loop
+// over the mapped bytes: O(deg) loads and no shared writes. The loads are
+// one ascending run, recorded in p from its first and last offset.
+func (c *CSRMmap) scan(p *probeLoc, lo, hi int64, v int) int {
+	if lo == hi {
+		return -1
+	}
+	start := c.h.NeighborPos(lo)
+	row := c.data[start:c.h.NeighborPos(hi)]
+	idx, read := -1, hi-lo
+	if want := uint32(v); int(want) == v { // no cell decodes to any other v
+		for i := 0; len(row) >= 4; i++ {
+			if binary.LittleEndian.Uint32(row) == want {
+				idx, read = i, int64(i)+1
+				break
+			}
+			row = row[4:]
+		}
+	}
+	p.span(start, start+4*(read-1), uint64(read))
+	return idx
 }

@@ -3,11 +3,13 @@ package source
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
 
 	"lca/internal/gen"
+	"lca/internal/graph"
 	"lca/internal/rnd"
 )
 
@@ -60,6 +62,13 @@ func TestCSRMmapMatchesColdReader(t *testing.T) {
 				for _, u := range []int{0, (v + 1) % n, (v * 13) % n} {
 					if ac, ah := cold.Adjacency(v, u), hot.Adjacency(v, u); ac != ah {
 						t.Fatalf("Adjacency(%d,%d): mmap %d, cold %d", v, u, ah, ac)
+					}
+				}
+				// Every actual neighbour: the found branch, at each position.
+				for i := 0; i < dc; i++ {
+					w := cold.Neighbor(v, i)
+					if ac, ah := cold.Adjacency(v, w), hot.Adjacency(v, w); ac != ah || ah < 0 {
+						t.Fatalf("Adjacency(%d,%d): mmap %d, cold %d", v, w, ah, ac)
 					}
 				}
 			}
@@ -137,6 +146,144 @@ func TestCSRMmapLocalityCounters(t *testing.T) {
 	}
 	if _, ok := LocalityOf(c); !ok {
 		t.Fatal("CSRMmap does not surface the LocalityReporter capability")
+	}
+}
+
+// localityModel replays LocalityReporter's per-load definition: a load
+// on the page of the load before it is a local hit, any other load a page
+// touch.
+type localityModel struct {
+	last          int64
+	touches, hits uint64
+}
+
+func (m *localityModel) load(pos int64) {
+	if page := pos >> csrPageShift; page == m.last {
+		m.hits++
+	} else {
+		m.touches++
+		m.last = page
+	}
+}
+
+// hubGraph has four hubs joined to every other vertex, rows of about
+// 2000 cells (8 KB, spanning two or three 4 KiB pages), and a path
+// through the rest, whose rows are a few cells long.
+func hubGraph(n int) *graph.Builder {
+	b := graph.NewBuilder(n)
+	for h := 0; h < 4; h++ {
+		for v := 4; v < n; v++ {
+			b.AddEdge(h, v)
+		}
+	}
+	for v := 4; v+1 < n; v++ {
+		b.AddEdge(v, v+1)
+	}
+	return b
+}
+
+// TestCSRMmapLocalityPerLoad pins the counts each probe publishes to the
+// per-load definition, exactly, for a sequential caller. The model loads
+// the probe's offset pair, then each cell the probe reads: the row
+// prefix up to the match on a shuffled file, the binary-search path on a
+// sorted one. Rows span several pages, so scans cross page boundaries.
+func TestCSRMmapLocalityPerLoad(t *testing.T) {
+	skipNoMmap(t)
+	const n = 2100
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"shuffled", hubGraph(n).BuildShuffled(rnd.NewPRG(5))},
+		{"sorted", hubGraph(n).Build()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := OpenCSRMmap(writeCSRFile(t, tc.g))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if c.Sorted() != (tc.name == "sorted") {
+				t.Fatalf("file sorted=%v, want %s rows", c.Sorted(), tc.name)
+			}
+			g := tc.g
+			start := make([]int64, n+1) // row v is cells [start[v], start[v+1])
+			for v := 0; v < n; v++ {
+				start[v+1] = start[v] + int64(g.Degree(v))
+			}
+			m := localityModel{last: -1}
+			check := func(probe string) {
+				t.Helper()
+				if c.PageTouches() != m.touches || c.LocalHits() != m.hits {
+					t.Fatalf("%s: touches=%d local=%d, per-load model %d/%d",
+						probe, c.PageTouches(), c.LocalHits(), m.touches, m.hits)
+				}
+			}
+			adjacency := func(v, w, want int) {
+				t.Helper()
+				m.load(c.h.OffsetPos(int64(v)))
+				lo, hi := start[v], start[v+1]
+				if c.Sorted() {
+					for lo < hi {
+						mid := (lo + hi) / 2
+						m.load(c.h.NeighborPos(mid))
+						if g.Neighbor(v, int(mid-start[v])) < w {
+							lo = mid + 1
+						} else {
+							hi = mid
+						}
+					}
+					if lo < start[v+1] {
+						m.load(c.h.NeighborPos(lo))
+					}
+				} else {
+					last := hi - 1
+					if want >= 0 {
+						last = start[v] + int64(want)
+					}
+					for i := lo; i <= last; i++ {
+						m.load(c.h.NeighborPos(i))
+					}
+				}
+				if got := c.Adjacency(v, w); got != want {
+					t.Fatalf("Adjacency(%d,%d) = %d, want %d", v, w, got, want)
+				}
+				check(fmt.Sprintf("Adjacency(%d,%d)", v, w))
+			}
+			for _, v := range []int{0, 3, 4, n / 2, n - 1} {
+				d := g.Degree(v)
+				for rep := 0; rep < 2; rep++ { // the repeat stays on its page
+					m.load(c.h.OffsetPos(int64(v)))
+					if got := c.Degree(v); got != d {
+						t.Fatalf("Degree(%d) = %d, want %d", v, got, d)
+					}
+					check(fmt.Sprintf("Degree(%d)", v))
+				}
+				for _, i := range []int{0, d / 2, d - 1, d, -1} {
+					m.load(c.h.OffsetPos(int64(v)))
+					want := -1
+					if i >= 0 && i < d {
+						m.load(c.h.NeighborPos(start[v] + int64(i)))
+						want = g.Neighbor(v, i)
+					}
+					if got := c.Neighbor(v, i); got != want {
+						t.Fatalf("Neighbor(%d,%d) = %d, want %d", v, i, got, want)
+					}
+					check(fmt.Sprintf("Neighbor(%d,%d)", v, i))
+				}
+				for _, i := range []int{0, d / 2, d - 1} {
+					adjacency(v, g.Neighbor(v, i), i)
+				}
+				adjacency(v, v, -1)           // no self-loops: a miss reads the whole row
+				adjacency(v, -1, -1)          // below every cell
+				adjacency(v, math.MaxInt, -1) // above every cell
+			}
+			// Out-of-range vertices load nothing.
+			c.Degree(-1)
+			c.Neighbor(n, 0)
+			c.Adjacency(n, 0)
+			check("out-of-range probes")
+		})
 	}
 }
 

@@ -167,12 +167,16 @@ func (s *scanPart) centerSet(v int) []int {
 	return set
 }
 
-// inCenterSet reports whether center c is in S(w) using a single Adjacency
-// probe: c must be a center and appear within w's center prefix.
+// inCenterSet reports whether c is in S(w): c must be a center and
+// appear within w's center prefix.
 func (s *scanPart) inCenterSet(w, c int) bool {
-	if !s.isCenter(c) {
-		return false
-	}
+	return s.isCenter(c) && s.inPrefix(w, c)
+}
+
+// inPrefix reports whether c appears within w's center prefix using a
+// single Adjacency probe. For a c already known to be a center (one
+// centerSet returned) this is inCenterSet without re-hashing c.
+func (s *scanPart) inPrefix(w, c int) bool {
 	idx := s.o.Adjacency(w, c)
 	return idx >= 0 && idx < s.centerPrefix
 }
@@ -215,7 +219,7 @@ func (s *scanPart) scanKeep(w, x int) bool {
 			if covered[si] {
 				continue
 			}
-			if s.inCenterSet(prev, c) {
+			if s.inPrefix(prev, c) { // c came from centerSet
 				covered[si] = true
 				remaining--
 			}

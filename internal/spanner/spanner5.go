@@ -448,7 +448,7 @@ func (s *Spanner5) repScan(u, v int) bool {
 				if covered[si] {
 					continue
 				}
-				if s.super.inCenterSet(x, c) {
+				if s.super.inPrefix(x, c) { // c came from super.centerSet
 					covered[si] = true
 					remaining--
 				}

@@ -1,6 +1,8 @@
 package spanner
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"testing"
 
@@ -108,6 +110,29 @@ func TestSpanner5ProbeComplexity(t *testing.T) {
 		if float64(stats.MaxTotal) > bound {
 			t.Errorf("n=%d: max probes %d exceed %.0f", n, stats.MaxTotal, bound)
 		}
+	}
+}
+
+// TestSpanner5ScanGolden pins answers and per-query probe counts where
+// both cluster scans run: degrees straddle n^{5/6}, so band vertices have
+// representatives and repScan's coverage loop runs beside scanKeep's.
+// Both loops test membership of centers a center set already returned.
+func TestSpanner5ScanGolden(t *testing.T) {
+	const golden = "4d6d2f9959daf02d4bd101e6dd1a3923c59ca75855f1d5060fbd016806e7cd72"
+	n := 512
+	g := gen.Gnp(n, 10/math.Pow(float64(n), 0.55), rnd.Seed(n))
+	lca := NewSpanner5(oracle.New(g), 33)
+	edges := g.Edges()
+	prg := rnd.NewPRG(2)
+	h := sha256.New()
+	for i := 0; i < 60; i++ {
+		e := edges[prg.Intn(len(edges))]
+		before := lca.ProbeStats()
+		in := lca.QueryEdge(e.U, e.V)
+		fmt.Fprintf(h, "%d-%d:%v %d;", e.U, e.V, in, lca.ProbeStats().Sub(before).Total())
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != golden {
+		t.Errorf("spanner5 scan digest %s, want golden %s", got, golden)
 	}
 }
 
