@@ -218,8 +218,8 @@ func (r *runner) reg() {
 //
 // The hot-local-path rows price the same circulant family served from a
 // materialized CSR file — probed cold from disk, mmapped, and mmapped
-// behind the tiered row caches (LRU vs clock L2) — plus the implicit
-// source behind the tier. Their ns/probe and allocs/probe columns are
+// behind the row tier with its LRU L2 — plus the implicit source behind
+// the tier. Their ns/probe and allocs/probe columns are
 // the steady-state scalar probe cost of each backend (a primed working
 // set probed repeatedly); the probe-count columns must match the direct
 // rows exactly, since every backend serves the same graph.
@@ -245,15 +245,14 @@ func (r *runner) src() {
 		{"ring", fmt.Sprintf("ring:n=%d", n), "direct", baseAlgos, queryConfig{}},
 		{"circulant", circSpec, "direct", baseAlgos, queryConfig{}},
 		{"blockrandom", fmt.Sprintf("blockrandom:n=%d,d=6,block=64", n), "direct", baseAlgos, queryConfig{}},
-		{"circulant", circSpec, "tiered-lru", hotAlgos, queryConfig{tier: oracle.EvictLRU}},
+		{"circulant", circSpec, "tiered-lru", hotAlgos, queryConfig{rowCache: true}},
 	}
 	if csrPath := r.writeBenchCSR(circSpec, n); csrPath != "" {
 		defer os.Remove(csrPath)
 		variants = append(variants,
 			variant{"circulant", "csr:" + csrPath, "csr-cold", hotAlgos, queryConfig{}},
 			variant{"circulant", "csr:" + csrPath + "?mmap=1", "csr-mmap", hotAlgos, queryConfig{}},
-			variant{"circulant", "csr:" + csrPath + "?mmap=1", "csr-mmap+lru", hotAlgos, queryConfig{tier: oracle.EvictLRU}},
-			variant{"circulant", "csr:" + csrPath + "?mmap=1", "csr-mmap+clock", hotAlgos, queryConfig{tier: oracle.EvictClock}},
+			variant{"circulant", "csr:" + csrPath + "?mmap=1", "csr-mmap+lru", hotAlgos, queryConfig{rowCache: true}},
 		)
 	}
 	t := stats.NewTable("source", "config", "algorithm", "n", "queries", "mean probes", "max probes", "mean us/query", "ns/probe", "allocs/probe")
@@ -362,47 +361,52 @@ func (r *runner) probeHotPath(src source.Source, qc queryConfig, n int) (nsPerPr
 }
 
 // queryConfig tunes how measurePointQueries builds its oracle chain:
-// prefetch routes exploration through the prefetching tier, width pins
-// its speculative width (0 lets the learned-width estimator run), legacy
-// strips the rowfull and degree-bound capabilities off the source —
-// simulating a pre-rowfull shard, the regime the width estimator exists
-// for — and tier inserts the tiered row-cache oracle (L1 arena plus a
-// bounded L2 under the named eviction policy) directly over the source.
+// prefetch puts the row tier over the source, rowCache puts it there
+// with a bounded LRU L2, and legacy strips the rowfull and degree-bound
+// capabilities off the source — simulating a pre-rowfull shard, the
+// regime the width estimator exists for — unless width advertises a
+// static width as the shard's degree bound.
 type queryConfig struct {
 	prefetch bool
-	width    int
+	rowCache bool
 	legacy   bool
-	tier     oracle.EvictPolicy
+	width    int
 }
 
-// probeChain builds the oracle chain a queryConfig describes — the
-// tiered row cache sits directly over the source, the prefetching
-// exploration tier above it — shared by the query sweeps and the
-// hot-path probe pricing so both measure the same stack.
+// probeChain builds the oracle chain a queryConfig describes through
+// oracle.NewChain, shared by the query sweeps and the hot-path probe
+// pricing so both measure the same stack.
 func probeChain(src source.Source, qc queryConfig) oracle.Oracle {
-	probeSrc := src
 	if qc.legacy {
-		probeSrc = &legacySource{inner: src}
+		src = &legacySource{inner: src, width: qc.width}
 	}
-	if qc.tier != "" {
-		probeSrc = oracle.NewTiered(probeSrc, oracle.NewRowCache(benchRowCacheRows, qc.tier))
+	cfg := oracle.ChainConfig{Prefetch: qc.prefetch}
+	if qc.rowCache {
+		cfg.RowCache = oracle.NewRowCache(benchRowCacheRows)
 	}
-	if qc.prefetch {
-		var opts []oracle.PrefetchOption
-		if qc.width > 0 {
-			opts = append(opts, oracle.WithFetchWidth(qc.width))
-		}
-		return oracle.NewPrefetch(probeSrc, opts...)
-	}
-	return oracle.New(probeSrc)
+	return oracle.NewChain(src, cfg)
 }
 
 // legacySource forwards the probe interface, batching and trip
 // accounting of a network source while hiding its RowFetcher and
 // DegreeBounder capabilities — the capability surface of a shard that
-// predates the rowfull op, against which the prefetching tier must guess
-// speculative widths.
-type legacySource struct{ inner source.Source }
+// predates the rowfull op, against which the row tier must guess
+// speculative widths. A positive width is advertised as the degree
+// bound instead, which pins the tier's width there: the static guess
+// such shards were paired with before the width was learned.
+type legacySource struct {
+	inner source.Source
+	width int
+}
+
+// Caps implements source.CapSource: no rowfull op, and a degree bound
+// only when a static width is set.
+func (l *legacySource) Caps() source.Caps {
+	if l.width <= 0 {
+		return source.Caps{}
+	}
+	return source.Caps{MaxDegree: func() int { return l.width }}
+}
 
 func (l *legacySource) N() int                 { return l.inner.N() }
 func (l *legacySource) Degree(v int) int       { return l.inner.Degree(v) }
@@ -440,8 +444,8 @@ func (l *legacySource) RoundTrips() uint64 {
 // shared measurement loop of the SRC, NET and FAIL sweeps. Edge-kind
 // queries target (v, first neighbor of v), skipping the rare isolated
 // vertex (blockrandom has a few). With prefetch, the instance runs over
-// a prefetching exploration oracle; the per-query stats then show the
-// round-trip collapse while the probe columns stay identical.
+// the row tier; the per-query stats then show the round-trip collapse
+// while the probe columns stay identical.
 func (r *runner) measurePointQueries(src source.Source, algo string, n, samples int, deriveLabel uint64, qc queryConfig) (core.QueryStats, time.Duration, float64, error) {
 	d, err := registry.Get(algo)
 	if err != nil {
@@ -586,7 +590,7 @@ func (r *runner) net() {
 		{"remote x1 attest prefetch", "remote:" + attURL + "#root=" + attRoot, queryConfig{prefetch: true}},
 		// Width-learner rows: a blockrandom-backed shard whose client is
 		// capped to the legacy capability surface (no rowfull op, no
-		// degree bound), so the prefetching tier must speculate widths.
+		// degree bound), so the row tier must speculate widths.
 		// The static row pins the pre-learner default guess; the adaptive
 		// row lets the degree estimator size the batches, so its
 		// remainder trips/query must fall strictly below the static

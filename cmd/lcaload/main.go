@@ -289,7 +289,7 @@ func main() {
 		concurrency = flag.Int("concurrency", 8, "worker count (in-flight cap)")
 		mixFlag     = flag.String("mix", "vertex/mis", "weighted query mix: [Wx]kind/algo[?params],...")
 		sourceFlag  = flag.String("source", "", "target source name (default source when empty)")
-		prefetch    = flag.Bool("prefetch", false, "route queries through the prefetching oracle")
+		prefetch    = flag.Bool("prefetch", false, "route queries through the row tier (prefetch=1)")
 		token       = flag.String("token", "", "tenant token (Authorization: Bearer)")
 		seed        = flag.Uint64("seed", 1, "seed for target sampling")
 		timeout     = flag.Duration("timeout", 10*time.Second, "per-request timeout")

@@ -104,9 +104,9 @@
 // every scalar probe costing one round trip is the wrong transport. The
 // oracle layer's exploration API fixes the unit: Neighbors(v) fetches one
 // full adjacency row, Prefetch(vs...) hints rows about to be read, and
-// the prefetching oracle turns both into single batched round trips
-// (POST /probe) on remote: and sharded: backends, serving subsequent
-// scalar probes from the primed rows. Enable it per session:
+// the row tier turns both into single batched round trips (POST /probe)
+// on remote: and sharded: backends, serving subsequent scalar probes
+// from the cached rows. Enable it per session:
 //
 //	src, err := lca.OpenSource("sharded:remote:http://a:8080,remote:http://b:8080", 7)
 //	s := lca.NewSessionFromSource(src,
@@ -154,9 +154,10 @@
 // knob ("csr:web.csr?mmap=1") maps it read-only instead of issuing a
 // positioned read per probe — the spec falls back to the cold reader
 // where mmap is unavailable — and WithRowCache routes the session's
-// probes through tiered row caches (a per-chain arena-backed L1 over a
-// shared bounded L2), so steady-state probes of a warm working set
-// allocate nothing:
+// probes through the row tier with a shared bounded L2 (a per-chain
+// arena-backed L1 over it; WithPrefetch selects the same tier without
+// the L2), so steady-state probes of a warm working set allocate
+// nothing:
 //
 //	src, err := lca.OpenSource("csr:web.csr?mmap=1", 7)
 //	s := lca.NewSessionFromSource(src,

@@ -230,10 +230,10 @@ func TestDocsTrustPlane(t *testing.T) {
 }
 
 // TestDocsHotPath: the hot local path's surface — the mmap spec knob
-// and its fallback error, the tiered row-cache layer with its eviction
-// policies and session switch, the LocalityReporter capability with its
-// QueryStats fields and serve counters, and the bench columns CI gates —
-// is documented in ARCHITECTURE.md and the doc.go quickstart with the
+// and its fallback error, the row tier with its L2 constructor and
+// session switch, the LocalityReporter capability with its QueryStats
+// fields and serve counters, and the bench columns CI gates — is
+// documented in ARCHITECTURE.md and the doc.go quickstart with the
 // code's own names.
 func TestDocsHotPath(t *testing.T) {
 	arch := readDoc(t, "ARCHITECTURE.md")
@@ -241,7 +241,7 @@ func TestDocsHotPath(t *testing.T) {
 		"Hot local path", "csr_mmap.go", "OpenCSRMmap", "mmap=1",
 		"ErrMmapUnsupported",
 		"rowcache.go", "TieredOracle", "WithRowCache",
-		"EvictLRU", "EvictClock", "arena",
+		"NewRowCache", "arena",
 		"LocalityReporter", "PageTouches", "LocalHits",
 		"page_touches", "local_hits",
 		"serve_page_touches_total", "serve_local_hits_total",

@@ -83,12 +83,11 @@ func BuildSubgraphParallel(g *graph.Graph, factory func() EdgeLCA, workers int) 
 	return b.Build(), agg
 }
 
-// BuildLabelsParallel is the labeling analogue of BuildSubgraphParallel.
-// Label queries recurse through overlapping lower-priority neighborhoods,
-// so the Session's worker factory builds instances over one shared
-// concurrency-safe oracle.CachingOracle: a probe one worker pays for
-// answers every worker's repeats, and answers are unchanged (cached cells
-// are pure functions of graph and seed).
+// BuildLabelsParallel is the labeling analogue of BuildSubgraphParallel:
+// factory returns one instance per worker, each over its own oracle
+// chain, and the labeling is bit-identical to serial assembly. Chains
+// may share state safely — the Session's share its row tier's L2 under
+// WithRowCache — because cached rows are pure functions of the graph.
 func BuildLabelsParallel(g *graph.Graph, factory func() LabelLCA, workers int) ([]int, QueryStats) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

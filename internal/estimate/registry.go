@@ -21,31 +21,23 @@ import (
 // Fraction estimates the fraction of elements (edges for an edge-kind
 // algorithm, vertices for a vertex-kind one) in the algorithm's solution
 // from sampled point queries, with a Hoeffding confidence radius at level
-// 1-delta. The instance is built fresh over src; because the estimator
-// issues many queries against it, memoization is enabled by default for
-// algorithms that support it (pass memo explicitly to override). The
-// sampling seed derives from seed and the algorithm name, so repeated
-// calls are deterministic.
+// 1-delta. The instance is built fresh over o, an oracle chain over src
+// (oracle.NewChain): whatever the chain enforces — probe and round-trip
+// budgets included — covers the whole estimate, every sampled point
+// query included. Because the estimator issues many queries against the
+// instance, memoization is enabled by default for algorithms that
+// support it (pass memo explicitly to override). The sampling seed
+// derives from seed and the algorithm name, so repeated calls are
+// deterministic.
 //
 // Edge-kind estimation needs uniform random edges, so src must implement
 // the source.RandomEdger capability (in-memory graphs, implicit
 // closed-form families, and network sources whose shards have it).
 //
-// With prefetch set, the instance is built over a prefetching exploration
-// oracle and the sample set is hinted up front, so on batched network
-// backends the estimator's round trips collapse; answers are identical
-// either way.
-func Fraction(d *registry.Descriptor, src source.Source, seed rnd.Seed, p registry.Params, samples int, delta float64, prefetch bool) (Result, error) {
-	return FractionOver(d, src, seed, p, samples, delta, prefetch, nil)
-}
-
-// FractionOver is Fraction with a caller-supplied oracle wrapper applied
-// to the freshly built chain before the instance is constructed. The
-// serving tier threads per-tenant enforcement (probe and round-trip
-// budgets) through it, so one budget covers the whole estimate — every
-// sampled point query included — rather than leaking around the
-// estimator. A nil wrap is Fraction exactly.
-func FractionOver(d *registry.Descriptor, src source.Source, seed rnd.Seed, p registry.Params, samples int, delta float64, prefetch bool, wrap func(oracle.Oracle) oracle.Oracle) (Result, error) {
+// The sample set is hinted to o up front, so over a chain with the row
+// tier on batched network backends the estimator's round trips collapse;
+// answers are identical either way.
+func Fraction(d *registry.Descriptor, src source.Source, o oracle.Oracle, seed rnd.Seed, p registry.Params, samples int, delta float64) (Result, error) {
 	if samples < 1 {
 		return Result{}, fmt.Errorf("algorithm %q: samples must be >= 1, got %d", d.Name, samples)
 	}
@@ -54,13 +46,6 @@ func FractionOver(d *registry.Descriptor, src source.Source, seed rnd.Seed, p re
 	}
 	if src.N() == 0 {
 		return Result{}, fmt.Errorf("algorithm %q: source has no vertices to sample", d.Name)
-	}
-	o := oracle.New(src)
-	if prefetch {
-		o = oracle.NewPrefetch(src)
-	}
-	if wrap != nil {
-		o = wrap(o)
 	}
 	inst, err := d.Build(o, seed, d.WithMemoDefault(p))
 	if err != nil {

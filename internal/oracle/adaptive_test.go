@@ -1,9 +1,10 @@
 package oracle
 
-// Tests for the learned prefetch width: the degree-bound clamp
-// regression, the estimator's bounds and convergence properties, the
-// rowfull fast path through source.RowFetcher, and the chain walk that
-// surfaces width and remainder trips in Stats.
+// Tests for the learned fetch width: the degree-bound clamp regression,
+// the estimator's bounds, convergence and determinism, the rowfull fast
+// path through source.RowFetcher, and the chain walk that surfaces width
+// and remainder trips in Stats. A batchSource whose reported degree
+// bound undercuts its rows stands in for a static width.
 
 import (
 	"fmt"
@@ -81,7 +82,7 @@ func wideGraph(n int) *graph.Graph {
 func TestPrefetchWidthClampRegression(t *testing.T) {
 	src := newBatchSource(testGraph())
 	src.maxDeg = 1 << 30
-	p := NewPrefetch(src)
+	p := NewTiered(src, nil)
 	if got := measure(p).FetchWidth; got != MaxFetchWidth {
 		t.Fatalf("width under an absurd degree bound = %d, want the %d clamp", got, MaxFetchWidth)
 	}
@@ -106,7 +107,7 @@ func TestAdaptiveWidthWithinBounds(t *testing.T) {
 		}
 	}
 	g := b.Build()
-	p := NewPrefetch(&noBoundSource{b: newBatchSource(g)})
+	p := NewTiered(&noBoundSource{b: newBatchSource(g)}, nil)
 	for v := 0; v < g.N(); v++ {
 		p.Prefetch(v)
 		if w := measure(p).FetchWidth; w < 1 || w > MaxFetchWidth {
@@ -121,7 +122,7 @@ func TestAdaptiveWidthWithinBounds(t *testing.T) {
 func TestAdaptiveWidthConvergesOnRing(t *testing.T) {
 	g := ringGraph(200)
 	src := &noBoundSource{b: newBatchSource(g)}
-	p := NewPrefetch(src)
+	p := NewTiered(src, nil)
 	if got := measure(p).FetchWidth; got != DefaultFetchWidth {
 		t.Fatalf("unbounded source starts at width %d, want DefaultFetchWidth %d", got, DefaultFetchWidth)
 	}
@@ -158,7 +159,7 @@ func TestAdaptiveWidthBeatsStaticOnWideRows(t *testing.T) {
 	g := wideGraph(101) // every degree is 100, above the static 64
 	const rows = 40
 
-	static := NewPrefetch(&noBoundSource{b: newBatchSource(g)}, WithFetchWidth(DefaultFetchWidth))
+	static := NewTiered(&batchSource{g: g, maxDeg: DefaultFetchWidth}, nil)
 	for v := 0; v < rows; v++ {
 		static.Prefetch(v)
 	}
@@ -167,7 +168,7 @@ func TestAdaptiveWidthBeatsStaticOnWideRows(t *testing.T) {
 		t.Fatalf("static width paid %d remainder trips over %d wide rows, want one each", staticRem, rows)
 	}
 
-	adaptive := NewPrefetch(&noBoundSource{b: newBatchSource(g)})
+	adaptive := NewTiered(&noBoundSource{b: newBatchSource(g)}, nil)
 	for v := 0; v < rows; v++ {
 		adaptive.Prefetch(v)
 	}
@@ -205,7 +206,7 @@ func TestAdaptiveWidthBeatsStaticOnWideRows(t *testing.T) {
 // totals byte-for-byte identical to a static-width run.
 func TestAdaptiveWidthProbeCountsMatchStatic(t *testing.T) {
 	g := wideGraph(30)
-	run := func(p *PrefetchOracle) (Stats, string) {
+	run := func(p *TieredOracle) (Stats, string) {
 		c := NewCounter(p)
 		out := ""
 		for v := 0; v < g.N(); v++ {
@@ -213,8 +214,8 @@ func TestAdaptiveWidthProbeCountsMatchStatic(t *testing.T) {
 		}
 		return c.Stats(), out
 	}
-	sStatic, outStatic := run(NewPrefetch(&noBoundSource{b: newBatchSource(g)}, WithFetchWidth(8)))
-	sAdaptive, outAdaptive := run(NewPrefetch(&noBoundSource{b: newBatchSource(g)}))
+	sStatic, outStatic := run(NewTiered(&batchSource{g: g, maxDeg: 8}, nil))
+	sAdaptive, outAdaptive := run(NewTiered(&noBoundSource{b: newBatchSource(g)}, nil))
 	if outStatic != outAdaptive {
 		t.Fatal("answers diverged between static and adaptive widths")
 	}
@@ -232,7 +233,7 @@ func TestAdaptiveWidthProbeCountsMatchStatic(t *testing.T) {
 func TestPrefetchUsesRowFetcher(t *testing.T) {
 	g := wideGraph(80) // degree 79, above the default width
 	src := &rowSource{g: g}
-	p := NewPrefetch(src)
+	p := NewTiered(src, nil)
 	p.Prefetch(0, 1, 2, 3, 4)
 	if src.calls != 1 {
 		t.Fatalf("hint over 5 wide rows cost %d FetchRows calls, want 1", src.calls)
@@ -257,18 +258,14 @@ func TestPrefetchUsesRowFetcher(t *testing.T) {
 	if src.calls != before {
 		t.Fatalf("re-hinting primed rows cost %d extra FetchRows calls", src.calls-before)
 	}
-	st := p.PrefetchStats()
-	if st.RemainderTrips != 0 {
-		t.Fatalf("stats report %d remainder trips on the rowfull path", st.RemainderTrips)
-	}
 }
 
 // TestPrefetchTelemetryThroughCounter walks the wrapper chain: width and
-// remainder trips must stay visible through Caching and Counter.
+// remainder trips must stay visible through Limit and Counter.
 func TestPrefetchTelemetryThroughCounter(t *testing.T) {
 	g := wideGraph(101)
-	p := NewPrefetch(&noBoundSource{b: newBatchSource(g)}, WithFetchWidth(DefaultFetchWidth))
-	c := NewCounter(NewCaching(p))
+	p := NewTiered(&batchSource{g: g, maxDeg: DefaultFetchWidth}, nil)
+	c := NewCounter(NewLimit(p, 1<<40))
 	for v := 0; v < 10; v++ {
 		c.Neighbors(v)
 	}
@@ -283,6 +280,31 @@ func TestPrefetchTelemetryThroughCounter(t *testing.T) {
 	c.Reset()
 	if st := c.Stats(); st.RemainderTrips != 0 {
 		t.Fatalf("after Reset the counter still reports %d remainder trips", st.RemainderTrips)
+	}
+}
+
+// TestAdaptiveWidthFollowsCallerOrder: the learned width is a function
+// of the rows a hint lists, in the order it lists them — not of map
+// iteration order. One 16-row hint of a degree-100 hub and 15 leaves
+// must learn the same width on every run.
+func TestAdaptiveWidthFollowsCallerOrder(t *testing.T) {
+	b := graph.NewBuilder(101)
+	for v := 1; v <= 100; v++ {
+		b.AddEdge(0, v)
+	}
+	g := b.Build()
+	vs := make([]int, 16) // the hub, then leaves 1..15
+	for i := range vs {
+		vs[i] = i
+	}
+	widths := map[uint64]int{}
+	for run := 0; run < 64; run++ {
+		p := NewTiered(&noBoundSource{b: newBatchSource(g)}, nil)
+		p.Prefetch(vs...)
+		widths[measure(p).FetchWidth]++
+	}
+	if len(widths) != 1 {
+		t.Fatalf("one hint learned different widths across runs: %v", widths)
 	}
 }
 

@@ -38,7 +38,7 @@ type LimitOracle struct {
 	budget uint64
 	used   uint64
 	// tr, when non-nil, records a budget-exhausted event just before the
-	// ErrBudgetExceeded panic (tracing.go).
+	// ErrBudgetExceeded panic (set by NewChain).
 	tr *trace.Tracer
 }
 
@@ -165,7 +165,7 @@ type limitTripsOracle struct {
 	budget uint64
 	rt0    uint64
 	// tr, when non-nil, records a trip-budget-exhausted event just before
-	// the ErrTripBudgetExceeded panic (tracing.go).
+	// the ErrTripBudgetExceeded panic (set by NewChain).
 	tr *trace.Tracer
 }
 

@@ -30,22 +30,17 @@
 // oracle implements the optional Explorer capability they delegate to it,
 // otherwise they fall back to the equivalent scalar probe loop, so
 // algorithms written against the exploration API run unchanged on every
-// backend. The payoff is the PrefetchOracle (prefetch.go): over a
+// backend. The payoff is the row tier, TieredOracle (tier.go): over a
 // network-backed source with the source.BatchProber capability it turns
 // one exploration into one batched round trip and serves the subsequent
-// scalar probes from the primed rows — collapsing deg+1 round trips per
+// scalar probes from the cached rows — collapsing deg+1 round trips per
 // neighborhood into one or two, while per-cell probe accounting (Counter,
 // LimitOracle) is unchanged: budgets and probe counts charge the cells the
 // algorithm reads, and round trips are measured separately (Stats.Batches,
-// Stats.RoundTrips).
+// Stats.RoundTrips). NewChain (chain.go) builds every chain.
 package oracle
 
-import (
-	"sync"
-
-	"lca/internal/source"
-	"lca/internal/trace"
-)
+import "lca/internal/source"
 
 // Oracle is the adjacency-list probe interface of the LCA model.
 type Oracle interface {
@@ -246,189 +241,3 @@ func (c *Counter) Reset() {
 		c.chain.reset()
 	}
 }
-
-// ProbeKind identifies a probe type in a recorded trace.
-type ProbeKind uint8
-
-// Probe kinds.
-const (
-	KindNeighbor ProbeKind = iota
-	KindDegree
-	KindAdjacency
-)
-
-// Record is one recorded probe with its answer.
-type Record struct {
-	Kind   ProbeKind
-	A, B   int // Neighbor: (v, i); Degree: (v, 0); Adjacency: (u, v)
-	Answer int
-}
-
-// Recorder wraps an Oracle and records the full probe/answer trace, used by
-// the lower-bound experiments and for debugging locality violations.
-type Recorder struct {
-	inner Oracle
-	trace []Record
-}
-
-var _ Oracle = (*Recorder)(nil)
-
-// NewRecorder wraps inner with trace recording.
-func NewRecorder(inner Oracle) *Recorder { return &Recorder{inner: inner} }
-
-// N implements Oracle.
-func (r *Recorder) N() int { return r.inner.N() }
-
-// Degree implements Oracle.
-func (r *Recorder) Degree(v int) int {
-	ans := r.inner.Degree(v)
-	r.trace = append(r.trace, Record{Kind: KindDegree, A: v, Answer: ans})
-	return ans
-}
-
-// Neighbor implements Oracle.
-func (r *Recorder) Neighbor(v, i int) int {
-	ans := r.inner.Neighbor(v, i)
-	r.trace = append(r.trace, Record{Kind: KindNeighbor, A: v, B: i, Answer: ans})
-	return ans
-}
-
-// Adjacency implements Oracle.
-func (r *Recorder) Adjacency(u, v int) int {
-	ans := r.inner.Adjacency(u, v)
-	r.trace = append(r.trace, Record{Kind: KindAdjacency, A: u, B: v, Answer: ans})
-	return ans
-}
-
-// Neighbors implements Explorer, recording the same trace the scalar loop
-// would (one Degree record plus one Neighbor record per cell).
-func (r *Recorder) Neighbors(v int) []int {
-	row := Neighbors(r.inner, v)
-	r.trace = append(r.trace, Record{Kind: KindDegree, A: v, Answer: len(row)})
-	for i, w := range row {
-		r.trace = append(r.trace, Record{Kind: KindNeighbor, A: v, B: i, Answer: w})
-	}
-	return row
-}
-
-// Prefetch implements Explorer; hints leave no trace (they read nothing).
-func (r *Recorder) Prefetch(vs ...int) { Prefetch(r.inner, vs...) }
-
-// Trace returns the recorded probes. The slice is shared; callers must not
-// modify it.
-func (r *Recorder) Trace() []Record { return r.trace }
-
-// Reset clears the trace.
-func (r *Recorder) Reset() { r.trace = r.trace[:0] }
-
-// CachingOracle wraps an Oracle and memoizes answers, so repeated probes of
-// the same cell are answered locally. In the LCA model repeated probes are
-// usually counted once (the algorithm could have cached them itself); the
-// experiments report both raw and deduplicated counts by stacking Counter
-// outside and inside a CachingOracle.
-//
-// CachingOracle is safe for concurrent use when its inner oracle is (every
-// source backend is), so one instance can be shared across parallel
-// assembly workers — probes one worker pays for answer every worker's
-// repeats. Concurrent misses on the same cell may probe the inner oracle
-// more than once; determinism makes the answers identical, so the race is
-// benign and only costs a duplicate probe.
-type CachingOracle struct {
-	inner     Oracle
-	degrees   sync.Map // int -> int
-	neighbors sync.Map // uint64 (v,i) -> int
-	adjacency sync.Map // uint64 (u,v) -> int
-	// tr, when non-nil, records cache-hit events on fully-memoized
-	// Neighbors assemblies (tracing.go).
-	tr *trace.Tracer
-}
-
-var _ Oracle = (*CachingOracle)(nil)
-
-// NewCaching wraps inner with memoization.
-func NewCaching(inner Oracle) *CachingOracle {
-	return &CachingOracle{inner: inner}
-}
-
-// Unwrap returns the memoized oracle.
-func (c *CachingOracle) Unwrap() Oracle { return c.inner }
-
-// cacheKey packs a probe's two operands into one map key (operands are
-// vertex IDs or list indices, both well under 2^32).
-func cacheKey(a, b int) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }
-
-// N implements Oracle.
-func (c *CachingOracle) N() int { return c.inner.N() }
-
-// Degree implements Oracle.
-func (c *CachingOracle) Degree(v int) int {
-	if d, ok := c.degrees.Load(v); ok {
-		return d.(int)
-	}
-	d := c.inner.Degree(v)
-	c.degrees.Store(v, d)
-	return d
-}
-
-// Neighbor implements Oracle.
-func (c *CachingOracle) Neighbor(v, i int) int {
-	k := cacheKey(v, i)
-	if w, ok := c.neighbors.Load(k); ok {
-		return w.(int)
-	}
-	w := c.inner.Neighbor(v, i)
-	c.neighbors.Store(k, w)
-	// A Neighbor answer also pins down one Adjacency answer for free.
-	if w >= 0 {
-		c.adjacency.Store(cacheKey(v, w), i)
-	}
-	return w
-}
-
-// Adjacency implements Oracle.
-func (c *CachingOracle) Adjacency(u, v int) int {
-	k := cacheKey(u, v)
-	if i, ok := c.adjacency.Load(k); ok {
-		return i.(int)
-	}
-	i := c.inner.Adjacency(u, v)
-	c.adjacency.Store(k, i)
-	return i
-}
-
-// Neighbors implements Explorer: a fully cached row is assembled locally,
-// anything else is fetched through the inner oracle and memoized cell by
-// cell (priming the Adjacency cache on the way, like Neighbor does).
-func (c *CachingOracle) Neighbors(v int) []int {
-	if d, ok := c.degrees.Load(v); ok {
-		deg := d.(int)
-		row := make([]int, 0, deg)
-		for i := 0; i < deg; i++ {
-			w, ok := c.neighbors.Load(cacheKey(v, i))
-			if !ok {
-				row = nil
-				break
-			}
-			row = append(row, w.(int))
-		}
-		if row != nil || deg == 0 {
-			if tr := c.tr; tr != nil {
-				tr.Event("oracle:neighbors", v, "cache-hit")
-			}
-			return row
-		}
-	}
-	row := Neighbors(c.inner, v)
-	c.degrees.Store(v, len(row))
-	for i, w := range row {
-		c.neighbors.Store(cacheKey(v, i), w)
-		if w >= 0 {
-			c.adjacency.Store(cacheKey(v, w), i)
-		}
-	}
-	return row
-}
-
-// Prefetch implements Explorer, forwarding the hint so a prefetching inner
-// oracle can prime its rows; the memo itself fills only from reads.
-func (c *CachingOracle) Prefetch(vs ...int) { Prefetch(c.inner, vs...) }

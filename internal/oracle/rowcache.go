@@ -1,54 +1,51 @@
 package oracle
 
-// The tiered row-cache layer of the hot local path. A query in the
-// space-efficient LCA model explores polylog-many adjacency rows, so a
-// small fixed cache hierarchy suffices to make repeat probes free:
+// The row storage of the tier (tier.go). A query in the space-efficient
+// LCA model explores polylog-many adjacency rows, so a small fixed
+// cache hierarchy suffices to make repeat probes free:
 //
-//	L1 — a per-instance row store: an open-addressed vertex->row table
+//	L1 — a per-chain row store: an open-addressed vertex->row table
 //	     whose cells come from a bump arena, so steady-state probes
 //	     allocate nothing. Row slices escape to callers (Neighbors) and
 //	     are iterated while nested queries run, so live cells are NEVER
 //	     overwritten: on overflow the arena abandons its block (the GC
 //	     keeps escaped slices alive) instead of recycling it.
-//	L2 — a shared bounded RowCache with pluggable eviction (LRU or
-//	     clock). Its cell storage is recycled through degree-indexed
-//	     (power-of-two size class) free lists, which is safe because L2
-//	     cells never escape: readers copy rows out into their own L1
-//	     arena under the cache lock.
-//
-// TieredOracle stacks the two over any source. It fetches whole rows on
-// a miss — the same speculative stance as PrefetchOracle: probe budgets
-// and Counter charge the cells the algorithm reads, and the transport
-// underneath reads whole rows because locally (mmap CSR, implicit
-// families) a row costs barely more than a cell.
+//	L2 — a shared bounded RowCache, evicted LRU. Its cell storage is
+//	     recycled through degree-indexed (power-of-two size class) free
+//	     lists, which is safe because L2 cells never escape: readers
+//	     copy rows out into their own L1 arena under the cache lock.
 
 import (
 	"math/bits"
 	"sync"
-
-	"lca/internal/source"
 )
 
 // rowArena is a bump allocator for adjacency-row cells. Allocations are
 // sub-slices of one block; when the block runs out it is abandoned and a
 // fresh one allocated — escaped row slices stay valid (the GC holds the
 // old block), and the steady-state cost is zero allocations per row.
+// Blocks start small and double up to rowArenaBlock, so a chain built
+// for one short query does not pay for a full block.
 type rowArena struct {
 	block []int
 	off   int
 }
 
-// rowArenaBlock is the arena block size in cells (512KiB of int64).
-// Polylog rows are tiny, so one block serves tens of thousands of rows
-// between abandonments.
-const rowArenaBlock = 1 << 16
+// rowArenaSeed and rowArenaBlock bound the arena block size in cells
+// (2KiB to 512KiB of int64). Polylog rows are tiny, so one full-size
+// block serves tens of thousands of rows between abandonments.
+const (
+	rowArenaSeed  = 1 << 8
+	rowArenaBlock = 1 << 16
+)
 
 // alloc returns a full-capacity slice of n cells. The three-index
 // sub-slice keeps an append past n from silently clobbering a
 // neighboring row.
 func (a *rowArena) alloc(n int) []int {
 	if a.off+n > len(a.block) {
-		a.block = make([]int, max(rowArenaBlock, n))
+		size := min(max(2*len(a.block), rowArenaSeed), rowArenaBlock)
+		a.block = make([]int, max(size, n))
 		a.off = 0
 	}
 	s := a.block[a.off : a.off+n : a.off+n]
@@ -154,72 +151,49 @@ func (s *rowStore) reset() {
 	s.arena.abandon()
 }
 
-// EvictPolicy selects the L2 RowCache's eviction scheme.
-type EvictPolicy string
-
-// The eviction policies the RowCache implements. LRU keeps an intrusive
-// recency list (exact, two index writes per touch); clock keeps one
-// reference bit per slot and a sweeping hand (approximate, one bit per
-// touch — cheaper under heavy sharing, compared against LRU in the
-// lcabench SRC sweep).
-const (
-	EvictLRU   EvictPolicy = "lru"
-	EvictClock EvictPolicy = "clock"
-)
-
 // RowCacheStats is a snapshot of a RowCache's traffic.
 type RowCacheStats struct {
 	Hits, Misses, Evictions uint64
 }
 
-// l2slot is one cached row plus its policy state. The row slice is owned
-// by the cache and recycled through the size-class free lists on
-// eviction — it never escapes (Get copies out under the lock).
+// l2slot is one cached row plus its place in the recency list. The row
+// slice is owned by the cache and recycled through the size-class free
+// lists on eviction — it never escapes (Get copies out under the lock).
 type l2slot struct {
 	v          int
 	row        []int
 	prev, next int
-	ref        bool
 }
 
 // rowClasses spans row capacities up to 2^31 cells.
 const rowClasses = 32
 
-// RowCache is the shared L2 of the tiered row-cache hierarchy: a bounded
-// vertex->row cache, safe for concurrent use, with recycled cell storage
-// and a pluggable eviction policy. Construct with NewRowCache; the zero
-// value is unusable.
+// RowCache is the shared L2 of the row tier: a bounded vertex->row
+// cache, safe for concurrent use, with recycled cell storage and LRU
+// eviction (an intrusive recency list: two index writes per touch).
+// Construct with NewRowCache; the zero value is unusable.
 type RowCache struct {
-	mu     sync.Mutex
-	policy EvictPolicy
-	index  map[int]int // vertex -> slot
-	slots  []l2slot
-	free   []int             // unused slot indices
-	rows   [rowClasses][]int // free-list heads are implicit: recycled buffers by size class
-	spare  [rowClasses][][]int
-	head   int // LRU: most recent; clock: unused
-	tail   int // LRU: least recent
-	hand   int // clock sweep position
-	stats  RowCacheStats
+	mu    sync.Mutex
+	index map[int]int // vertex -> slot
+	slots []l2slot
+	free  []int // unused slot indices
+	spare [rowClasses][][]int
+	head  int // most recently used
+	tail  int // least recently used
+	stats RowCacheStats
 }
 
 // NewRowCache returns an empty cache holding at most entries rows.
-// Unknown policies fall back to LRU — a config typo must not disable
-// caching.
-func NewRowCache(entries int, policy EvictPolicy) *RowCache {
+func NewRowCache(entries int) *RowCache {
 	if entries < 1 {
 		entries = 1
 	}
-	if policy != EvictClock {
-		policy = EvictLRU
-	}
 	c := &RowCache{
-		policy: policy,
-		index:  make(map[int]int, entries),
-		slots:  make([]l2slot, entries),
-		free:   make([]int, 0, entries),
-		head:   -1,
-		tail:   -1,
+		index: make(map[int]int, entries),
+		slots: make([]l2slot, entries),
+		free:  make([]int, 0, entries),
+		head:  -1,
+		tail:  -1,
 	}
 	for i := entries - 1; i >= 0; i-- {
 		c.free = append(c.free, i)
@@ -260,7 +234,8 @@ func (c *RowCache) Get(v int, alloc func(n int) []int) ([]int, bool) {
 	return row, true
 }
 
-// Put caches a copy of v's row, evicting per the policy when full.
+// Put caches a copy of v's row, evicting the least recently used row
+// when full.
 func (c *RowCache) Put(v int, row []int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -274,11 +249,8 @@ func (c *RowCache) Put(v int, row []int) {
 	s := &c.slots[i]
 	s.v = v
 	s.row = append(c.recycled(len(row)), row...)
-	s.ref = true
 	c.index[v] = i
-	if c.policy == EvictLRU {
-		c.pushFront(i)
-	}
+	c.pushFront(i)
 }
 
 // recycled returns an empty buffer with capacity for n cells, reusing an
@@ -304,32 +276,16 @@ func sizeClass(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
-// takeSlot returns a free slot, evicting one per the policy when none
-// remain. Caller holds mu.
+// takeSlot returns a free slot, evicting the least recently used one
+// when none remain. Caller holds mu.
 func (c *RowCache) takeSlot() int {
 	if l := len(c.free); l > 0 {
 		i := c.free[l-1]
 		c.free = c.free[:l-1]
 		return i
 	}
-	var i int
-	if c.policy == EvictLRU {
-		i = c.tail
-		c.unlink(i)
-	} else {
-		// Clock: sweep the hand, clearing reference bits, until an
-		// unreferenced slot comes up — second-chance eviction.
-		for {
-			if c.slots[c.hand].ref {
-				c.slots[c.hand].ref = false
-				c.hand = (c.hand + 1) % len(c.slots)
-				continue
-			}
-			i = c.hand
-			c.hand = (c.hand + 1) % len(c.slots)
-			break
-		}
-	}
+	i := c.tail
+	c.unlink(i)
 	s := &c.slots[i]
 	delete(c.index, s.v)
 	if cap(s.row) > 0 {
@@ -343,14 +299,10 @@ func (c *RowCache) takeSlot() int {
 
 // touch refreshes recency on a hit. Caller holds mu.
 func (c *RowCache) touch(i int) {
-	if c.policy == EvictLRU {
-		if c.head != i {
-			c.unlink(i)
-			c.pushFront(i)
-		}
-		return
+	if c.head != i {
+		c.unlink(i)
+		c.pushFront(i)
 	}
-	c.slots[i].ref = true
 }
 
 func (c *RowCache) pushFront(i int) {
@@ -376,154 +328,5 @@ func (c *RowCache) unlink(i int) {
 		c.slots[s.next].prev = s.prev
 	} else {
 		c.tail = s.prev
-	}
-}
-
-// DefaultL1Rows bounds the per-instance L1 row store; a polylog working
-// set fits thousands of times over, so overflow resets are rare.
-const DefaultL1Rows = 1 << 12
-
-// TieredOracle serves probes from the two-tier row cache over any
-// source. Safe for concurrent use (a mutex guards the L1 store; parallel
-// label assembly shares one instance). On an L1/L2 miss it reads the
-// whole row from the backend — locally a row costs barely more than a
-// cell, and the polylog guarantee keeps rows short. Like every caching
-// tier here, rows are pure functions of the fixed graph, so answers
-// never change — only where they come from.
-type TieredOracle struct {
-	src source.Source
-	n   int
-	l2  *RowCache // nil: L1 only
-
-	mu sync.Mutex
-	l1 rowStore
-	// l1Hits and l2Hits count rows answered from each tier.
-	l1Hits, l2Hits uint64
-}
-
-var (
-	_ Oracle   = (*TieredOracle)(nil)
-	_ Explorer = (*TieredOracle)(nil)
-	_ Meter    = (*TieredOracle)(nil)
-)
-
-// NewTiered returns a tiered row-cache oracle over src. l2 may be nil
-// (L1 only) or shared among instances over the same source.
-func NewTiered(src source.Source, l2 *RowCache) *TieredOracle {
-	return &TieredOracle{src: src, n: src.N(), l2: l2, l1: newRowStore(DefaultL1Rows)}
-}
-
-// Unwrap returns the source the tiers cache.
-func (t *TieredOracle) Unwrap() Oracle { return t.src }
-
-// Measure implements Meter: the rows answered from L1 and from L2 so far.
-func (t *TieredOracle) Measure(tel *Telemetry) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	tel.L1Hits += t.l1Hits
-	tel.L2Hits += t.l2Hits
-}
-
-// row returns v's full adjacency row: L1, then L2 (copying into the L1
-// arena), then the backend. Caller holds mu.
-func (t *TieredOracle) row(v int) []int {
-	if row, ok := t.l1.get(v); ok {
-		t.l1Hits++
-		return row
-	}
-	if t.l2 != nil {
-		if row, ok := t.l2.Get(v, t.l1.arena.alloc); ok {
-			t.l2Hits++
-			t.l1.put(v, row)
-			return row
-		}
-	}
-	row := t.fetch(v)
-	t.l1.put(v, row)
-	if t.l2 != nil {
-		t.l2.Put(v, row)
-	}
-	return row
-}
-
-// fetch reads one full row from the backend into the L1 arena.
-func (t *TieredOracle) fetch(v int) []int {
-	d := t.src.Degree(v)
-	row := t.l1.arena.alloc(d)
-	for i := 0; i < d; i++ {
-		w := t.src.Neighbor(v, i)
-		if w < 0 {
-			// A conformant source has no gap below its degree; degrade the
-			// row rather than caching -1 cells.
-			return row[:i]
-		}
-		row[i] = w
-	}
-	return row
-}
-
-// N implements Oracle (free, as everywhere in the model).
-func (t *TieredOracle) N() int { return t.n }
-
-// Degree implements Oracle.
-func (t *TieredOracle) Degree(v int) int {
-	if v < 0 || v >= t.n {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.row(v))
-}
-
-// Neighbor implements Oracle.
-func (t *TieredOracle) Neighbor(v, i int) int {
-	if v < 0 || v >= t.n {
-		return -1
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	row := t.row(v)
-	if i < 0 || i >= len(row) {
-		return -1
-	}
-	return row[i]
-}
-
-// Adjacency implements Oracle by scanning the cached row — polylog rows
-// make the scan as cheap as a hash lookup, with no per-row index map to
-// allocate.
-func (t *TieredOracle) Adjacency(u, v int) int {
-	if u < 0 || u >= t.n || v < 0 || v >= t.n {
-		return -1
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i, w := range t.row(u) {
-		if w == v {
-			return i
-		}
-	}
-	return -1
-}
-
-// Neighbors implements Explorer. The returned slice is the cached row;
-// callers must not modify it.
-func (t *TieredOracle) Neighbors(v int) []int {
-	if v < 0 || v >= t.n {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.row(v)
-}
-
-// Prefetch implements Explorer, priming the listed rows.
-func (t *TieredOracle) Prefetch(vs ...int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, v := range vs {
-		if v >= 0 && v < t.n {
-			t.row(v)
-		}
 	}
 }

@@ -91,7 +91,7 @@ func TestRowStoreGrowAndReset(t *testing.T) {
 }
 
 func TestRowCacheLRUEviction(t *testing.T) {
-	c := NewRowCache(2, EvictLRU)
+	c := NewRowCache(2)
 	var arena rowArena
 	c.Put(1, []int{11})
 	c.Put(2, []int{22})
@@ -116,27 +116,8 @@ func TestRowCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestRowCacheClockEviction(t *testing.T) {
-	c := NewRowCache(2, EvictClock)
-	var arena rowArena
-	c.Put(1, []int{11}) // slot 0, referenced
-	c.Put(2, []int{22}) // slot 1, referenced
-	// Second chance: the hand clears both reference bits, sweeps around,
-	// and evicts slot 0 (vertex 1).
-	c.Put(3, []int{33})
-	if _, ok := c.Get(1, arena.alloc); ok {
-		t.Fatal("clock kept the swept slot")
-	}
-	if _, ok := c.Get(2, arena.alloc); !ok {
-		t.Fatal("clock evicted a slot it should have second-chanced")
-	}
-	if row, ok := c.Get(3, arena.alloc); !ok || row[0] != 33 {
-		t.Fatalf("inserted row wrong: %v %v", row, ok)
-	}
-}
-
 func TestRowCacheCopiesBothWays(t *testing.T) {
-	c := NewRowCache(4, EvictLRU)
+	c := NewRowCache(4)
 	var arena rowArena
 	src := []int{1, 2, 3}
 	c.Put(7, src)
@@ -153,7 +134,7 @@ func TestRowCacheCopiesBothWays(t *testing.T) {
 }
 
 func TestRowCacheRecyclesEvictedBuffers(t *testing.T) {
-	c := NewRowCache(2, EvictLRU)
+	c := NewRowCache(2)
 	var arena rowArena
 	// Churn many same-class rows through a 2-entry cache; the size-class
 	// free lists must keep Len bounded and the rows correct.
@@ -176,7 +157,7 @@ func TestRowCacheRecyclesEvictedBuffers(t *testing.T) {
 
 func TestTieredOracleMatchesSource(t *testing.T) {
 	g := tierGraph(300, 6)
-	for _, shared := range []*RowCache{nil, NewRowCache(64, EvictLRU), NewRowCache(64, EvictClock)} {
+	for _, shared := range []*RowCache{nil, NewRowCache(64)} {
 		backend := NewCounter(g) // each tier miss reads one degree here
 		to := NewTiered(backend, shared)
 		if to.N() != g.N() {
@@ -211,7 +192,7 @@ func TestTieredOracleMatchesSource(t *testing.T) {
 
 func TestTieredOracleSharedL2(t *testing.T) {
 	g := tierGraph(200, 5)
-	l2 := NewRowCache(256, EvictLRU)
+	l2 := NewRowCache(256)
 	warm := NewTiered(g, l2)
 	for v := 0; v < g.N(); v++ {
 		warm.Degree(v)
@@ -236,7 +217,7 @@ func TestTieredOracleSharedL2(t *testing.T) {
 
 func TestTieredOracleConcurrent(t *testing.T) {
 	g := tierGraph(400, 6)
-	l2 := NewRowCache(64, EvictClock)
+	l2 := NewRowCache(64)
 	shared := NewTiered(g, l2) // one instance shared across goroutines
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -267,8 +248,10 @@ func TestTieredOracleConcurrent(t *testing.T) {
 }
 
 func TestTieredOracleNeighborsSurvivesReset(t *testing.T) {
-	g := tierGraph(3*DefaultL1Rows, 4)
+	const limit = 64
+	g := tierGraph(3*limit, 4)
 	to := NewTiered(g, nil)
+	to.l1.limit = limit
 	row := append([]int(nil), to.Neighbors(0)...)
 	held := to.Neighbors(0) // arena-backed row held across L1 resets
 	for v := 1; v < g.N(); v++ {
@@ -298,7 +281,7 @@ func TestTieredOracleForwardsTransportCounters(t *testing.T) {
 
 func TestTieredOracleSteadyStateAllocs(t *testing.T) {
 	g := tierGraph(500, 6)
-	to := NewTiered(g, NewRowCache(512, EvictLRU))
+	to := NewTiered(g, NewRowCache(512))
 	for v := 0; v < g.N(); v++ { // prime every row
 		to.Degree(v)
 	}

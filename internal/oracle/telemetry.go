@@ -39,9 +39,9 @@ type Telemetry struct {
 	// transported with attested answers (source.AttestCounter).
 	AttestFailures uint64 `json:"attest_failures,omitempty"`
 	ProofBytes     uint64 `json:"proof_bytes,omitempty"`
-	// RemainderTrips counts the extra batches a prefetching tier issued
-	// because a row outgrew its speculative width; FetchWidth is that
-	// width now (PrefetchOracle).
+	// RemainderTrips counts the extra batches the row tier issued because
+	// a row outgrew its speculative width; FetchWidth is that width now
+	// (TieredOracle).
 	RemainderTrips uint64 `json:"remainder_trips,omitempty"`
 	FetchWidth     uint64 `json:"fetch_width,omitempty" telemetry:"gauge"`
 	// PageTouches counts backend loads that landed on a different page
@@ -49,8 +49,8 @@ type Telemetry struct {
 	// (source.LocalityReporter; the mmap CSR backend).
 	PageTouches uint64 `json:"page_touches,omitempty"`
 	LocalHits   uint64 `json:"local_hits,omitempty"`
-	// L1Hits counts rows the tiered row cache served from its per-chain
-	// store, and L2Hits those served from its shared cache (TieredOracle).
+	// L1Hits counts rows the row tier served from its per-chain store,
+	// and L2Hits those served from its shared cache (TieredOracle).
 	L1Hits uint64 `json:"l1_hits,omitempty"`
 	L2Hits uint64 `json:"l2_hits,omitempty"`
 }
@@ -118,7 +118,7 @@ func (t Telemetry) Sub(u Telemetry) Telemetry {
 }
 
 // Meter is the optional capability of an oracle layer that produces
-// figures of its own (PrefetchOracle, TieredOracle): Measure adds the
+// figures of its own (the row tier, TieredOracle): Measure adds the
 // layer's current readings into t, setting the gauge.
 type Meter interface {
 	Measure(t *Telemetry)

@@ -51,8 +51,8 @@ func TestTelemetryTable(t *testing.T) {
 }
 
 // TestCounterStatsAllocs pins the chain walk allocation-free: reading
-// Counter.Stats over the hot path's full chain — budget, prefetch and
-// the tiered row cache over an mmap CSR file — allocates nothing, so
+// Counter.Stats over the hot path's full chain — budget and the row
+// tier with its L2 over an mmap CSR file — allocates nothing, so
 // harnesses that read it around every query add no GC work.
 func TestCounterStatsAllocs(t *testing.T) {
 	g := tierGraph(500, 6)
@@ -75,7 +75,7 @@ func TestCounterStatsAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	c := NewCounter(NewLimit(NewPrefetch(NewTiered(src, NewRowCache(256, EvictLRU))), 1<<40))
+	c := NewCounter(NewChain(src, ChainConfig{RowCache: NewRowCache(256), ProbeBudget: 1 << 40}))
 	for v := 0; v < 50; v++ {
 		c.Neighbors(v)
 	}

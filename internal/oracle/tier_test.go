@@ -1,5 +1,9 @@
 package oracle
 
+// Tests of the row tier's exploration path: batched rows, remainder
+// trips, the scalar fallback, failure panics, the L1 bound and
+// concurrent probers, over a local stand-in for a network shard.
+
 import (
 	"fmt"
 	"sync/atomic"
@@ -62,7 +66,7 @@ func (b *batchSource) ProbeBatch(probes []source.ProbeReq) ([]int, error) {
 
 func TestPrefetchOracleAnswersMatchScalar(t *testing.T) {
 	g := testGraph()
-	p := NewPrefetch(newBatchSource(g))
+	p := NewTiered(newBatchSource(g), nil)
 	for v := 0; v < g.N(); v++ {
 		row := p.Neighbors(v)
 		if len(row) != g.Degree(v) {
@@ -90,7 +94,7 @@ func TestPrefetchOracleAnswersMatchScalar(t *testing.T) {
 func TestPrefetchOracleCollapsesRoundTrips(t *testing.T) {
 	g := testGraph()
 	src := newBatchSource(g)
-	p := NewPrefetch(src)
+	p := NewTiered(src, nil)
 	// Max degree fits the fetch width, so one hint over three vertices is
 	// exactly one batch.
 	before := src.RoundTrips()
@@ -116,9 +120,31 @@ func TestPrefetchOracleCollapsesRoundTrips(t *testing.T) {
 	if trips := src.RoundTrips() - before; trips != 0 {
 		t.Fatalf("re-hint cost %d round trips, want 0", trips)
 	}
-	st := p.PrefetchStats()
-	if st.Batches != 1 || st.Misses != 0 {
-		t.Fatalf("stats = %+v, want 1 batch and no misses", st)
+	if trips := src.RoundTrips(); trips != 1 {
+		t.Fatalf("the whole exchange cost %d round trips, want the one batch", trips)
+	}
+}
+
+// TestTieredOracleScalarMissFetchesRow: a scalar probe that misses
+// fetches its whole row in one round trip, exactly as an exploration
+// would, so the row's other cells are free afterwards.
+func TestTieredOracleScalarMissFetchesRow(t *testing.T) {
+	g := testGraph()
+	src := newBatchSource(g)
+	p := NewTiered(src, nil)
+	if got, want := p.Neighbor(1, 0), g.Neighbor(1, 0); got != want {
+		t.Fatalf("Neighbor(1,0) = %d, want %d", got, want)
+	}
+	if trips := src.RoundTrips(); trips != 1 {
+		t.Fatalf("scalar miss cost %d round trips, want 1", trips)
+	}
+	for i := 0; i <= g.Degree(1); i++ {
+		if got, want := p.Neighbor(1, i), g.Neighbor(1, i); got != want {
+			t.Fatalf("Neighbor(1,%d) = %d, want %d", i, got, want)
+		}
+	}
+	if p.Degree(1) != g.Degree(1) || src.RoundTrips() != 1 {
+		t.Fatalf("the rest of the row was not served from L1: %d round trips", src.RoundTrips())
 	}
 }
 
@@ -131,7 +157,8 @@ func TestPrefetchOracleSecondTripBeyondWidth(t *testing.T) {
 	}
 	g := b.Build()
 	src := newBatchSource(g)
-	p := NewPrefetch(src, WithFetchWidth(2))
+	src.maxDeg = 2 // a degree bound of 2 pins the speculative width there
+	p := NewTiered(src, nil)
 	before := src.RoundTrips()
 	row := p.Neighbors(0)
 	if trips := src.RoundTrips() - before; trips != 2 {
@@ -151,7 +178,7 @@ func TestPrefetchOracleScalarFallback(t *testing.T) {
 	// A plain graph has no batch capability: exploration must still
 	// answer identically (scalar loops under the hood).
 	g := testGraph()
-	p := NewPrefetch(g)
+	p := NewTiered(g, nil)
 	for v := 0; v < g.N(); v++ {
 		row := p.Neighbors(v)
 		if len(row) != g.Degree(v) {
@@ -171,7 +198,7 @@ func TestPrefetchOracleScalarFallback(t *testing.T) {
 func TestPrefetchOracleBatchFailurePanicsProbeError(t *testing.T) {
 	src := newBatchSource(testGraph())
 	src.failBatches = true
-	p := NewPrefetch(src)
+	p := NewTiered(src, nil)
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -206,8 +233,7 @@ func TestCounterExplorationAccounting(t *testing.T) {
 
 func TestCounterReportsRoundTrips(t *testing.T) {
 	src := newBatchSource(testGraph())
-	p := NewPrefetch(src)
-	c := NewCounter(p)
+	c := NewCounter(NewTiered(src, nil))
 	c.Neighbors(0)
 	if rt := c.Stats().RoundTrips; rt != 1 {
 		t.Fatalf("Stats().RoundTrips = %d, want 1", rt)
@@ -247,51 +273,6 @@ func TestLimitOraclePrefetchIsFree(t *testing.T) {
 	}
 }
 
-func TestCachingOracleNeighborsMemoizes(t *testing.T) {
-	src := newBatchSource(testGraph())
-	c := NewCaching(src)
-	first := c.Neighbors(0)
-	before := src.RoundTrips()
-	second := c.Neighbors(0)
-	if src.RoundTrips() != before {
-		t.Fatal("second Neighbors hit the backend")
-	}
-	if len(first) != len(second) {
-		t.Fatalf("rows differ: %v vs %v", first, second)
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("rows differ at %d: %v vs %v", i, first, second)
-		}
-	}
-	// The row also primed the scalar caches.
-	before = src.RoundTrips()
-	c.Degree(0)
-	c.Neighbor(0, 0)
-	c.Adjacency(0, first[0])
-	if src.RoundTrips() != before {
-		t.Fatal("scalar probes of a memoized row hit the backend")
-	}
-}
-
-func TestRecorderNeighborsTracesCells(t *testing.T) {
-	r := NewRecorder(New(testGraph()))
-	row := r.Neighbors(0)
-	tr := r.Trace()
-	if len(tr) != 1+len(row) {
-		t.Fatalf("trace has %d records, want %d", len(tr), 1+len(row))
-	}
-	if tr[0].Kind != KindDegree || tr[0].Answer != len(row) {
-		t.Fatalf("first record = %+v, want the degree", tr[0])
-	}
-	for i, w := range row {
-		rec := tr[1+i]
-		if rec.Kind != KindNeighbor || rec.A != 0 || rec.B != i || rec.Answer != w {
-			t.Fatalf("record %d = %+v, want Neighbor(0,%d)=%d", 1+i, rec, i, w)
-		}
-	}
-}
-
 func TestNeighborsHelperFallback(t *testing.T) {
 	g := testGraph()
 	for v := 0; v < g.N(); v++ {
@@ -306,7 +287,8 @@ func TestNeighborsHelperFallback(t *testing.T) {
 
 func TestPrefetchOracleRowCapClears(t *testing.T) {
 	src := newBatchSource(testGraph())
-	p := NewPrefetch(src, WithRowCap(2))
+	p := NewTiered(src, nil)
+	p.l1.limit = 2
 	p.Prefetch(0)
 	p.Prefetch(1)
 	// The third row exceeds the cap: the cache clears and refills, and
@@ -318,11 +300,10 @@ func TestPrefetchOracleRowCapClears(t *testing.T) {
 }
 
 func TestPrefetchOracleConcurrentProbing(t *testing.T) {
-	// Concurrent explorers and scalar probers over one PrefetchOracle:
-	// answers must stay correct under -race, and racing fetches of one
-	// row are benign (identical copies).
+	// Concurrent explorers and scalar probers over one tier: answers must
+	// stay correct under -race, with misses serialized by the tier.
 	g := testGraph()
-	p := NewPrefetch(newBatchSource(g))
+	p := NewTiered(newBatchSource(g), nil)
 	done := make(chan error, 8)
 	for w := 0; w < 8; w++ {
 		go func(w int) {

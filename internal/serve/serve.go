@@ -34,12 +34,13 @@
 // remote: and sharded: sources (and other lcaserve replicas) can probe
 // over the network.
 //
-// prefetch=1 routes the query through a prefetching exploration oracle:
+// prefetch=1 routes the query through the row tier (oracle.NewChain):
 // when the selected source is network-backed and batchable (remote:,
 // sharded:), each neighborhood the LCA explores becomes one batched
 // round trip instead of one per cell. Answers and probe counts are
 // identical either way; query answers carry a round_trips field so the
-// transport saving is observable per query.
+// transport saving is observable per query, and l1_hits for the rows
+// the tier served.
 //
 // POST /sources opens a source by spec string ("ring:n=1000000000",
 // "csr:web.csr", ...) and names it; query endpoints select named sources
@@ -563,27 +564,23 @@ func prefetchParam(r *http.Request) (bool, error) {
 	}
 }
 
-// build constructs a fresh per-request instance over src — behind a
-// prefetching exploration oracle when the request asked for one, behind
-// the tenant's per-query budget wrappers when the tenant has budgets,
-// and behind the audit-transcript recorder when the server keeps an
-// audit log (the returned recorder is nil otherwise); parameter errors
-// the registry reports after our own validation (range checks inside
-// New) are the client's fault, hence 400 — except a BadInstanceError,
-// which marks a broken registration and must surface as a server error.
+// build constructs a fresh per-request instance over src — the
+// request's view of its named source (source.TracedView), so the round
+// trips it counts are the request's own and its spans land in the
+// request's trace — through the oracle chain the request and tenant
+// select (tenantState.chainConfig), behind the
+// audit-transcript recorder when the server keeps an audit log (the
+// returned recorder is nil otherwise); parameter errors the registry
+// reports after our own validation (range checks inside New) are the
+// client's fault, hence 400 — except a BadInstanceError, which marks a
+// broken registration and must surface as a server error.
 func (s *Server) build(d *registry.Descriptor, src source.Source, p registry.Params, prefetch bool, ten *tenantState, tr *trace.Tracer) (any, *auditOracle, error) {
-	o := oracle.New(src)
-	if prefetch {
-		po := oracle.NewPrefetch(src)
-		po.SetTracer(tr)
-		o = po
-	}
-	o = ten.budgetWrapTraced(o, tr)
+	o := oracle.NewChain(src, ten.chainConfig(prefetch, tr))
 	var rec *auditOracle
 	if s.audit != nil {
 		// Outermost, directly under the LCA: the transcript records the
-		// cell probes the algorithm issued, independent of how prefetch or
-		// budgets transported them — exactly what a replay needs.
+		// cell probes the algorithm issued, independent of how the row
+		// tier or budgets transported them — exactly what a replay needs.
 		rec = newAuditOracle(o)
 		o = rec
 	}
@@ -630,19 +627,6 @@ func (s *Server) failQuery(w http.ResponseWriter, ten *tenantState, err error) {
 		ten.budgetRejected.Inc()
 	}
 	s.writeError(w, err)
-}
-
-// requestScoped returns the per-request view of a source: network
-// backends with the TripScoper capability are scoped so each request's
-// round-trip / failover / hedge figures count exactly its own traffic —
-// concurrent requests against one shared source no longer bleed into
-// each other's accounting. Local sources (no capability) are returned
-// unchanged.
-func requestScoped(src source.Source) source.Source {
-	if ts, ok := src.(source.TripScoper); ok {
-		return ts.ScopeTrips()
-	}
-	return src
 }
 
 func statsOf(inst any) oracle.Stats {
@@ -710,7 +694,7 @@ func (s *Server) handleEdge(w http.ResponseWriter, r *http.Request) {
 	ans, err, _ := s.flights.do(key, s.met.coalesced.Inc, func() (_ any, ferr error) {
 		qt := dec.begin("query:edge", u, d.Name)
 		defer func() { s.finishTrace(qt, oracle.Stats{}, ferr) }()
-		src := qt.scoped(ns.src)
+		src := source.TracedView(ns.src, qt.tracer())
 		// The input-edge validation probe runs inside the flight: it is
 		// oracle traffic, shared once per coalesced key like the query.
 		var isEdge bool
@@ -797,7 +781,7 @@ func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {
 	ans, err, _ := s.flights.do(key, s.met.coalesced.Inc, func() (_ any, ferr error) {
 		qt := dec.begin("query:vertex", v, d.Name)
 		defer func() { s.finishTrace(qt, oracle.Stats{}, ferr) }()
-		src := qt.scoped(ns.src)
+		src := source.TracedView(ns.src, qt.tracer())
 		inst, rec, err := s.build(d, src, p, prefetch, ten, qt.tracer())
 		if err != nil {
 			return nil, err
@@ -875,7 +859,7 @@ func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request) {
 	ans, err, _ := s.flights.do(key, s.met.coalesced.Inc, func() (_ any, ferr error) {
 		qt := dec.begin("query:label", v, d.Name)
 		defer func() { s.finishTrace(qt, oracle.Stats{}, ferr) }()
-		src := qt.scoped(ns.src)
+		src := source.TracedView(ns.src, qt.tracer())
 		inst, rec, err := s.build(d, src, p, prefetch, ten, qt.tracer())
 		if err != nil {
 			return nil, err
@@ -965,12 +949,12 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	ans, err, _ := s.flights.do(key, s.met.coalesced.Inc, func() (_ any, flightErr error) {
 		qt := dec.begin("query:estimate", -1, d.Name)
 		defer func() { s.finishTrace(qt, oracle.Stats{}, flightErr) }()
-		src := qt.scoped(ns.src)
-		wrap := func(o oracle.Oracle) oracle.Oracle { return ten.budgetWrapTraced(o, qt.tracer()) }
+		src := source.TracedView(ns.src, qt.tracer())
+		o := oracle.NewChain(src, ten.chainConfig(prefetch, qt.tracer()))
 		var res estimate.Result
 		var ferr error
 		if perr := runProbing(func() {
-			res, ferr = estimate.FractionOver(d, src, s.seed, p, samples, delta, prefetch, wrap)
+			res, ferr = estimate.Fraction(d, src, o, s.seed, p, samples, delta)
 		}); perr != nil {
 			return nil, perr
 		}

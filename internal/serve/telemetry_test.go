@@ -1,9 +1,9 @@
 package serve
 
 // Telemetry through the oracle chains and onto the serving surfaces: one
-// table-driven test walks every pass-through wrapper alone and the full
-// chains Session and the server build, and one iterates the telemetry
-// name table against answers, /metrics and QueryStats.String.
+// test walks every chain the builder can produce, the wrappers outside
+// it and the server's audited chain, and one iterates the telemetry name
+// table against answers, /metrics and QueryStats.String.
 
 import (
 	"encoding/json"
@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"lca/internal/attest"
 	"lca/internal/core"
 	"lca/internal/gen"
 	"lca/internal/graph"
@@ -18,13 +19,16 @@ import (
 	"lca/internal/registry"
 	"lca/internal/rnd"
 	"lca/internal/source"
+	"lca/internal/trace"
 )
 
 // meteredSource reports every source-side telemetry producer with its
 // own figure, each advancing at its own rate per probe from its own
 // nonzero start, so a missed baseline, a missed producer or a producer
 // read twice all show. Locality is exposed only through Caps(), the way
-// wrapping sources such as source.Attested carry it.
+// wrapping sources such as source.Attested carry it, next to a degree
+// bound of 2 that its rows outgrow: the row tier pins its speculative
+// width there, so every chain with the tier pays remainder trips.
 type meteredSource struct {
 	g      *graph.Graph
 	probes uint64
@@ -79,7 +83,10 @@ func (m *meteredSource) AttestFailures() uint64 { return 4000 + 4*m.probes }
 func (m *meteredSource) ProofBytes() uint64     { return 5000 + 5*m.probes }
 
 func (m *meteredSource) Caps() source.Caps {
-	return source.Caps{Locality: func() (uint64, uint64) { return 6000 + 6*m.probes, 7000 + 7*m.probes }}
+	return source.Caps{
+		MaxDegree: func() int { return 2 },
+		Locality:  func() (uint64, uint64) { return 6000 + 6*m.probes, 7000 + 7*m.probes },
+	}
 }
 
 // reading is the source's own report of its figures.
@@ -125,60 +132,96 @@ func b2i(b bool) int {
 	return 0
 }
 
-// TestTelemetryChains: over every wrapper alone and over the full chains
-// Session and the server build, Counter.Stats reports exactly the
-// source's own figures plus each meter's, each once; Reset rebaselines;
-// and answers and probe counts match the bare source.
-func TestTelemetryChains(t *testing.T) {
-	g := gen.Gnp(120, 0.08, 5)
-	const budget = 1 << 40
-	cases := []struct {
-		name  string
-		build func(src *meteredSource) (oracle.Oracle, []oracle.Meter)
-	}{
-		{"bare", func(s *meteredSource) (oracle.Oracle, []oracle.Meter) { return s, nil }},
-		{"counter", func(s *meteredSource) (oracle.Oracle, []oracle.Meter) { return oracle.NewCounter(s), nil }},
-		{"caching", func(s *meteredSource) (oracle.Oracle, []oracle.Meter) { return oracle.NewCaching(s), nil }},
-		{"limit", func(s *meteredSource) (oracle.Oracle, []oracle.Meter) { return oracle.NewLimit(s, budget), nil }},
-		{"limittrips", func(s *meteredSource) (oracle.Oracle, []oracle.Meter) {
-			return oracle.NewLimitTrips(s, budget), nil
-		}},
-		{"prefetch", func(s *meteredSource) (oracle.Oracle, []oracle.Meter) {
-			p := oracle.NewPrefetch(s, oracle.WithFetchWidth(2)) // rows outgrow it: remainder trips
-			return p, []oracle.Meter{p}
-		}},
-		{"tiered", func(s *meteredSource) (oracle.Oracle, []oracle.Meter) {
-			tr := oracle.NewTiered(s, oracle.NewRowCache(64, oracle.EvictLRU))
-			return tr, []oracle.Meter{tr}
-		}},
-		{"audit", func(s *meteredSource) (oracle.Oracle, []oracle.Meter) { return newAuditOracle(s), nil }},
-		// Session: budget > prefetch > tier > source; its parallel label
-		// assembly adds the shared caching tier under the budget.
-		{"session", func(s *meteredSource) (oracle.Oracle, []oracle.Meter) {
-			tr := oracle.NewTiered(s, oracle.NewRowCache(64, oracle.EvictLRU))
-			p := oracle.NewPrefetch(tr)
-			return oracle.NewLimit(p, budget), []oracle.Meter{p, tr}
-		}},
-		{"session-labels", func(s *meteredSource) (oracle.Oracle, []oracle.Meter) {
-			tr := oracle.NewTiered(s, oracle.NewRowCache(64, oracle.EvictLRU))
-			p := oracle.NewPrefetch(tr)
-			return oracle.NewLimit(oracle.NewCaching(p), budget), []oracle.Meter{p, tr}
-		}},
-		// The server: audit > trip budget > probe budget > prefetch > source.
-		{"serve", func(s *meteredSource) (oracle.Oracle, []oracle.Meter) {
-			p := oracle.NewPrefetch(s)
-			ten := &tenantState{Tenant: Tenant{ProbeBudget: budget, RoundTripBudget: budget}}
-			return newAuditOracle(ten.budgetWrap(p)), []oracle.Meter{p}
-		}},
-	}
-	bare := oracle.NewCounter(&meteredSource{g: g})
-	wantAnswers := chainQueries(t, bare)
-	wantProbes := bare.Stats()
+// chainLayers are the builder's layers, in its order, by case label.
+var chainLayers = []struct {
+	name string
+	set  func(*oracle.ChainConfig)
+}{
+	{"prefetch", func(c *oracle.ChainConfig) { c.Prefetch = true }},
+	{"tiered", func(c *oracle.ChainConfig) { c.RowCache = oracle.NewRowCache(64) }},
+	{"limit", func(c *oracle.ChainConfig) { c.ProbeBudget = 1 << 40 }},
+	{"limittrips", func(c *oracle.ChainConfig) { c.TripBudget = 1 << 40 }},
+	{"traced", func(c *oracle.ChainConfig) { c.Tracer = trace.New(trace.NewID(), trace.DefaultMaxSpans) }},
+}
 
+// chainCase is one chain under test, built over a fresh source.
+type chainCase struct {
+	name  string
+	build func(*meteredSource) oracle.Oracle
+}
+
+// builtChains enumerates every chain oracle.NewChain can build: one case
+// per subset of its layers ("bare" for none), labelled by the layers it
+// has, joined by "+".
+func builtChains() []chainCase {
+	var cases []chainCase
+	for mask := 0; mask < 1<<len(chainLayers); mask++ {
+		var names []string
+		var sets []func(*oracle.ChainConfig)
+		for i, l := range chainLayers {
+			if mask&(1<<i) != 0 {
+				names = append(names, l.name)
+				sets = append(sets, l.set)
+			}
+		}
+		name := strings.Join(names, "+")
+		if name == "" {
+			name = "bare"
+		}
+		cases = append(cases, chainCase{name, func(s *meteredSource) oracle.Oracle {
+			var cfg oracle.ChainConfig
+			for _, set := range sets {
+				set(&cfg)
+			}
+			return oracle.NewChain(s, cfg)
+		}})
+	}
+	return cases
+}
+
+// metersOf returns the meters down o's chain.
+func metersOf(o oracle.Oracle) []oracle.Meter {
+	var meters []oracle.Meter
+	for o != nil {
+		if m, ok := o.(oracle.Meter); ok {
+			meters = append(meters, m)
+		}
+		u, ok := o.(interface{ Unwrap() oracle.Oracle })
+		if !ok {
+			break
+		}
+		o = u.Unwrap()
+	}
+	return meters
+}
+
+// TestTelemetryChains: over every chain the builder produces, over the
+// wrappers outside it and over the server's audited chain, Counter.Stats
+// reports exactly the source's own figures plus each meter's, each once;
+// Reset rebaselines; and answers and probe counts match the bare source.
+// Each case runs on its own graph, seeded from its label (Derive), so a
+// failure replays from its name alone.
+func TestTelemetryChains(t *testing.T) {
+	cases := append(builtChains(),
+		chainCase{"counter", func(s *meteredSource) oracle.Oracle { return oracle.NewCounter(s) }},
+		chainCase{"audit", func(s *meteredSource) oracle.Oracle { return newAuditOracle(s) }},
+		// The server: its audit recorder outermost over the chain a
+		// budgeted tenant's prefetching request selects.
+		chainCase{"serve", func(s *meteredSource) oracle.Oracle {
+			ten := &tenantState{Tenant: Tenant{ProbeBudget: 1 << 40, RoundTripBudget: 1 << 40}}
+			return newAuditOracle(oracle.NewChain(s, ten.chainConfig(true, nil)))
+		}},
+	)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			g := gen.Gnp(120, 0.08, rnd.Seed(attest.Derive(0x7e1e, tc.name)))
+			bare := oracle.NewCounter(&meteredSource{g: g})
+			wantAnswers := chainQueries(t, bare)
+			wantProbes := bare.Stats()
+
 			src := &meteredSource{g: g}
-			top, meters := tc.build(src)
+			top := tc.build(src)
+			meters := metersOf(top)
 			expect := func() oracle.Telemetry {
 				tel := src.reading()
 				for _, m := range meters {
@@ -203,8 +246,8 @@ func TestTelemetryChains(t *testing.T) {
 			if st.RoundTrips == 0 || st.PageTouches == 0 {
 				t.Fatalf("the source's figures never moved: %+v", st.Telemetry)
 			}
-			if len(meters) > 0 && want == src.reading().Sub(srcBefore) {
-				t.Fatalf("the chain's meters never moved: %+v", want)
+			if len(meters) > 0 && (want == src.reading().Sub(srcBefore) || want.RemainderTrips == 0) {
+				t.Fatalf("the chain's meters never moved, or its rows never outgrew the width: %+v", want)
 			}
 			c.Reset()
 			if got := c.Stats().Telemetry; got != (oracle.Telemetry{FetchWidth: want.FetchWidth}) {

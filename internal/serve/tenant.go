@@ -34,7 +34,6 @@ import (
 
 	"lca/internal/metrics"
 	"lca/internal/oracle"
-	"lca/internal/source"
 	"lca/internal/trace"
 )
 
@@ -119,33 +118,17 @@ func (t *tenantState) admit(now time.Time) bool {
 	return true
 }
 
-// budgetWrap applies the tenant's per-query budgets to a freshly built
-// oracle chain; a nil state (open server) leaves the chain unchanged.
-func (t *tenantState) budgetWrap(o oracle.Oracle) oracle.Oracle {
-	return t.budgetWrapTraced(o, nil)
-}
-
-// budgetWrapTraced is budgetWrap with the execution's tracer attached
-// to each budget wrapper, so an exhaustion marks the exact probe in the
-// query's span tree. A nil tracer (untraced execution) leaves the
-// wrappers silent.
-func (t *tenantState) budgetWrapTraced(o oracle.Oracle, tr *trace.Tracer) oracle.Oracle {
-	if t == nil {
-		return o
+// chainConfig returns the oracle chain of one execution for this tenant:
+// the request's prefetch selector, the tenant's per-query probe and
+// round-trip budgets (none for a nil state, an open server) and the
+// execution's tracer, which marks a budget exhaustion at the exact probe
+// in the query's span tree.
+func (t *tenantState) chainConfig(prefetch bool, tr *trace.Tracer) oracle.ChainConfig {
+	cfg := oracle.ChainConfig{Prefetch: prefetch, Tracer: tr}
+	if t != nil {
+		cfg.ProbeBudget, cfg.TripBudget = t.ProbeBudget, t.RoundTripBudget
 	}
-	if t.ProbeBudget > 0 {
-		lo := oracle.NewLimit(o, t.ProbeBudget)
-		lo.SetTracer(tr)
-		o = lo
-	}
-	if t.RoundTripBudget > 0 {
-		lt := oracle.NewLimitTrips(o, t.RoundTripBudget)
-		if ts, ok := lt.(source.TracerSetter); ok {
-			ts.SetTracer(tr)
-		}
-		o = lt
-	}
-	return o
+	return cfg
 }
 
 // budgetKey folds the tenant's per-query enforcement into a coalescing

@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"lca/internal/oracle"
-	"lca/internal/source"
 	"lca/internal/trace"
 )
 
@@ -154,20 +153,6 @@ func (qt *queryTrace) tracer() *trace.Tracer {
 		return nil
 	}
 	return qt.tr
-}
-
-// scoped returns the per-request view of src with the execution's
-// tracer attached: requestScoped plus the source.TracerSetter
-// capability, so the network layers record rpc and probe spans into
-// this query's tree.
-func (qt *queryTrace) scoped(src source.Source) source.Source {
-	scoped := requestScoped(src)
-	if qt != nil {
-		if ts, ok := scoped.(source.TracerSetter); ok {
-			ts.SetTracer(qt.tr)
-		}
-	}
-	return scoped
 }
 
 // finishTrace ends the root span, applies the slow-query verdict and

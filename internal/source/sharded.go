@@ -7,8 +7,8 @@ package source
 // splits the probe load ~uniformly while keeping per-vertex affinity —
 // the shard that answered Degree(v) also answers v's Neighbor probes, so
 // any per-shard page cache or memo stays hot. An optional LRU tier
-// absorbs repeated neighborhood probes client-side, the bounded-memory
-// counterpart of oracle.CachingOracle's unbounded memoization.
+// absorbs repeated probes client-side, cell by cell (the oracle layer's
+// row tier caches whole rows above it).
 //
 // Because replicas are interchangeable, the fleet survives them failing:
 // a probe whose rendezvous shard errors is failed over to the next-ranked
@@ -607,8 +607,7 @@ func (s *Sharded) neighbor(sink *scopeSink, v, i int) int {
 	if s.cache != nil {
 		s.cache.put(k, ans)
 		if ans >= 0 {
-			// A Neighbor answer pins down one Adjacency answer for free,
-			// mirroring oracle.CachingOracle.
+			// A Neighbor answer pins down one Adjacency answer for free.
 			s.cache.put(probeKey{op: opAdj, ab: packProbe(v, ans)}, i)
 		}
 	}

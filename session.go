@@ -61,11 +61,10 @@ type Session struct {
 	// workers is the worker count for batch builds; 0 selects GOMAXPROCS,
 	// 1 forces serial assembly.
 	workers int
-	// prefetch roots every oracle chain at a prefetching exploration
-	// oracle (WithPrefetch).
+	// prefetch puts the row tier in every oracle chain (WithPrefetch).
 	prefetch bool
-	// rowCache, when non-nil, is the shared L2 of the tiered row-cache
-	// hierarchy every oracle chain stacks over the source (WithRowCache).
+	// rowCache, when non-nil, is the shared L2 of the row tier every
+	// oracle chain puts over the source (WithRowCache).
 	rowCache *oracle.RowCache
 	// tracer, when non-nil, records a probe-level span tree for every
 	// point query (WithTracer).
@@ -79,9 +78,9 @@ type Session struct {
 	closeErr  error
 }
 
-// boundInstance is one constructed algorithm bound to the session's oracle
-// chain: base oracle, then the optional probe limiter the budget resets
-// around every point query.
+// boundInstance is one constructed algorithm bound to its oracle chain,
+// with the chain's probe limiter (nil without a budget) that every point
+// query resets.
 type boundInstance struct {
 	inst  any
 	limit *oracle.LimitOracle
@@ -113,34 +112,35 @@ func WithWorkers(w int) SessionOption {
 	return func(s *Session) { s.workers = w }
 }
 
-// WithPrefetch routes the session's probes through a prefetching
-// exploration oracle (oracle.NewPrefetch): algorithms' neighborhood
-// explorations become single batched round trips on sources with the
-// batch capability (remote and sharded backends), and subsequent scalar
-// probes are served from the primed rows. Answers, probe counts and probe
-// budgets are identical with or without it — only the transport changes —
-// so it is safe to enable on any source; on purely local backends it buys
-// nothing but costs only the row cache. Per-query round trips are
-// reported via ProbeStats().RoundTrips.
+// WithPrefetch routes the session's probes through the row tier
+// (oracle.TieredOracle): every miss fetches a whole row, so algorithms'
+// neighborhood explorations become single batched round trips on
+// sources with the batch capability (remote and sharded backends), and
+// subsequent scalar probes are served from the cached rows. Answers,
+// probe counts and probe budgets are identical with or without it — only
+// the transport changes — so it is safe to enable on any source; on
+// purely local backends it buys nothing but costs only the row store.
+// Per-query round trips are reported via ProbeStats().RoundTrips.
 func WithPrefetch(on bool) SessionOption {
 	return func(s *Session) { s.prefetch = on }
 }
 
-// WithRowCache routes the session's probes through the tiered row-cache
-// hierarchy of the hot local path: every oracle chain gets its own L1
-// row store (an arena-backed vertex->row table, allocation-free in
-// steady state) and shares one bounded L2 row cache of at most entries
-// rows, evicted LRU. Answers, probe counts and probe budgets are
-// identical with or without it — rows are pure functions of the fixed
-// graph, so only where cells come from changes. It pays off on local
-// backends (mmap CSR, implicit families) where a whole row costs barely
-// more than a cell; on network sources prefer WithPrefetch, which
-// batches round trips (the two compose: prefetch stacks above the
-// tier). entries <= 0 leaves the hierarchy off.
+// WithRowCache routes the session's probes through the row tier of the
+// hot local path and gives it a shared L2: every oracle chain gets its
+// own L1 row store (an arena-backed vertex->row table, allocation-free
+// in steady state) and shares one bounded L2 row cache of at most
+// entries rows, evicted LRU — parallel batch workers included. Answers,
+// probe counts and probe budgets are identical with or without it —
+// rows are pure functions of the fixed graph, so only where cells come
+// from changes. It pays off on local backends (mmap CSR, implicit
+// families) where a whole row costs barely more than a cell. It selects
+// the same tier as WithPrefetch, so on network sources its misses batch
+// round trips too; setting both is the same as setting WithRowCache.
+// entries <= 0 leaves the L2 off.
 func WithRowCache(entries int) SessionOption {
 	return func(s *Session) {
 		if entries > 0 {
-			s.rowCache = oracle.NewRowCache(entries, oracle.EvictLRU)
+			s.rowCache = oracle.NewRowCache(entries)
 		}
 	}
 }
@@ -278,48 +278,21 @@ func (s *Session) descriptor(algo string, kind registry.Kind) (*registry.Descrip
 	return d, nil
 }
 
-// rootOracle returns the base of a fresh oracle chain over the session
-// source: the plain source view, or a prefetching exploration oracle when
-// WithPrefetch is on. A traced session (WithTracer) roots the chain at a
-// traced view of the source, so network backends record their rpc spans
-// into the session's tracer. WithRowCache inserts the tiered row-cache
-// oracle directly over the source (each chain owns its L1; the session's
-// L2 is shared), and prefetch, when also on, stacks above the tier.
-func (s *Session) rootOracle() Oracle {
-	src := s.src
-	if s.tracer != nil {
-		src = source.TracedView(src, s.tracer)
-	}
-	if s.rowCache != nil {
-		tiered := oracle.NewTiered(src, s.rowCache)
-		if !s.prefetch {
-			return tiered
-		}
-		src = tiered
-	}
-	if s.prefetch {
-		po := oracle.NewPrefetch(src)
-		po.SetTracer(s.tracer)
-		return po
-	}
-	return oracle.New(src)
-}
-
-// buildInstance constructs a fresh instance over a new oracle chain rooted
-// at base (nil selects the session's root oracle), optionally behind a
-// probe limiter. The limiter sits above the prefetching tier, so budgets
-// charge per cell while batching only changes the transport underneath.
-func (s *Session) buildInstance(d *registry.Descriptor, p registry.Params, base Oracle) (any, *oracle.LimitOracle, error) {
-	o := base
-	if o == nil {
-		o = s.rootOracle()
-	}
-	var limit *oracle.LimitOracle
-	if s.budget > 0 {
-		limit = oracle.NewLimit(o, s.budget)
-		limit.SetTracer(s.tracer)
-		o = limit
-	}
+// buildInstance constructs a fresh instance over a new oracle chain
+// built from the session's configuration (oracle.NewChain): the row tier
+// when WithPrefetch or WithRowCache is on, the probe budget above it,
+// and the session's tracer handed to every layer. It returns the chain's
+// probe limiter (nil without a budget), which sits above the row tier,
+// so budgets charge per cell while batching only changes the transport
+// underneath.
+func (s *Session) buildInstance(d *registry.Descriptor, p registry.Params) (any, *oracle.LimitOracle, error) {
+	o := oracle.NewChain(s.src, oracle.ChainConfig{
+		Prefetch:    s.prefetch,
+		RowCache:    s.rowCache,
+		ProbeBudget: s.budget,
+		Tracer:      s.tracer,
+	})
+	limit, _ := o.(*oracle.LimitOracle)
 	inst, err := d.Build(o, s.seed, p)
 	if err != nil {
 		return nil, nil, err
@@ -339,7 +312,7 @@ func (s *Session) instance(algo string, kind registry.Kind) (*boundInstance, err
 	if bi, ok := s.instances[d.Name]; ok {
 		return bi, nil
 	}
-	inst, limit, err := s.buildInstance(d, s.declaredParams(d), nil)
+	inst, limit, err := s.buildInstance(d, s.declaredParams(d))
 	if err != nil {
 		return nil, err
 	}
@@ -500,10 +473,10 @@ func (s *Session) ProbeStats(algo string) (ProbeStats, error) {
 // batchSetup resolves a batch build: descriptor, parameters (memoized by
 // default — batch assembly is exactly the many-queries-one-instance case
 // memoization amortizes; override with WithParam("memo", false)), and a
-// validated first instance — built over base when non-nil — that doubles
-// as the first worker's. Batch assembly enumerates every element of the
-// graph, so it refuses non-materialized sources.
-func (s *Session) batchSetup(algo string, kind registry.Kind, base Oracle) (*registry.Descriptor, registry.Params, any, *oracle.LimitOracle, error) {
+// validated first instance that doubles as the first worker's. Batch
+// assembly enumerates every element of the graph, so it refuses
+// non-materialized sources.
+func (s *Session) batchSetup(algo string, kind registry.Kind) (*registry.Descriptor, registry.Params, any, *oracle.LimitOracle, error) {
 	d, err := s.descriptor(algo, kind)
 	if err != nil {
 		return nil, nil, nil, nil, err
@@ -512,7 +485,7 @@ func (s *Session) batchSetup(algo string, kind registry.Kind, base Oracle) (*reg
 		return nil, nil, nil, nil, fmt.Errorf("%w (point queries and EstimateFraction work on any source)", ErrNotMaterialized)
 	}
 	p := d.WithMemoDefault(s.declaredParams(d))
-	inst, limit, err := s.buildInstance(d, p, base)
+	inst, limit, err := s.buildInstance(d, p)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -523,7 +496,7 @@ func (s *Session) batchSetup(algo string, kind registry.Kind, base Oracle) (*reg
 // edge of the graph, in parallel over the session's worker count (budget
 // enforcement forces serial assembly so exhaustion can abort cleanly).
 func (s *Session) BuildSubgraph(algo string) (*Graph, QueryStats, error) {
-	d, p, inst, limit, err := s.batchSetup(algo, registry.KindEdge, nil)
+	d, p, inst, limit, err := s.batchSetup(algo, registry.KindEdge)
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
@@ -537,14 +510,14 @@ func (s *Session) BuildSubgraph(algo string) (*Graph, QueryStats, error) {
 	}
 	first := handoff(inst)
 	h, qs := core.BuildSubgraphParallel(s.g, func() core.EdgeLCA {
-		return s.workerInstance(d, p, first, nil).(core.EdgeLCA)
+		return s.workerInstance(d, p, first).(core.EdgeLCA)
 	}, s.workers)
 	return h, qs, nil
 }
 
 // BuildVertexSet materializes algo's full vertex solution.
 func (s *Session) BuildVertexSet(algo string) ([]bool, QueryStats, error) {
-	d, p, inst, limit, err := s.batchSetup(algo, registry.KindVertex, nil)
+	d, p, inst, limit, err := s.batchSetup(algo, registry.KindVertex)
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
@@ -558,21 +531,16 @@ func (s *Session) BuildVertexSet(algo string) ([]bool, QueryStats, error) {
 	}
 	first := handoff(inst)
 	in, qs := core.BuildVertexSetParallel(s.g, func() core.VertexLCA {
-		return s.workerInstance(d, p, first, nil).(core.VertexLCA)
+		return s.workerInstance(d, p, first).(core.VertexLCA)
 	}, s.workers)
 	return in, qs, nil
 }
 
-// BuildLabels materializes algo's full labeling.
+// BuildLabels materializes algo's full labeling. Each worker builds its
+// own chain, as every batch build does; with WithRowCache the workers
+// share the session's L2.
 func (s *Session) BuildLabels(algo string) ([]int, QueryStats, error) {
-	// Every label worker — the validated first instance included — builds
-	// over one shared concurrency-safe caching oracle: label queries
-	// recurse through overlapping lower-priority neighborhoods, so a probe
-	// one worker pays for answers every worker's repeats. Answers are
-	// unchanged (cached cells are pure functions of graph and seed). The
-	// chain roots at the session's root oracle, so WithPrefetch composes.
-	shared := oracle.NewCaching(s.rootOracle())
-	d, p, inst, limit, err := s.batchSetup(algo, registry.KindLabel, shared)
+	d, p, inst, limit, err := s.batchSetup(algo, registry.KindLabel)
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
@@ -586,7 +554,7 @@ func (s *Session) BuildLabels(algo string) ([]int, QueryStats, error) {
 	}
 	first := handoff(inst)
 	labels, qs := core.BuildLabelsParallel(s.g, func() core.LabelLCA {
-		return s.workerInstance(d, p, first, shared).(core.LabelLCA)
+		return s.workerInstance(d, p, first).(core.LabelLCA)
 	}, s.workers)
 	return labels, qs, nil
 }
@@ -605,13 +573,12 @@ func handoff(inst any) func() any {
 }
 
 // workerInstance hands the prebuilt instance to the first caller and
-// builds fresh ones for the rest, over base when non-nil (the shared
-// caching oracle of parallel label assembly).
-func (s *Session) workerInstance(d *registry.Descriptor, p registry.Params, first func() any, base Oracle) any {
+// builds fresh ones, each over its own chain, for the rest.
+func (s *Session) workerInstance(d *registry.Descriptor, p registry.Params, first func() any) any {
 	if inst := first(); inst != nil {
 		return inst
 	}
-	inst, _, err := s.buildInstance(d, p, base)
+	inst, _, err := s.buildInstance(d, p)
 	if err != nil {
 		panic(err) // unreachable: the first build validated the inputs
 	}
@@ -690,11 +657,12 @@ func (b budgetLabel) ProbeStats() ProbeStats {
 // EstimateFraction estimates the fraction of elements (edges for edge-kind
 // algorithms, vertices for vertex-kind) that belong to algo's solution
 // from the given number of sampled point queries, with a Hoeffding
-// confidence radius at level 1-delta. It runs on a fresh unbudgeted
-// instance, memoized when the algorithm supports it (the estimator issues
-// many queries; pass WithParam("memo", false) to override); sampling seeds
-// derive from the session seed and the algorithm name, so repeated calls
-// are deterministic.
+// confidence radius at level 1-delta. It runs on a fresh unbudgeted,
+// untraced instance over the session's row tier (WithPrefetch,
+// WithRowCache), memoized when the algorithm supports it (the estimator
+// issues many queries; pass WithParam("memo", false) to override);
+// sampling seeds derive from the session seed and the algorithm name, so
+// repeated calls are deterministic.
 func (s *Session) EstimateFraction(algo string, samples int, delta float64) (EstimateResult, error) {
 	d, err := registry.Get(algo)
 	if err != nil {
@@ -706,7 +674,8 @@ func (s *Session) EstimateFraction(algo string, samples int, delta float64) (Est
 	// probe failure surfaces here exactly as in point queries: as an
 	// error, never a panic through user code.
 	if perr := runRecovered(func() {
-		res, ferr = estimate.Fraction(d, s.src, s.seed, s.declaredParams(d), samples, delta, s.prefetch)
+		o := oracle.NewChain(s.src, oracle.ChainConfig{Prefetch: s.prefetch, RowCache: s.rowCache})
+		res, ferr = estimate.Fraction(d, s.src, o, s.seed, s.declaredParams(d), samples, delta)
 	}); perr != nil {
 		return EstimateResult{}, perr
 	}

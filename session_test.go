@@ -3,6 +3,7 @@ package lca_test
 import (
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"lca"
@@ -250,5 +251,51 @@ func TestSessionAlgos(t *testing.T) {
 	}
 	if kinds["spanner3"] != "edge" || kinds["mis"] != "vertex" || kinds["coloring"] != "label" {
 		t.Fatalf("unexpected catalog %v", kinds)
+	}
+}
+
+// countingSource counts every probe that reaches the graph under it.
+type countingSource struct {
+	*lca.Graph
+	probes atomic.Uint64
+}
+
+func (c *countingSource) Degree(v int) int {
+	c.probes.Add(1)
+	return c.Graph.Degree(v)
+}
+
+func (c *countingSource) Neighbor(v, i int) int {
+	c.probes.Add(1)
+	return c.Graph.Neighbor(v, i)
+}
+
+func (c *countingSource) Adjacency(u, v int) int {
+	c.probes.Add(1)
+	return c.Graph.Adjacency(u, v)
+}
+
+// TestSessionEstimateUsesRowCache: EstimateFraction probes through the
+// session's row tier like every other query, so a second estimate over a
+// WithRowCache session finds the first one's rows in the shared L2 and
+// reaches the source less often — with the same answer.
+func TestSessionEstimateUsesRowCache(t *testing.T) {
+	src := &countingSource{Graph: sessionGraph()}
+	s := lca.NewSessionFromSource(src, lca.WithSeed(13), lca.WithRowCache(1<<12))
+	estimate := func() (lca.EstimateResult, uint64) {
+		before := src.probes.Load()
+		res, err := s.EstimateFraction("mis", 200, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, src.probes.Load() - before
+	}
+	first, cold := estimate()
+	second, warm := estimate()
+	if first != second {
+		t.Fatalf("estimates differ: %+v then %+v", first, second)
+	}
+	if warm >= cold {
+		t.Fatalf("second estimate reached the source %d times, the first %d: the shared L2 was not used", warm, cold)
 	}
 }

@@ -125,27 +125,41 @@ func TestEstimateEdgelessSourceErrors(t *testing.T) {
 	}
 }
 
-// TestParallelLabelsSharedCacheDeterministic pins the shared concurrent
-// probe cache wired into parallel label assembly: with workers sharing one
-// CachingOracle, the labeling must still be bit-identical to serial
-// assembly (cached answers are pure functions of graph and seed). Run
-// under -race in CI, this doubles as the shared-cache race test at the
-// session level.
-func TestParallelLabelsSharedCacheDeterministic(t *testing.T) {
+// parallelMatchesSerial builds coloring's labeling with 1 and with 8
+// workers under opts and fails on the first label that differs.
+func parallelMatchesSerial(t *testing.T, opts ...lca.SessionOption) {
+	t.Helper()
 	g := lca.Gnp(600, 0.02, 13)
-	serial, _, err := lca.NewSession(g, lca.WithSeed(99), lca.WithWorkers(1)).BuildLabels("coloring")
-	if err != nil {
-		t.Fatal(err)
+	build := func(workers int) []int {
+		o := append([]lca.SessionOption{lca.WithSeed(99), lca.WithWorkers(workers)}, opts...)
+		labels, _, err := lca.NewSession(g, o...).BuildLabels("coloring")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return labels
 	}
-	parallel, _, err := lca.NewSession(g, lca.WithSeed(99), lca.WithWorkers(8)).BuildLabels("coloring")
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial, parallel := build(1), build(8)
 	for v := range serial {
 		if serial[v] != parallel[v] {
-			t.Fatalf("label(%d): serial %d, parallel-with-shared-cache %d", v, serial[v], parallel[v])
+			t.Fatalf("label(%d): serial %d, parallel %d", v, serial[v], parallel[v])
 		}
 	}
+}
+
+// TestParallelLabelsDeterministic pins parallel label assembly: each of
+// 8 workers builds its own oracle chain and instance, as every batch
+// build does, and the labeling must be bit-identical to serial assembly.
+func TestParallelLabelsDeterministic(t *testing.T) {
+	parallelMatchesSerial(t)
+}
+
+// TestParallelLabelsSharedRowCacheDeterministic: under WithRowCache the 8
+// workers' chains share the session's L2 row cache, and the labeling
+// must still be bit-identical to serial assembly (cached rows are pure
+// functions of the graph). Run under -race in CI, this doubles as the
+// shared-L2 race test at the session level.
+func TestParallelLabelsSharedRowCacheDeterministic(t *testing.T) {
+	parallelMatchesSerial(t, lca.WithRowCache(64))
 }
 
 // TestHugeSourceBoundedAllocs is the acceptance test of the subsystem: MIS
