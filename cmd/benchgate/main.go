@@ -23,6 +23,17 @@
 // default tolerance is +100%, and rows whose current value sits at or
 // below the absolute floor (microseconds) never fail — a 3us row doubling
 // to 6us is scheduler jitter, a 3000us row doubling is a regression.
+//
+// -history prints the checked-in perf trajectory instead of gating:
+//
+//	benchgate -history docs/bench/BENCH_*.json
+//
+// Each file holds one change's paired perfbench runs: per workload and
+// end-to-end metric, the parent's median, the change's median and the
+// unit, plus each workload's pair count and seeds, the parent commit
+// and the runs' provenance. The table has one row per file and
+// workload/metric, with the change/parent ratio; files are ordered by
+// the number in their name.
 package main
 
 import (
@@ -30,7 +41,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -149,8 +163,68 @@ func compareTime(oldRecs, newRecs []record, metric string, tolerance, floor floa
 	return results
 }
 
+// benchFile is one checked-in paired perfbench result,
+// docs/bench/BENCH_<n>.json.
+type benchFile struct {
+	Parent     string                            `json:"parent"`
+	Pairs      map[string]int                    `json:"pairs"`
+	Seeds      map[string][]int                  `json:"seeds"`
+	Provenance map[string]any                    `json:"provenance"`
+	Workloads  map[string]map[string]benchMedian `json:"workloads"`
+}
+
+// benchMedian is one workload metric's paired medians.
+type benchMedian struct {
+	Parent float64 `json:"parent"`
+	Change float64 `json:"change"`
+	Unit   string  `json:"unit"`
+}
+
+// history writes the trajectory table of the named result files: one
+// row per file and workload/metric, files in the order of the number in
+// their name (BENCH_9 before BENCH_16), rows sorted within a file.
+func history(w io.Writer, paths []string) error {
+	paths = slices.Clone(paths)
+	sort.SliceStable(paths, func(i, j int) bool { return historyIndex(paths[i]) < historyIndex(paths[j]) })
+	fmt.Fprintf(w, "%-16s %-16s %-18s %-6s %12s %12s %7s\n", "file", "workload", "metric", "unit", "parent", "change", "ratio")
+	for _, p := range paths {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		var bf benchFile
+		if err := json.Unmarshal(raw, &bf); err != nil {
+			return fmt.Errorf("%s: %w", p, err)
+		}
+		workloads := slices.Sorted(maps.Keys(bf.Workloads))
+		for _, wl := range workloads {
+			for _, metric := range slices.Sorted(maps.Keys(bf.Workloads[wl])) {
+				m := bf.Workloads[wl][metric]
+				ratio := "-"
+				if m.Parent != 0 {
+					ratio = fmt.Sprintf("%.3f", m.Change/m.Parent)
+				}
+				fmt.Fprintf(w, "%-16s %-16s %-18s %-6s %12.4g %12.4g %7s\n", filepath.Base(p), wl, metric, m.Unit, m.Parent, m.Change, ratio)
+			}
+		}
+	}
+	return nil
+}
+
+// historyIndex is the number in a BENCH_<n>.json file name, or -1.
+func historyIndex(path string) int {
+	name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
+	_, num, _ := strings.Cut(name, "_")
+	n, err := strconv.Atoi(num)
+	if err != nil {
+		return -1
+	}
+	return n
+}
+
 func main() {
 	var (
+		hist      = flag.Bool("history", false, "print the trajectory table of the BENCH_<n>.json files named as arguments, then exit")
 		oldPath   = flag.String("old", "", "baseline lcabench -json file (required)")
 		newPath   = flag.String("new", "", "current lcabench -json file (required)")
 		metrics   = flag.String("metric", "mean probes", "comma-separated row columns to gate on")
@@ -161,6 +235,16 @@ func main() {
 		timeFloor = flag.Float64("time-floor", 500, "absolute floor of the time gate: rows at or below it never fail")
 	)
 	flag.Parse()
+	if *hist {
+		if flag.NArg() == 0 {
+			fmt.Fprintln(os.Stderr, "benchgate: -history needs at least one result file")
+			os.Exit(2)
+		}
+		if err := history(os.Stdout, flag.Args()); err != nil {
+			fatal(err)
+		}
+		return
+	}
 	if *oldPath == "" || *newPath == "" {
 		fmt.Fprintln(os.Stderr, "benchgate: -old and -new are required")
 		flag.Usage()

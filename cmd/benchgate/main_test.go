@@ -1,6 +1,9 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -195,5 +198,51 @@ func TestCompareUnparseableMetricSkipped(t *testing.T) {
 	}
 	if len(onlyNew) != 1 {
 		t.Fatalf("row with fresh parseable value should be reported as ungated, got %v", onlyNew)
+	}
+}
+
+// TestHistoryTable reads a two-file trajectory: files print in the order
+// of the number in their names, one row per workload/metric, with the
+// change/parent ratio ("-" over a zero parent).
+func TestHistoryTable(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"BENCH_16.json": `{"parent": "b", "pairs": {"fleet-prefetch": 2}, "seeds": {"fleet-prefetch": [1, 2]},
+			"provenance": {"gomaxprocs": 2, "nproc": 2, "cpu_model": "x", "go_version": "go1.24.0"},
+			"workloads": {"fleet-prefetch": {
+				"throughput_qps": {"parent": 400, "change": 900, "unit": "1/s"},
+				"latency_p99_us": {"parent": 40000, "change": 10000, "unit": "us"}}}}`,
+		"BENCH_9.json": `{"parent": "a", "pairs": {"assemble": 1}, "workloads": {"assemble": {
+				"setup_s": {"parent": 0, "change": 1, "unit": "s"}}}}`,
+	}
+	var paths []string
+	for name, body := range files {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, p)
+	}
+	sort.Strings(paths) // lexical: BENCH_16 before BENCH_9
+	var out strings.Builder
+	if err := history(&out, paths); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("want a header and 3 rows, got:\n%s", out.String())
+	}
+	for i, want := range [][]string{
+		{"BENCH_9.json", "assemble", "setup_s", "s", "-"},
+		{"BENCH_16.json", "fleet-prefetch", "latency_p99_us", "us", "0.250"},
+		{"BENCH_16.json", "fleet-prefetch", "throughput_qps", "1/s", "2.250"},
+	} {
+		got := strings.Fields(lines[i+1])
+		if len(got) != 7 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] || got[3] != want[3] || got[6] != want[4] {
+			t.Errorf("row %d = %q, want file %s, %s/%s in %s, ratio %s", i, lines[i+1], want[0], want[1], want[2], want[3], want[4])
+		}
+	}
+	if err := history(&out, []string{filepath.Join(dir, "missing.json")}); err == nil {
+		t.Error("a missing file read without error")
 	}
 }

@@ -626,7 +626,7 @@ func (r *runner) net() {
 		}
 	}
 	r.print(t)
-	r.note("\nEvery non-local row's probes crossed a real HTTP hop to a loopback shard. The mean-probe column is identical down the table — the wire is transparent; mean rt/query counts the real HTTP requests (p99 the tail) and us/query prices them. Prefetch rows fetch each explored neighborhood as one batched POST, so their round trips collapse; the lru rows show the client-side cache absorbing repeats on top. The block-remote trio isolates the width learner: against a legacy shard (no rowfull op) the adaptive row's remainder trips/query must undercut the static-width baseline, and the rowfull row retires remainders entirely. The attest rows pin the shard's Merkle root and verify every answer against a row proof: probe and round-trip columns must match their unattested twins exactly (verification is client-side), and proof B/query is the integrity bandwidth — amortized by the prefetch row, whose batched rows carry one proof each.")
+	r.note("\nEvery non-local row's probes crossed a real HTTP hop to a loopback shard. The mean-probe column is identical down the table — the wire is transparent; mean rt/query counts the real HTTP requests (p99 the tail) and us/query prices them. Prefetch rows fetch each explored neighborhood as one batched POST, and coloring fetches its whole query DAG one level per POST (oracle.Explore), so their round trips collapse; the lru rows show the client-side cache absorbing repeats on top. The block-remote trio isolates the width learner: against a legacy shard (no rowfull op) the adaptive row's remainder trips/query must undercut the static-width baseline, and the rowfull row retires remainders entirely. The attest rows pin the shard's Merkle root and verify every answer against a row proof: probe and round-trip columns must match their unattested twins exactly (verification is client-side), and proof B/query is the integrity bandwidth — amortized by the prefetch row, whose batched rows carry one proof each.")
 }
 
 // fail benchmarks the failover path end to end: two loopback lcaserve

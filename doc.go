@@ -111,18 +111,28 @@
 //	src, err := lca.OpenSource("sharded:remote:http://a:8080,remote:http://b:8080", 7)
 //	s := lca.NewSessionFromSource(src,
 //		lca.WithSeed(42),
-//		lca.WithPrefetch(true), // neighborhoods become one round trip each
+//		lca.WithPrefetch(true), // rows are fetched in batches, not cell by cell
 //	)
 //	in, err := s.Vertex("mis", 123456)
 //	ps, _ := s.ProbeStats("mis")     // ps.RoundTrips: the transport bill
 //
+// With the row tier, each neighborhood an algorithm explores costs at
+// most one round trip (two against a legacy shard without the rowfull
+// op). Coloring goes further: before its recursion runs, it fetches
+// the whole DAG its query will read one level per round trip
+// (oracle.Explore), so its trips follow the DAG's depth, not its size.
+// The planner is off over local sources, where there is no transport to
+// save, and under WithProbeBudget, where free hints would fetch past
+// the budget.
+//
 // Answers, probe counts and probe budgets are identical with or without
 // prefetching — budgets charge per cell read, and round trips are
-// accounted separately (ProbeStats.RoundTrips, ProbeStats.Batches) — so
-// it is safe on any source; local backends simply have nothing to
-// collapse. The HTTP server exposes the same switch per query
-// (&prefetch=1, answers carry round_trips), and the lcabench NET sweep
-// reports mean rt/query so the collapse lands in BENCH artifacts.
+// accounted separately (ProbeStats.RoundTrips, ProbeStats.Batches; the
+// planner's levels are not counted as batches) — so it is safe on any
+// source; local backends simply have nothing to collapse. The HTTP
+// server exposes the same switch per query (&prefetch=1, answers carry
+// round_trips), and the lcabench NET sweep reports mean rt/query so the
+// collapse lands in BENCH artifacts.
 //
 // Migrating algorithm-style code from scalar loops: a full-row scan
 //

@@ -38,6 +38,18 @@
 // LimitOracle) is unchanged: budgets and probe counts charge the cells the
 // algorithm reads, and round trips are measured separately (Stats.Batches,
 // Stats.RoundTrips). NewChain (chain.go) builds every chain.
+//
+// Explore(o, root, next) (explore.go) plans a whole query on top of the
+// API: it prefetches the DAG of rows a recursive query will read, one
+// level per Prefetch call issued on o, reading each fetched row back
+// from the tier uncharged, while the algorithm supplies each vertex's
+// children from its own order and memo. Round trips then follow the
+// DAG's depth rather than its size, and the recursion that runs
+// afterwards still decides every answer, probe count and budget. It is
+// inert unless the chain's row tier batches its misses (the rowfull op
+// or source.BatchProber), and under a probe budget (a LimitOracle in
+// the chain), where free hints would fetch past what the budget lets
+// the query read.
 package oracle
 
 import "lca/internal/source"

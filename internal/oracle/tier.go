@@ -247,6 +247,17 @@ func (t *TieredOracle) Prefetch(vs ...int) {
 	}
 }
 
+// peek returns v's row when L1 holds it, counting no hit: Explore's read
+// of a row it has just fetched, which no probe has served yet.
+func (t *TieredOracle) peek(v int) ([]int, bool) {
+	if v < 0 || v >= t.n {
+		return nil, false
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.l1.get(v)
+}
+
 // row returns v's full adjacency row from a tier or, on a miss, the
 // source. Caller holds mu.
 func (t *TieredOracle) row(v int) []int {

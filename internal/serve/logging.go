@@ -3,16 +3,19 @@ package serve
 // Structured request logging. The server is a library and stays silent
 // by default; WithLogger installs a log/slog logger and the server then
 // emits one line per served query — request_id, tenant, kind,
-// algorithm, probe and round-trip totals, and the trace id when the
-// request was sampled — plus one line per error envelope written. The
-// lines carry the same correlation keys as the error envelopes and the
-// trace plane, so a slow-query investigation can pivot from a log line
-// to /traces/{id} to the exact rpc span that cost the time.
+// algorithm, the probe total, every nonzero telemetry field, and the
+// trace id when the request was sampled — plus one line per error
+// envelope written. The lines carry the same correlation keys as the
+// error envelopes and the trace plane, so a slow-query investigation
+// can pivot from a log line to /traces/{id} to the exact rpc span that
+// cost the time.
 
 import (
 	"log/slog"
 	"net/http"
 	"time"
+
+	"lca/internal/oracle"
 )
 
 // WithLogger installs a structured request logger (nil keeps the
@@ -21,24 +24,27 @@ func WithLogger(l *slog.Logger) Option {
 	return func(s *Server) { s.log = l }
 }
 
-// logQuery emits one request line for a served query.
+// logQuery emits one request line for a served query. The answer's
+// telemetry is logged the way the answers carry it: each nonzero field
+// under its oracle.TelemetryFields name.
 func (s *Server) logQuery(w http.ResponseWriter, kind, algo string, ten *tenantState, elapsed time.Duration, ans any) {
 	if s.log == nil {
 		return
 	}
-	var probes, rts uint64
+	var probes uint64
+	var tel oracle.Telemetry
 	var traceID string
 	switch a := ans.(type) {
 	case edgeAnswer:
-		probes, rts, traceID = a.Probes, a.RoundTrips, a.TraceID
+		probes, tel, traceID = a.Probes, a.Telemetry, a.TraceID
 	case vertexAnswer:
-		probes, rts, traceID = a.Probes, a.RoundTrips, a.TraceID
+		probes, tel, traceID = a.Probes, a.Telemetry, a.TraceID
 	case labelAnswer:
-		probes, rts, traceID = a.Probes, a.RoundTrips, a.TraceID
+		probes, tel, traceID = a.Probes, a.Telemetry, a.TraceID
 	case estimateAnswer:
 		traceID = a.TraceID
 	}
-	attrs := make([]any, 0, 18)
+	attrs := make([]any, 0, 16+2*len(oracle.TelemetryFields))
 	attrs = append(attrs,
 		"request_id", w.Header().Get(RequestIDHeader),
 		"kind", kind,
@@ -46,8 +52,12 @@ func (s *Server) logQuery(w http.ResponseWriter, kind, algo string, ten *tenantS
 		"status", http.StatusOK,
 		"duration_us", elapsed.Microseconds(),
 		"probes", probes,
-		"round_trips", rts,
 	)
+	for _, f := range oracle.TelemetryFields {
+		if v := f.Value(&tel); v != 0 {
+			attrs = append(attrs, f.Name, v)
+		}
+	}
 	if ten != nil {
 		attrs = append(attrs, "tenant", ten.Name)
 	}

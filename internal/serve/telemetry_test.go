@@ -8,6 +8,8 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"log/slog"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -263,9 +265,10 @@ func TestTelemetryChains(t *testing.T) {
 }
 
 // TestTelemetrySurfaces iterates the telemetry name table: every field
-// appears under its name in each serve answer when nonzero (and not when
-// zero), every counter has its serve_<name>_total in /metrics, and
-// QueryStats.String prints every nonzero field by name.
+// appears under its name in each serve answer and in its request log
+// line when nonzero (and not when zero), every counter has its
+// serve_<name>_total in /metrics, and QueryStats.String prints every
+// nonzero field by name.
 func TestTelemetrySurfaces(t *testing.T) {
 	ts, done := newTestServer(t)
 	defer done()
@@ -306,6 +309,21 @@ func TestTelemetrySurfaces(t *testing.T) {
 		qs := core.QueryStats{ByKind: oracle.Stats{Telemetry: tel}}
 		if !strings.Contains(qs.String(), " "+f.Name+"=17") {
 			t.Errorf("QueryStats.String() = %q, missing %s", qs.String(), f.Name)
+		}
+		for _, ans := range []any{
+			edgeAnswer{Telemetry: tel}, vertexAnswer{Telemetry: tel}, labelAnswer{Telemetry: tel},
+		} {
+			var line strings.Builder
+			s := &Server{log: slog.New(slog.NewTextHandler(&line, nil))}
+			s.logQuery(httptest.NewRecorder(), "label", "coloring", nil, 0, ans)
+			if !strings.Contains(line.String(), " "+f.Name+"=17") {
+				t.Errorf("the request log line of %T does not carry %s: %s", ans, f.Name, line.String())
+			}
+			for _, g := range oracle.TelemetryFields {
+				if g.Name != f.Name && strings.Contains(line.String(), " "+g.Name+"=") {
+					t.Errorf("the request log line carries %s when zero: %s", g.Name, line.String())
+				}
+			}
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -176,10 +177,33 @@ func TestRevivalDeterministic(t *testing.T) {
 	sh.reviveJitter = func(backoff time.Duration) time.Duration { return backoff / 2 }
 
 	inj.Fail(0)
+	// Drive probes until the failure threshold marks the shard dead;
+	// failover keeps them answering throughout. The reviver's first sleep
+	// request proves the marking, so the test halts the prober there and
+	// waits for it: a prober whose health checks missed the dead window
+	// would otherwise probe on past the shard servers' shutdown.
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var once sync.Once
+	halt := func() {
+		once.Do(func() { close(stop) })
+		wg.Wait()
+	}
+	defer halt()
+	wg.Add(1)
 	go func() {
-		// Drive probes until the failure threshold marks the shard dead;
-		// failover keeps them answering throughout.
+		defer wg.Done()
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("probing the failing fleet panicked: %v", r)
+			}
+		}()
 		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
 			if h, _ := HealthOf(sh); h[0].State == ShardDead {
 				return
 			}
@@ -206,6 +230,9 @@ func TestRevivalDeterministic(t *testing.T) {
 			}
 		case <-time.After(faultDeadline):
 			t.Fatalf("reviver never requested sleep %d", k)
+		}
+		if k == 0 {
+			halt()
 		}
 		if k == len(want)-1 {
 			// Heal before releasing the last sleep: its ping succeeds and

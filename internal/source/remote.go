@@ -450,8 +450,29 @@ func (r *Remote) probeScoped(ctx context.Context, ps probeScope, op string, a, b
 		if perr := r.verifyScalar(ps, op, a, b, &ans); perr != nil {
 			return 0, perr
 		}
+	} else if perr := r.checkRange(op, a, b, ans.Answer); perr != nil {
+		return 0, perr
 	}
 	return ans.Answer, nil
+}
+
+// checkRange rejects an answer no conformant shard gives: a degree, or
+// a rowfull degree or cell, outside [0, n), or a neighbor or adjacency
+// answer outside [-1, n). A pinned
+// shard's answers are verified against its commitment instead; an
+// unpinned shard's would otherwise reach the algorithm, and the row
+// tier's fetch planning, unchecked. The error is a transport-class
+// ProbeError, so a fleet fails the probe over as it would a dead shard.
+func (r *Remote) checkRange(op string, a, b, ans int) *ProbeError {
+	lo := -1
+	if op == OpDegree || op == OpRowFull {
+		lo = 0
+	}
+	if ans < lo || ans >= r.n {
+		return &ProbeError{Shard: r.base, Op: op, A: a, B: b,
+			Err: fmt.Errorf("shard answered %d, outside [%d,%d)", ans, lo, r.n)}
+	}
+	return nil
 }
 
 // verifyScalar checks one attested scalar answer: the returned row must
@@ -587,6 +608,12 @@ func (r *Remote) batchScoped(ps probeScope, probes []ProbeReq) ([]int, error) {
 		if perr := r.verifyBatch(ps, probes, &out); perr != nil {
 			return nil, perr
 		}
+	} else {
+		for i, p := range probes {
+			if perr := r.checkRange(p.Op, p.A, p.B, out.Answers[i]); perr != nil {
+				return nil, perr
+			}
+		}
 	}
 	return out.Answers, nil
 }
@@ -595,8 +622,9 @@ func (r *Remote) batchScoped(ps probeScope, probes []ProbeReq) ([]int, error) {
 // one POST of rowfull probes per MaxProbeBatch chunk, each answering the
 // degree plus the full neighbor row — the remainder round trip the
 // prefetcher would otherwise pay simply does not exist on this path. The
-// shard's answers are validated (row count and per-row length against
-// the answered degrees) before use.
+// shard's answers are validated (row count, per-row length against the
+// answered degrees, and each cell's range on an unpinned shard) before
+// use.
 func (r *Remote) fetchRowsScoped(ps probeScope, vs []int) ([][]int, error) {
 	if len(vs) == 0 {
 		return nil, nil
@@ -641,6 +669,14 @@ func (r *Remote) fetchRowsScoped(ps probeScope, vs []int) ([][]int, error) {
 		if r.pinned {
 			if perr := r.verifyBatch(ps, probes, &out); perr != nil {
 				return nil, perr
+			}
+		} else {
+			for i, row := range out.Rows {
+				for j, w := range row {
+					if perr := r.checkRange(OpRowFull, chunk[i], j, w); perr != nil {
+						return nil, perr
+					}
+				}
 			}
 		}
 		rows = append(rows, out.Rows...)

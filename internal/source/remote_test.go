@@ -470,3 +470,101 @@ func TestParseRemoteAndShardedSpecs(t *testing.T) {
 		}
 	}
 }
+
+// outOfRangeShard answers every scalar and batched probe with n, the
+// first vertex past its n-vertex graph, and every rowfull row with a
+// cell of n; its meta plane is an honest ring's.
+func outOfRangeShard(t *testing.T, n int) *httptest.Server {
+	t.Helper()
+	inner := NewProbeHandler(Ring(n))
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path != "/probe":
+			inner.ServeHTTP(w, r)
+		case r.Method == http.MethodPost:
+			var req probeBatchReq
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			out := probeBatchAnswer{Answers: make([]int, len(req.Probes))}
+			for i, p := range req.Probes {
+				out.Answers[i] = n
+				if p.Op == OpRowFull {
+					out.Answers[i] = 2
+					out.Rows = append(out.Rows, []int{(p.A + 1) % n, n})
+				}
+			}
+			_ = json.NewEncoder(w).Encode(out)
+		default:
+			_ = json.NewEncoder(w).Encode(probeAnswer{Answer: n})
+		}
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestRemoteRejectsOutOfRangeAnswers: an unpinned shard's answers are
+// range-checked on each decode path — scalar, batch and rowfull — and a
+// rejected answer is a temporary ProbeError, so a fleet serves the
+// probe from another replica exactly as it would past a dead one.
+func TestRemoteRejectsOutOfRangeAnswers(t *testing.T) {
+	const n = 30
+	liar, err := OpenRemote(outOfRangeShard(t, n).URL, WithRetries(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for op, probe := range map[string]func(){
+		OpDegree:    func() { liar.Degree(3) },
+		OpNeighbor:  func() { liar.Neighbor(3, 0) },
+		OpAdjacency: func() { liar.Adjacency(3, 4) },
+	} {
+		if pe := recoverProbeError(t, probe); pe.Op != op || !pe.Temporary() {
+			t.Errorf("%s: %v (temporary %v), want a temporary %s ProbeError", op, pe, pe.Temporary(), op)
+		}
+	}
+	var pe *ProbeError
+	if _, err := liar.(BatchProber).ProbeBatch([]ProbeReq{{Op: OpNeighbor, A: 3}}); !errors.As(err, &pe) || !pe.Temporary() {
+		t.Errorf("batch: %v, want a temporary ProbeError", err)
+	}
+	rf, ok := RowFetcherOf(liar)
+	if !ok {
+		t.Fatal("the shard advertises rowfull, the remote does not")
+	}
+	if _, err := rf.FetchRows([]int{3}); !errors.As(err, &pe) || pe.Op != OpRowFull || !pe.Temporary() {
+		t.Errorf("rowfull: %v, want a temporary rowfull ProbeError", err)
+	}
+
+	honest, err := OpenRemote(newShard(t, Ring(n)).URL, WithRetries(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, err := NewSharded([]Source{liar, honest}, WithFailureThreshold(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Ring(n)
+	for v := 0; v < n; v++ {
+		if fleet.Degree(v) != 2 || fleet.Neighbor(v, 1) != want.Neighbor(v, 1) || fleet.Adjacency(v, (v+1)%n) != want.Adjacency(v, (v+1)%n) {
+			t.Fatalf("the fleet answered vertex %d from the liar", v)
+		}
+	}
+	got, err := fleet.(BatchProber).ProbeBatch([]ProbeReq{{Op: OpDegree, A: 5}, {Op: OpNeighbor, A: 5, B: 0}})
+	if err != nil || got[0] != 2 || got[1] != want.Neighbor(5, 0) {
+		t.Fatalf("fleet batch: %v, %v", got, err)
+	}
+	rf, _ = RowFetcherOf(fleet)
+	vs := []int{0, 7, 11, 29}
+	rows, err := rf.FetchRows(vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range vs {
+		if len(rows[i]) != 2 || rows[i][0] != want.Neighbor(v, 0) || rows[i][1] != want.Neighbor(v, 1) {
+			t.Fatalf("fleet row %d = %v", v, rows[i])
+		}
+	}
+	if fleet.(FailoverCounter).Failovers() == 0 {
+		t.Error("the fleet never failed a probe over from the liar")
+	}
+}
