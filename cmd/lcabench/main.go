@@ -579,8 +579,6 @@ func (r *runner) net() {
 		{"remote x1 prefetch", "remote:" + urls[0], queryConfig{prefetch: true}},
 		{"sharded x2", "sharded:remote:" + urls[0] + ",remote:" + urls[1], queryConfig{}},
 		{"sharded x2 prefetch", "sharded:remote:" + urls[0] + ",remote:" + urls[1], queryConfig{prefetch: true}},
-		{"sharded x2 lru", "sharded:cache=65536;remote:" + urls[0] + ";remote:" + urls[1], queryConfig{}},
-		{"sharded x2 lru prefetch", "sharded:cache=65536;remote:" + urls[0] + ";remote:" + urls[1], queryConfig{prefetch: true}},
 		// Attestation rows: the same shard committed to its graph, the
 		// client pinning the root — every answer verified against a Merkle
 		// row proof. The probe columns must stay identical to the remote x1
@@ -626,7 +624,7 @@ func (r *runner) net() {
 		}
 	}
 	r.print(t)
-	r.note("\nEvery non-local row's probes crossed a real HTTP hop to a loopback shard. The mean-probe column is identical down the table — the wire is transparent; mean rt/query counts the real HTTP requests (p99 the tail) and us/query prices them. Prefetch rows fetch each explored neighborhood as one batched POST, and coloring fetches its whole query DAG one level per POST (oracle.Explore), so their round trips collapse; the lru rows show the client-side cache absorbing repeats on top. The block-remote trio isolates the width learner: against a legacy shard (no rowfull op) the adaptive row's remainder trips/query must undercut the static-width baseline, and the rowfull row retires remainders entirely. The attest rows pin the shard's Merkle root and verify every answer against a row proof: probe and round-trip columns must match their unattested twins exactly (verification is client-side), and proof B/query is the integrity bandwidth — amortized by the prefetch row, whose batched rows carry one proof each.")
+	r.note("\nEvery non-local row's probes crossed a real HTTP hop to a loopback shard. The mean-probe column is identical down the table — the wire is transparent; mean rt/query counts the real HTTP requests (p99 the tail) and us/query prices them. Prefetch rows fetch each explored neighborhood as one batched POST, and coloring fetches its whole query DAG one level per POST (oracle.Explore), so their round trips collapse. The block-remote trio isolates the width learner: against a legacy shard (no rowfull op) the adaptive row's remainder trips/query must undercut the static-width baseline, and the rowfull row retires remainders entirely. The attest rows pin the shard's Merkle root and verify every answer against a row proof: probe and round-trip columns must match their unattested twins exactly (verification is client-side), and proof B/query is the integrity bandwidth — amortized by the prefetch row, whose batched rows carry one proof each.")
 }
 
 // fail benchmarks the failover path end to end: two loopback lcaserve

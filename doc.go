@@ -76,10 +76,11 @@
 //     connection reuse, per-request timeouts and retry-with-backoff —
 //     and sharded:remote:a,remote:b,... consistent-hashes vertices
 //     across replica shards (";"-separated when sub-specs contain
-//     commas; a cache=N item adds a client-side probe LRU):
+//     commas). The fleet caches nothing; WithRowCache caches whole rows
+//     above it:
 //
-//     src, err := lca.OpenSource("sharded:cache=65536;remote:http://a:8080;remote:http://b:8080", 7)
-//     s := lca.NewSessionFromSource(src, lca.WithSeed(42))
+//     src, err := lca.OpenSource("sharded:remote:http://a:8080;remote:http://b:8080", 7)
+//     s := lca.NewSessionFromSource(src, lca.WithSeed(42), lca.WithRowCache(65536))
 //     defer s.Close()                        // releases shard connections
 //     in, err := s.Vertex("mis", 123456789)  // probes cross the network transparently
 //
@@ -205,7 +206,10 @@
 // the second-ranked live replica, the first response wins and the loser
 // is cancelled. Slow is not down — hedging alone never marks a shard
 // dead — but a hedge that masked a hard failure still records it, so a
-// dead replica cannot hide behind its faster peer.
+// dead replica cannot hide behind its faster peer. Only scalar probes
+// are hedged: batched and rowfull fetches (ProbeBatch, and the row
+// tier's prefetch) fail over group by group but are never hedged, so a
+// slow replica delays them until it answers or fails.
 //
 // What to watch. Per-query: ProbeStats/QueryStats carry RoundTrips,
 // Failovers and Hedges (serve answers mirror them as round_trips,

@@ -128,7 +128,6 @@ func TestCrossBackendDeterminismGoldens(t *testing.T) {
 		{"csr-mmap", "csr:" + csrPath + "?mmap=1"},
 		{"remote", "remote:" + shardA.URL},
 		{"sharded-x2", "sharded:remote:" + shardA.URL + ",remote:" + shardB.URL},
-		{"sharded-x2-lru", "sharded:cache=4096;remote:" + shardA.URL + ";remote:" + shardB.URL},
 		// Adaptive hedging tunes when the secondary is raced, never what
 		// either replica answers; the digest must not move.
 		{"sharded-x2-adaptive", "sharded:remote:" + shardA.URL + ";remote:" + shardB.URL + ";hedge=adaptive"},
@@ -159,6 +158,7 @@ func TestCrossBackendDeterminismGoldens(t *testing.T) {
 		{"implicit-tiered", spec},
 		{"csr-tiered", "csr:" + csrPath},
 		{"csr-mmap-tiered", "csr:" + csrPath + "?mmap=1"},
+		{"sharded-x2-tiered", "sharded:remote:" + shardA.URL + ";remote:" + shardB.URL},
 	} {
 		for _, prefetch := range []bool{false, true} {
 			name := b.name

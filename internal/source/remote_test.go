@@ -65,12 +65,14 @@ func TestConformanceRemote(t *testing.T) {
 			}
 			return s
 		}},
+		// The "-lru" name is historical (the fleet once ran under a probe
+		// LRU); it is kept so this case's test IDs stay comparable.
 		{"sharded/remote-x3-lru", func(t testing.TB) Source {
 			var shards []Source
 			for i := 0; i < 3; i++ {
 				shards = append(shards, openRemoteShard(t, BlockRandom(64, 16, 4, 8)))
 			}
-			s, err := NewSharded(shards, WithProbeCache(256))
+			s, err := NewSharded(shards)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -442,8 +444,8 @@ func TestParseRemoteAndShardedSpecs(t *testing.T) {
 	} else if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Semicolon form with comma-bearing sub-specs plus a cache tier.
-	mixed, err := Parse("sharded:cache=128;grid:rows=6,cols=7;grid:rows=6,cols=7", 7)
+	// Semicolon form with comma-bearing sub-specs.
+	mixed, err := Parse("sharded:grid:rows=6,cols=7;grid:rows=6,cols=7", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +457,6 @@ func TestParseRemoteAndShardedSpecs(t *testing.T) {
 		"sharded:":                   "sharded",
 		"sharded:ring:n=5;ring:n=6":  "replicas",
 		"sharded:ring:n=5;;ring:n=5": "empty shard",
-		"sharded:cache=xyz;ring:n=5": "cache",
 		"remote:":                    "remote",
 		"remote:ftp://host":          "scheme",
 		"sharded:warp:n=5":           "warp",
@@ -467,6 +468,25 @@ func TestParseRemoteAndShardedSpecs(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), token) {
 			t.Errorf("Parse(%q) error %q does not name %q", spec, err, token)
+		}
+	}
+	// A sharded source caches no probes: a cache=N item is rejected
+	// wherever it sits, naming itself and the row caches that replace it.
+	for _, spec := range []string{
+		"sharded:cache=128;grid:rows=6,cols=7;grid:rows=6,cols=7",
+		"sharded:cache=64;ring:n=5;ring:n=5",
+		"sharded:ring:n=5;ring:n=5;cache=64",
+		"sharded:cache=xyz;ring:n=5",
+	} {
+		_, err := Parse(spec, 7)
+		if err == nil {
+			t.Errorf("Parse(%q) unexpectedly succeeded", spec)
+			continue
+		}
+		for _, token := range []string{"cache=", "lca.WithRowCache(N)", "prefetch=1"} {
+			if !strings.Contains(err.Error(), token) {
+				t.Errorf("Parse(%q) error %q does not name %q", spec, err, token)
+			}
 		}
 	}
 }

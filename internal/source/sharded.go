@@ -6,9 +6,8 @@ package source
 // hashing on the probed vertex routes each probe to one shard, so a fleet
 // splits the probe load ~uniformly while keeping per-vertex affinity —
 // the shard that answered Degree(v) also answers v's Neighbor probes, so
-// any per-shard page cache or memo stays hot. An optional LRU tier
-// absorbs repeated probes client-side, cell by cell (the oracle layer's
-// row tier caches whole rows above it).
+// any per-shard page cache or memo stays hot. The fleet caches nothing:
+// repeated reads are absorbed above it by the oracle layer's row tier.
 //
 // Because replicas are interchangeable, the fleet survives them failing:
 // a probe whose rendezvous shard errors is failed over to the next-ranked
@@ -16,12 +15,12 @@ package source
 // dead and its keys re-routed until a background half-open re-probe
 // (health.go) revives it, and an optional hedge delay fires a second
 // request at the next-ranked replica when the first is slow — first
-// response wins, the loser is cancelled. Probes error only when no live
-// replica can serve them. Failovers and hedges are counted (the
-// FailoverCounter capability) but never change answers.
+// response wins, the loser is cancelled. Only scalar probes are hedged;
+// batched and rowfull fetches fail over but never hedge. Probes error
+// only when no live replica can serve them. Failovers and hedges are
+// counted (the FailoverCounter capability) but never change answers.
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -69,8 +68,8 @@ type scopedProber interface {
 
 // Sharded fans probes out across replica shards. Construct with
 // NewSharded; the zero value is unusable. Safe for concurrent use when
-// the shards are (every backend here is); the LRU tier is mutex-guarded
-// and the health state per-shard locked.
+// the shards are (every backend here is); the health state is per-shard
+// locked.
 //
 // Optional capabilities (EdgeCounter, DegreeBounder, RandomEdger) are
 // exposed on the dynamic capability view exactly when every shard has
@@ -80,7 +79,6 @@ type Sharded struct {
 	shards []Source
 	labels []string
 	n      int
-	cache  *probeLRU
 
 	m, maxDeg       int
 	hasM, hasMaxDeg bool
@@ -132,19 +130,6 @@ var (
 
 // ShardedOption configures a Sharded at construction.
 type ShardedOption func(*Sharded)
-
-// WithProbeCache adds a client-side LRU over probe answers with the given
-// entry capacity (0 disables it, the default). Cached cells are pure
-// functions of the graph, so the tier never changes an answer — it only
-// absorbs the repeated neighborhood probes recursive LCAs issue, which on
-// remote shards saves whole round trips.
-func WithProbeCache(entries int) ShardedOption {
-	return func(s *Sharded) {
-		if entries > 0 {
-			s.cache = newProbeLRU(entries)
-		}
-	}
-}
 
 // WithHedge enables hedged scalar probes: when the rendezvous shard has
 // not answered within d, the same probe is fired at the next-ranked live
@@ -344,13 +329,10 @@ func (s *Sharded) Failovers() uint64 { return s.failovers.Load() }
 // first-ranked replica exceeded the hedge delay.
 func (s *Sharded) Hedges() uint64 { return s.hedges.Load() }
 
-// ScopeTrips implements TripScoper: the view shares the fleet's shards,
-// cache and health state, but counts round trips, failovers and hedges
-// into its own counters only.
+// ScopeTrips implements TripScoper: the view shares the fleet's shards
+// and health state, but counts round trips, failovers and hedges into its
+// own counters only.
 func (s *Sharded) ScopeTrips() Source { return &shardedScope{s: s} }
-
-// Shards returns the shard count (for bench labels and tests).
-func (s *Sharded) Shards() int { return len(s.shards) }
 
 // RoundTrips implements RoundTripCounter by summing the shards that report
 // (local shards cost no round trips and don't count).
@@ -409,15 +391,7 @@ func (s *Sharded) SpotCheck(k int, seed uint64) []attest.Disagreement {
 // rowFromShard fetches one adjacency row from one replica, converting the
 // network contract's *ProbeError panics into errors for the auditor.
 func rowFromShard(sh Source, v int) (row []int, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			pe, ok := r.(*ProbeError)
-			if !ok {
-				panic(r)
-			}
-			row, err = nil, pe
-		}
-	}()
+	defer catchProbe(func(pe *ProbeError) { row, err = nil, pe })
 	if rf, ok := RowFetcherOf(sh); ok {
 		rows, err := rf.FetchRows([]int{v})
 		if err != nil {
@@ -568,24 +542,7 @@ func (s *Sharded) hedgeDelay(i int) time.Duration {
 func (s *Sharded) N() int { return s.n }
 
 // Degree implements Source, routed by v.
-func (s *Sharded) Degree(v int) int { return s.degree(nil, v) }
-
-func (s *Sharded) degree(sink *scopeSink, v int) int {
-	k := probeKey{op: opDeg, ab: packProbe(v, 0)}
-	if s.cache != nil {
-		if ans, ok := s.cache.get(k); ok {
-			if tr := sink.tracer(); tr != nil {
-				tr.Event("probe:degree", v, "cache-hit")
-			}
-			return ans
-		}
-	}
-	ans := s.scalar(sink, OpDegree, v, v, 0)
-	if s.cache != nil {
-		s.cache.put(k, ans)
-	}
-	return ans
-}
+func (s *Sharded) Degree(v int) int { return s.scalar(nil, OpDegree, v, 0) }
 
 // Neighbor implements Source, routed by v.
 func (s *Sharded) Neighbor(v, i int) int { return s.neighbor(nil, v, i) }
@@ -594,24 +551,7 @@ func (s *Sharded) neighbor(sink *scopeSink, v, i int) int {
 	if i < 0 {
 		return -1
 	}
-	k := probeKey{op: opNbr, ab: packProbe(v, i)}
-	if s.cache != nil {
-		if ans, ok := s.cache.get(k); ok {
-			if tr := sink.tracer(); tr != nil {
-				tr.Event("probe:neighbor", v, "cache-hit")
-			}
-			return ans
-		}
-	}
-	ans := s.scalar(sink, OpNeighbor, v, v, i)
-	if s.cache != nil {
-		s.cache.put(k, ans)
-		if ans >= 0 {
-			// A Neighbor answer pins down one Adjacency answer for free.
-			s.cache.put(probeKey{op: opAdj, ab: packProbe(v, ans)}, i)
-		}
-	}
-	return ans
+	return s.scalar(sink, OpNeighbor, v, i)
 }
 
 // Adjacency implements Source, routed by the list owner u.
@@ -621,30 +561,17 @@ func (s *Sharded) adjacency(sink *scopeSink, u, v int) int {
 	if u < 0 || u >= s.n || v < 0 || v >= s.n {
 		return -1
 	}
-	k := probeKey{op: opAdj, ab: packProbe(u, v)}
-	if s.cache != nil {
-		if ans, ok := s.cache.get(k); ok {
-			if tr := sink.tracer(); tr != nil {
-				tr.Event("probe:adjacency", u, "cache-hit")
-			}
-			return ans
-		}
-	}
-	ans := s.scalar(sink, OpAdjacency, u, u, v)
-	if s.cache != nil {
-		s.cache.put(k, ans)
-	}
-	return ans
+	return s.scalar(sink, OpAdjacency, u, v)
 }
 
 // scalar answers one scalar probe with failover: the probe is tried on
-// v's highest-ranked live replica (hedged against the second-ranked one
+// a's highest-ranked live replica (hedged against the second-ranked one
 // when a hedge delay is configured), temporary failures mark the shard
 // and re-route to the next live replica, and only when no live replica
 // can serve does the probe fail — a typed *ProbeError panic, the network
 // source contract. Non-temporary failures (4xx: the request itself is
 // wrong) propagate immediately; no replica would answer differently.
-func (s *Sharded) scalar(sink *scopeSink, op string, route, a, b int) int {
+func (s *Sharded) scalar(sink *scopeSink, op string, a, b int) int {
 	tr := sink.tracer()
 	var h trace.Handle
 	var tagFailover, tagHedge, tagHedgeWon, done bool
@@ -671,7 +598,7 @@ func (s *Sharded) scalar(sink *scopeSink, op string, route, a, b int) int {
 	var exclude []bool
 	var lastErr error
 	for tries := 0; tries <= len(s.shards); tries++ {
-		primary, secondary, want := s.pickLive(route, exclude)
+		primary, secondary, want := s.pickLive(a, exclude)
 		if primary < 0 {
 			break
 		}
@@ -865,15 +792,7 @@ func (s *Sharded) probeOnShard(ctx context.Context, ps probeScope, i int, op str
 	if sp, ok := sh.(scopedProber); ok {
 		return sp.probeScoped(ctx, ps, op, a, b)
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			pe, ok := r.(*ProbeError)
-			if !ok {
-				panic(r)
-			}
-			ans, perr = 0, pe
-		}
-	}()
+	defer catchProbe(func(pe *ProbeError) { ans, perr = 0, pe })
 	switch op {
 	case OpDegree:
 		return sh.Degree(a), nil
@@ -958,50 +877,57 @@ func (s *Sharded) randomEdgeOnShard(ps probeScope, i int, derived rnd.Seed) (u, 
 		// has it.
 		return 0, 0, &ProbeError{Shard: s.labels[i], Op: OpRandomEdge, Err: errors.New("shard lost the RandomEdge capability")}
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			pe, ok := r.(*ProbeError)
-			if !ok {
-				// String panics mark edgeless sources by convention and are
-				// the caller's contract, not a shard failure.
-				panic(r)
-			}
-			perr = pe
-		}
-	}()
+	// String panics mark edgeless sources by convention and are the
+	// caller's contract, not a shard failure: catchProbe re-panics them.
+	defer catchProbe(func(pe *ProbeError) { perr = pe })
 	u, v = re.RandomEdge(rnd.NewPRG(derived))
 	return u, v, nil
 }
 
-// ProbeBatch implements BatchProber: probes are grouped by their owning
-// live shard and fanned out concurrently, one goroutine (and, on remote
-// shards, one POST round trip) per shard touched. Answers are
-// index-aligned with the request. The LRU tier is consulted first and
-// filled from the answers. A shard group that fails temporarily is
-// re-routed to the next-ranked live replicas round by round; the batch
-// errors only when probes remain that no live replica can serve.
-// Batches above MaxProbeBatch are rejected, matching the wire protocol's
-// limit whichever backend a batch lands on.
+// ProbeBatch implements BatchProber: the probes are fanned out by their
+// probed vertex (fanOut), one goroutine (and, on remote shards, one POST
+// round trip) per shard touched. Answers are index-aligned with the
+// request. Batches above MaxProbeBatch are rejected, matching the wire
+// protocol's limit whichever backend a batch lands on.
 func (s *Sharded) ProbeBatch(probes []ProbeReq) ([]int, error) {
 	return s.batch(nil, probes)
 }
 
 func (s *Sharded) batch(sink *scopeSink, probes []ProbeReq) ([]int, error) {
-	if len(probes) > MaxProbeBatch {
-		return nil, fmt.Errorf("source: sharded: probe batch of %d exceeds the maximum %d", len(probes), MaxProbeBatch)
+	return fanOut(s, sink, "batch", probes, func(p ProbeReq) int { return p.A }, s.batchOnShard)
+}
+
+// fetchRows implements the RowFetcher capability when every shard has it:
+// the vertices are fanned out like ProbeBatch's probes (fanOut), and the
+// rows come back index-aligned with vs.
+func (s *Sharded) fetchRows(sink *scopeSink, vs []int) ([][]int, error) {
+	if len(vs) == 0 {
+		return nil, nil
+	}
+	return fanOut(s, sink, OpRowFull, vs, func(v int) int { return v }, s.rowsOnShard)
+}
+
+// fanOut serves one batch of items across the fleet. Each item goes to
+// the highest-ranked live replica of its vertex route(item), and call
+// answers each shard's group in its own goroutine. A group that fails
+// temporarily marks its shard and is re-routed to the next-ranked live
+// replicas, round by round; fanOut errors only when items remain that no
+// live replica can serve. Each item served away from its rendezvous
+// winner counts one failover. Groups are never hedged: only scalar probes
+// consult hedgeDelay. Answers are index-aligned with items; op names the
+// probe span ("probe:"+op) and the errors.
+func fanOut[Q, A any](s *Sharded, sink *scopeSink, op string, items []Q, route func(Q) int,
+	call func(ps probeScope, shard int, sub []Q) ([]A, error)) ([]A, error) {
+	if len(items) > MaxProbeBatch {
+		return nil, fmt.Errorf("source: sharded: %s request of %d probes exceeds the maximum %d", op, len(items), MaxProbeBatch)
 	}
 	tr := sink.tracer()
 	var h trace.Handle
-	var hits int
 	done := false
 	if tr != nil {
-		h = tr.Start("probe:batch", -1)
+		h = tr.Start("probe:"+op, -1)
 		defer func() {
-			tags := make([]string, 0, 3)
-			tags = append(tags, fmt.Sprintf("batch=%d", len(probes)))
-			if hits > 0 {
-				tags = append(tags, fmt.Sprintf("cache-hits=%d", hits))
-			}
+			tags := []string{fmt.Sprintf("batch=%d", len(items))}
 			if !done {
 				tags = append(tags, "error")
 			}
@@ -1009,33 +935,27 @@ func (s *Sharded) batch(sink *scopeSink, probes []ProbeReq) ([]int, error) {
 		}()
 	}
 	ps := probeScope{tc: sink.tripsCounter(), af: sink.afCounter(), pb: sink.pbCounter(), tr: tr, parent: h.ID()}
-	answers := make([]int, len(probes))
-	var pending []int // indices still needing a backend answer
-	for i, p := range probes {
-		if s.cache != nil {
-			if k, ok := keyOf(p); ok {
-				if ans, hit := s.cache.get(k); hit {
-					answers[i] = ans
-					hits++
-					continue
-				}
-			}
-		}
-		pending = append(pending, i)
+	out := make([]A, len(items))
+	pending := make([]int, len(items)) // indices into items still unanswered
+	for i := range pending {
+		pending[i] = i
 	}
 	var exclude []bool
 	var lastErr error
+	noLive := func() error {
+		if lastErr == nil {
+			lastErr = errors.New("all replicas are dead")
+		}
+		return &ProbeError{Shard: s.label(), Op: op, A: len(items),
+			Err: fmt.Errorf("no live replica can serve the %s request: %w", op, lastErr)}
+	}
 	for round := 0; len(pending) > 0 && round <= len(s.shards); round++ {
-		groups := make(map[int][]int)            // shard -> indices into probes
+		groups := make(map[int][]int)            // shard -> indices into items
 		wants := make(map[int]int, len(pending)) // index -> rendezvous winner
 		for _, i := range pending {
-			primary, _, want := s.pickLive(probes[i].A, exclude)
+			primary, _, want := s.pickLive(route(items[i]), exclude)
 			if primary < 0 {
-				if lastErr == nil {
-					lastErr = errors.New("all replicas are dead")
-				}
-				return nil, &ProbeError{Shard: s.label(), Op: "batch", A: len(probes),
-					Err: fmt.Errorf("no live replica can serve the batch: %w", lastErr)}
+				return nil, noLive()
 			}
 			groups[primary] = append(groups[primary], i)
 			wants[i] = want
@@ -1044,10 +964,26 @@ func (s *Sharded) batch(sink *scopeSink, probes []ProbeReq) ([]int, error) {
 		errs := make([]error, len(s.shards))
 		for shard, idxs := range groups {
 			wg.Add(1)
-			go func(shard int, idxs []int) {
+			go func() {
 				defer wg.Done()
-				errs[shard] = s.batchOnShard(ps, shard, idxs, probes, answers)
-			}(shard, idxs)
+				sub := make([]Q, len(idxs))
+				for j, i := range idxs {
+					sub[j] = items[i]
+				}
+				start := time.Now()
+				got, err := call(ps, shard, sub)
+				if err == nil && len(got) != len(sub) {
+					err = fmt.Errorf("source: sharded: shard %s answered %d of %d probes", s.labels[shard], len(got), len(sub))
+				}
+				if err != nil {
+					errs[shard] = err
+					return
+				}
+				s.noteLatency(shard, time.Since(start))
+				for j, i := range idxs {
+					out[i] = got[j]
+				}
+			}()
 		}
 		wg.Wait()
 		pending = pending[:0]
@@ -1075,25 +1011,10 @@ func (s *Sharded) batch(sink *scopeSink, probes []ProbeReq) ([]int, error) {
 		}
 	}
 	if len(pending) > 0 {
-		return nil, &ProbeError{Shard: s.label(), Op: "batch", A: len(probes),
-			Err: fmt.Errorf("no live replica can serve the batch: %w", lastErr)}
-	}
-	// Cache commit happens only here, after every group verified and
-	// succeeded — never inside the per-shard round. A batch that errors
-	// mid-way (one group answered, another group's shard lied or died)
-	// must not leak its answered cells into the LRU: under attestation the
-	// lying group's answers were discarded before reaching answers[], and
-	// the all-or-nothing commit keeps the error path from publishing the
-	// partial rest.
-	if s.cache != nil {
-		for i, p := range probes {
-			if k, ok := keyOf(p); ok {
-				s.cache.put(k, answers[i])
-			}
-		}
+		return nil, noLive()
 	}
 	done = true
-	return answers, nil
+	return out, nil
 }
 
 // temporaryProbeErr reports whether a batch failure justifies re-routing:
@@ -1107,223 +1028,54 @@ func temporaryProbeErr(err error) bool {
 	return false
 }
 
-// batchOnShard answers the probes at idxs against one shard, using its
-// batch capability when it has one.
-func (s *Sharded) batchOnShard(ps probeScope, shard int, idxs []int, probes []ProbeReq, answers []int) (err error) {
-	if s.lat != nil {
-		start := time.Now()
-		defer func() {
-			if err == nil {
-				s.lat[shard].observe(time.Since(start))
-			}
-		}()
-	}
-	sh := s.shards[shard]
-	sub := make([]ProbeReq, len(idxs))
-	for j, i := range idxs {
-		sub[j] = probes[i]
-	}
-	var got []int
-	switch b := sh.(type) {
-	case scopedProber:
-		got, err = b.batchScoped(ps, sub)
-	case BatchProber:
-		got, err = recoverBatch(func() ([]int, error) { return b.ProbeBatch(sub) })
-	default:
-		got, err = recoverBatch(func() ([]int, error) {
-			out := make([]int, len(sub))
-			for j, p := range sub {
-				ans, status, msg := answerProbe(sh, p.Op, p.A, p.B)
-				if status != 0 {
-					return nil, fmt.Errorf("source: sharded: probe %d: %s", idxs[j], msg)
-				}
-				out[j] = ans
-			}
-			return out, nil
-		})
-	}
-	if err != nil {
-		return err
-	}
-	if len(got) != len(sub) {
-		return fmt.Errorf("source: sharded: shard %s answered %d of %d probes", s.labels[shard], len(got), len(sub))
-	}
-	for j, i := range idxs {
-		answers[i] = got[j]
-	}
-	return nil
-}
-
-// fetchRows implements the RowFetcher capability when every shard has it:
-// vertices are grouped by their owning live shard and fanned out
-// concurrently, failing groups re-routed round by round exactly like
-// batch(). Rows are index-aligned with vs; answers never differ between
-// replicas, so failover and hedging semantics carry over unchanged.
-func (s *Sharded) fetchRows(sink *scopeSink, vs []int) ([][]int, error) {
-	if len(vs) > MaxProbeBatch {
-		return nil, fmt.Errorf("source: sharded: rowfull batch of %d exceeds the maximum %d", len(vs), MaxProbeBatch)
-	}
-	if len(vs) == 0 {
-		return nil, nil
-	}
-	tr := sink.tracer()
-	var h trace.Handle
-	done := false
-	if tr != nil {
-		h = tr.Start("probe:rowfull", -1)
-		defer func() {
-			tags := []string{fmt.Sprintf("batch=%d", len(vs))}
-			if !done {
-				tags = append(tags, "error")
-			}
-			tr.End(h, tags...)
-		}()
-	}
-	ps := probeScope{tc: sink.tripsCounter(), af: sink.afCounter(), pb: sink.pbCounter(), tr: tr, parent: h.ID()}
-	rows := make([][]int, len(vs))
-	pending := make([]int, len(vs)) // indices into vs still unanswered
-	for i := range vs {
-		pending[i] = i
-	}
-	var exclude []bool
-	var lastErr error
-	for round := 0; len(pending) > 0 && round <= len(s.shards); round++ {
-		groups := make(map[int][]int)            // shard -> indices into vs
-		wants := make(map[int]int, len(pending)) // index -> rendezvous winner
-		for _, i := range pending {
-			primary, _, want := s.pickLive(vs[i], exclude)
-			if primary < 0 {
-				if lastErr == nil {
-					lastErr = errors.New("all replicas are dead")
-				}
-				return nil, &ProbeError{Shard: s.label(), Op: OpRowFull, A: len(vs),
-					Err: fmt.Errorf("no live replica can serve the rowfull batch: %w", lastErr)}
-			}
-			groups[primary] = append(groups[primary], i)
-			wants[i] = want
-		}
-		var wg sync.WaitGroup
-		errs := make([]error, len(s.shards))
-		for shard, idxs := range groups {
-			wg.Add(1)
-			go func(shard int, idxs []int) {
-				defer wg.Done()
-				errs[shard] = s.rowsOnShard(ps, shard, idxs, vs, rows)
-			}(shard, idxs)
-		}
-		wg.Wait()
-		pending = pending[:0]
-		for shard, idxs := range groups {
-			err := errs[shard]
-			if err == nil {
-				s.health[shard].noteSuccess()
-				for _, i := range idxs {
-					if shard != wants[i] {
-						s.noteFailover(sink)
-					}
-				}
-				continue
-			}
-			if !temporaryProbeErr(err) {
-				return nil, err
-			}
-			s.noteFault(shard, err)
-			lastErr = err
-			if exclude == nil {
-				exclude = make([]bool, len(s.shards))
-			}
-			exclude[shard] = true
-			pending = append(pending, idxs...)
-		}
-	}
-	if len(pending) > 0 {
-		return nil, &ProbeError{Shard: s.label(), Op: OpRowFull, A: len(vs),
-			Err: fmt.Errorf("no live replica can serve the rowfull batch: %w", lastErr)}
-	}
-	if s.cache != nil {
-		// A full row pins down its degree, every neighbor slot and the
-		// matching adjacency answers — the same free entries neighbor()
-		// caches, just a whole row at a time.
-		for i, v := range vs {
-			row := rows[i]
-			s.cache.put(probeKey{op: opDeg, ab: packProbe(v, 0)}, len(row))
-			for j, u := range row {
-				s.cache.put(probeKey{op: opNbr, ab: packProbe(v, j)}, u)
-				s.cache.put(probeKey{op: opAdj, ab: packProbe(v, u)}, j)
-			}
-		}
-	}
-	done = true
-	return rows, nil
-}
-
-// rowsOnShard fetches the rows of vs[idxs] from one shard, scattering
-// them into rows.
-func (s *Sharded) rowsOnShard(ps probeScope, shard int, idxs []int, vs []int, rows [][]int) (err error) {
-	if s.lat != nil {
-		start := time.Now()
-		defer func() {
-			if err == nil {
-				s.lat[shard].observe(time.Since(start))
-			}
-		}()
-	}
-	sub := make([]int, len(idxs))
-	for j, i := range idxs {
-		sub[j] = vs[i]
-	}
-	var got [][]int
-	if sp, ok := s.shards[shard].(scopedProber); ok {
-		got, err = sp.fetchRowsScoped(ps, sub)
-	} else {
-		rf, ok := RowFetcherOf(s.shards[shard])
+// catchProbe is deferred around calls into a shard's plain interfaces:
+// it hands a *ProbeError panic (the network source contract) to set as
+// the call's failure, and re-panics anything else.
+func catchProbe(set func(*ProbeError)) {
+	if r := recover(); r != nil {
+		pe, ok := r.(*ProbeError)
 		if !ok {
-			// Unreachable: the capability is advertised only when every
-			// shard has it.
-			return &ProbeError{Shard: s.labels[shard], Op: OpRowFull, Err: errors.New("shard lost the RowFetcher capability")}
+			panic(r)
 		}
-		got, err = recoverRows(func() ([][]int, error) { return rf.FetchRows(sub) })
+		set(pe)
 	}
-	if err != nil {
-		return err
-	}
-	if len(got) != len(sub) {
-		return fmt.Errorf("source: sharded: shard %s answered %d of %d rows", s.labels[shard], len(got), len(sub))
-	}
-	for j, i := range idxs {
-		rows[i] = got[j]
-	}
-	return nil
 }
 
-// recoverRows converts a *ProbeError panic from a shard's row-fetch path
-// into an error; anything else propagates.
-func recoverRows(fn func() ([][]int, error)) (got [][]int, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			pe, ok := r.(*ProbeError)
-			if !ok {
-				panic(r)
-			}
-			got, err = nil, pe
+// batchOnShard answers sub against one shard, using its batch capability
+// when it has one.
+func (s *Sharded) batchOnShard(ps probeScope, shard int, sub []ProbeReq) (got []int, err error) {
+	sh := s.shards[shard]
+	if sp, ok := sh.(scopedProber); ok {
+		return sp.batchScoped(ps, sub)
+	}
+	defer catchProbe(func(pe *ProbeError) { got, err = nil, pe })
+	if bp, ok := sh.(BatchProber); ok {
+		return bp.ProbeBatch(sub)
+	}
+	got = make([]int, len(sub))
+	for j, p := range sub {
+		ans, status, msg := answerProbe(sh, p.Op, p.A, p.B)
+		if status != 0 {
+			return nil, fmt.Errorf("source: sharded: %s", msg)
 		}
-	}()
-	return fn()
+		got[j] = ans
+	}
+	return got, nil
 }
 
-// recoverBatch converts a *ProbeError panic from a shard's batch or
-// scalar path into an error; anything else propagates.
-func recoverBatch(fn func() ([]int, error)) (got []int, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			pe, ok := r.(*ProbeError)
-			if !ok {
-				panic(r)
-			}
-			got, err = nil, pe
-		}
-	}()
-	return fn()
+// rowsOnShard fetches the rows of sub from one shard.
+func (s *Sharded) rowsOnShard(ps probeScope, shard int, sub []int) (rows [][]int, err error) {
+	if sp, ok := s.shards[shard].(scopedProber); ok {
+		return sp.fetchRowsScoped(ps, sub)
+	}
+	rf, ok := RowFetcherOf(s.shards[shard])
+	if !ok {
+		// Unreachable: the capability is advertised only when every shard
+		// has it.
+		return nil, &ProbeError{Shard: s.labels[shard], Op: OpRowFull, Err: errors.New("shard lost the RowFetcher capability")}
+	}
+	defer catchProbe(func(pe *ProbeError) { rows, err = nil, pe })
+	return rf.FetchRows(sub)
 }
 
 // Close stops the background revivers and closes every shard holding
@@ -1347,9 +1099,8 @@ func (s *Sharded) Close() error {
 }
 
 // shardedScope is the TripScoper view of a fleet: same shards, same
-// cache, same health machine — round trips, failovers and hedges counted
-// into the view's own sink, spans recorded into the view's tracer when
-// one is set.
+// health machine — round trips, failovers and hedges counted into the
+// view's own sink, spans recorded into the view's tracer when one is set.
 type shardedScope struct {
 	s    *Sharded
 	sink scopeSink
@@ -1366,14 +1117,14 @@ var (
 )
 
 // SetTracer implements TracerSetter: subsequent probes through this view
-// record probe spans (with cache-hit/failover/hedge outcome tags) and
-// per-round-trip rpc spans into tr. Set it before probing; the view is
-// per-request, not concurrent with setup.
+// record probe spans (with failover/hedge outcome tags) and per-round-trip
+// rpc spans into tr. Set it before probing; the view is per-request, not
+// concurrent with setup.
 func (sc *shardedScope) SetTracer(tr *trace.Tracer) { sc.sink.tr = tr }
 
 func (sc *shardedScope) N() int { return sc.s.n }
 
-func (sc *shardedScope) Degree(v int) int { return sc.s.degree(&sc.sink, v) }
+func (sc *shardedScope) Degree(v int) int { return sc.s.scalar(&sc.sink, OpDegree, v, 0) }
 
 func (sc *shardedScope) Neighbor(v, i int) int { return sc.s.neighbor(&sc.sink, v, i) }
 
@@ -1412,93 +1163,3 @@ func (sc *shardedScope) AttestFailures() uint64 { return sc.sink.af.load() }
 // ProofBytes reports only the proof bytes transported for probes issued
 // through this view.
 func (sc *shardedScope) ProofBytes() uint64 { return sc.sink.pb.load() }
-
-// probe-answer LRU ------------------------------------------------------
-
-const (
-	opDeg uint8 = iota
-	opNbr
-	opAdj
-)
-
-type probeKey struct {
-	op uint8
-	ab uint64
-}
-
-// packProbe packs a probe's operands like oracle.cacheKey (operands are
-// vertex IDs or list indices, both under 2^32).
-func packProbe(a, b int) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }
-
-// keyOf maps a wire probe to its cache key; unknown ops are uncacheable.
-func keyOf(p ProbeReq) (probeKey, bool) {
-	switch p.Op {
-	case OpDegree:
-		return probeKey{op: opDeg, ab: packProbe(p.A, 0)}, true
-	case OpNeighbor:
-		return probeKey{op: opNbr, ab: packProbe(p.A, p.B)}, true
-	case OpAdjacency:
-		return probeKey{op: opAdj, ab: packProbe(p.A, p.B)}, true
-	}
-	return probeKey{}, false
-}
-
-// probeLRU is a bounded, mutex-guarded LRU over probe answers. Answers
-// are pure functions of the fixed graph, so staleness cannot exist;
-// eviction only trades hit rate for memory.
-type probeLRU struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[probeKey]*list.Element
-	order   *list.List // front = most recently used
-}
-
-type lruEntry struct {
-	k   probeKey
-	ans int
-}
-
-func newProbeLRU(capacity int) *probeLRU {
-	// The map grows with actual residency; pre-sizing to the full
-	// capacity would turn a large cache=N spec into an eager multi-GB
-	// allocation before the first probe is ever cached.
-	return &probeLRU{
-		cap:     capacity,
-		entries: make(map[probeKey]*list.Element, min(capacity, 1<<16)),
-		order:   list.New(),
-	}
-}
-
-func (c *probeLRU) get(k probeKey) (int, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[k]
-	if !ok {
-		return 0, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*lruEntry).ans, true
-}
-
-func (c *probeLRU) put(k probeKey, ans int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[k]; ok {
-		el.Value.(*lruEntry).ans = ans
-		c.order.MoveToFront(el)
-		return
-	}
-	c.entries[k] = c.order.PushFront(&lruEntry{k: k, ans: ans})
-	if c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*lruEntry).k)
-	}
-}
-
-// lruLen reports the resident entry count (tests).
-func (c *probeLRU) lruLen() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}

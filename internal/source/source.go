@@ -20,8 +20,7 @@
 //   - Network shards (OpenRemote, NewSharded): probes answered by other
 //     processes over the probe wire protocol (wire.go), with connection
 //     reuse, timeouts and retry-with-backoff; Sharded consistent-hashes
-//     vertices across replica shards and can add a bounded client-side
-//     probe LRU.
+//     vertices across replica shards, with failover.
 //
 // Sources are addressed by spec strings ("ring:n=1000000000",
 // "csr:web.csr", "remote:http://host:8080", "sharded:remote:a,remote:b",

@@ -12,11 +12,11 @@ package source
 // Integer values accept underscores and integral e-notation
 // (n=1_000_000_000, n=1e9). A seed=... key overrides the seed passed to
 // Parse for the families that consume one. The sharded list takes any
-// sub-specs plus optional cache=N (client-side probe LRU) and
-// hedge=DURATION (hedged probes, e.g. hedge=20ms) or hedge=adaptive
-// (per-shard p95-derived delay, bounded by hedgefloor=/hedgeceil=)
-// items, ";"-separated — or ","-separated when no sub-spec contains a
-// comma, so sharded:remote:http://a,remote:http://b works.
+// sub-specs plus optional hedge=DURATION (hedged probes, e.g.
+// hedge=20ms) or hedge=adaptive (per-shard p95-derived delay, bounded by
+// hedgefloor=/hedgeceil=) items, ";"-separated — or ","-separated when
+// no sub-spec contains a comma, so sharded:remote:http://a,remote:http://b
+// works. A cache=N item is rejected: rows are cached above the source.
 
 import (
 	"errors"
@@ -168,7 +168,7 @@ var families = map[string]*Family{
 	"sharded": {
 		Name: "sharded",
 		Usage: "sharded:spec;spec;... — consistent-hash probes across replica shards with failover " +
-			"(any sub-specs; ';' or ',' separated; cache=N adds a client-side LRU, hedge=20ms hedges slow probes, " +
+			"(any sub-specs; ';' or ',' separated; hedge=20ms hedges slow probes, " +
 			"hedge=adaptive derives the delay from each shard's recent p95, bounded by hedgefloor=/hedgeceil=)",
 		// Open is assigned in init: it recurses into Parse, and a literal
 		// here would be an initialization cycle.
@@ -239,18 +239,9 @@ func openShardedSpec(args map[string]string, seed rnd.Seed) (Source, error) {
 			closeAll()
 			return nil, fmt.Errorf("empty shard spec in list %q", args["path"])
 		}
-		if raw, ok := strings.CutPrefix(item, "cache="); ok {
-			entries, err := parseIntFlex(raw)
-			if err != nil {
-				closeAll()
-				return nil, fmt.Errorf("cache size: %w", err)
-			}
-			if entries > 1<<30 {
-				closeAll()
-				return nil, fmt.Errorf("cache size %d exceeds the maximum %d entries", entries, 1<<30)
-			}
-			opts = append(opts, WithProbeCache(int(entries)))
-			continue
+		if strings.HasPrefix(item, "cache=") {
+			closeAll()
+			return nil, fmt.Errorf("%s: a sharded source caches no probes; cache rows above it with lca.WithRowCache(N) on a Session or prefetch=1 on lcaserve", item)
 		}
 		if raw, ok := strings.CutPrefix(item, "hedge="); ok {
 			if raw == "adaptive" {
