@@ -6,6 +6,11 @@ package core
 // queries. This is also how a real deployment would serve queries (one
 // instance per serving goroutine or per machine), so the harness doubles
 // as a demonstration that instances never need to coordinate.
+//
+// A worker's panic, such as a probe limiter's budget signal, is
+// contained: every worker recovers, the build waits for all of them, then
+// re-raises the first recovered value on the caller's goroutine, where
+// the serial builders would have raised it.
 
 import (
 	"runtime"
@@ -21,66 +26,39 @@ import (
 // stats are aggregated across workers (max is a true max, the mean is
 // exact).
 func BuildSubgraphParallel(g *graph.Graph, factory func() EdgeLCA, workers int) (*graph.Graph, QueryStats) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	edges := g.Edges()
-	if workers > len(edges) {
-		workers = len(edges)
-	}
+	workers = workerCount(workers, len(edges))
 	if workers <= 1 {
 		return BuildSubgraph(g, factory())
 	}
-	type result struct {
-		kept  []graph.Edge
-		stats QueryStats
-	}
-	results := make([]result, workers)
-	var wg sync.WaitGroup
-	chunk := (len(edges) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(edges) {
-			hi = len(edges)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			lca := factory()
-			reporter, _ := lca.(ProbeReporter)
-			res := result{}
-			for _, e := range edges[lo:hi] {
-				var before, after QueryStats
-				if reporter != nil {
-					before.ByKind = reporter.ProbeStats()
-				}
-				if lca.QueryEdge(e.U, e.V) {
-					res.kept = append(res.kept, e)
-				}
-				if reporter != nil {
-					after.ByKind = reporter.ProbeStats()
-					res.stats.Observe(after.ByKind.Sub(before.ByKind))
-				} else {
-					res.stats.Queries++
-				}
+	kept := make([][]graph.Edge, workers)
+	statsPer := make([]QueryStats, workers)
+	runWorkers(len(edges), workers, func(w, lo, hi int) {
+		lca := factory()
+		reporter, _ := lca.(ProbeReporter)
+		for _, e := range edges[lo:hi] {
+			var before, after QueryStats
+			if reporter != nil {
+				before.ByKind = reporter.ProbeStats()
 			}
-			results[w] = res
-		}(w, lo, hi)
-	}
-	wg.Wait()
+			if lca.QueryEdge(e.U, e.V) {
+				kept[w] = append(kept[w], e)
+			}
+			if reporter != nil {
+				after.ByKind = reporter.ProbeStats()
+				statsPer[w].Observe(after.ByKind.Sub(before.ByKind))
+			} else {
+				statsPer[w].Queries++
+			}
+		}
+	})
 	b := graph.NewBuilder(g.N())
-	var agg QueryStats
-	for _, res := range results {
-		for _, e := range res.kept {
+	for _, es := range kept {
+		for _, e := range es {
 			b.AddEdge(e.U, e.V)
 		}
-		agg.Merge(res.stats)
 	}
-	return b.Build(), agg
+	return b.Build(), merged(statsPer)
 }
 
 // BuildLabelsParallel is the labeling analogue of BuildSubgraphParallel:
@@ -89,100 +67,104 @@ func BuildSubgraphParallel(g *graph.Graph, factory func() EdgeLCA, workers int) 
 // may share state safely — the Session's share its row tier's L2 under
 // WithRowCache — because cached rows are pure functions of the graph.
 func BuildLabelsParallel(g *graph.Graph, factory func() LabelLCA, workers int) ([]int, QueryStats) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	n := g.N()
-	if workers > n {
-		workers = n
-	}
+	workers = workerCount(workers, n)
 	if workers <= 1 {
 		return BuildLabels(g, factory())
 	}
 	labels := make([]int, n)
 	statsPer := make([]QueryStats, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			lca := factory()
-			reporter, _ := lca.(ProbeReporter)
-			for v := lo; v < hi; v++ {
-				if reporter != nil {
-					before := reporter.ProbeStats()
-					labels[v] = lca.QueryLabel(v)
-					statsPer[w].Observe(reporter.ProbeStats().Sub(before))
-				} else {
-					labels[v] = lca.QueryLabel(v)
-					statsPer[w].Queries++
-				}
+	runWorkers(n, workers, func(w, lo, hi int) {
+		lca := factory()
+		reporter, _ := lca.(ProbeReporter)
+		for v := lo; v < hi; v++ {
+			if reporter != nil {
+				before := reporter.ProbeStats()
+				labels[v] = lca.QueryLabel(v)
+				statsPer[w].Observe(reporter.ProbeStats().Sub(before))
+			} else {
+				labels[v] = lca.QueryLabel(v)
+				statsPer[w].Queries++
 			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var agg QueryStats
-	for _, s := range statsPer {
-		agg.Merge(s)
-	}
-	return labels, agg
+		}
+	})
+	return labels, merged(statsPer)
 }
 
 // BuildVertexSetParallel is the vertex analogue of BuildSubgraphParallel.
 func BuildVertexSetParallel(g *graph.Graph, factory func() VertexLCA, workers int) ([]bool, QueryStats) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	n := g.N()
-	if workers > n {
-		workers = n
-	}
+	workers = workerCount(workers, n)
 	if workers <= 1 {
 		return BuildVertexSet(g, factory())
 	}
 	in := make([]bool, n)
 	statsPer := make([]QueryStats, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+	runWorkers(n, workers, func(w, lo, hi int) {
+		lca := factory()
+		reporter, _ := lca.(ProbeReporter)
+		for v := lo; v < hi; v++ {
+			if reporter != nil {
+				before := reporter.ProbeStats()
+				in[v] = lca.QueryVertex(v)
+				statsPer[w].Observe(reporter.ProbeStats().Sub(before))
+			} else {
+				in[v] = lca.QueryVertex(v)
+				statsPer[w].Queries++
+			}
 		}
+	})
+	return in, merged(statsPer)
+}
+
+// workerCount resolves a requested worker count for a build of total
+// queries: GOMAXPROCS when workers <= 0, and never more than total.
+func workerCount(workers, total int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return min(workers, total)
+}
+
+// runWorkers splits [0, total) into one contiguous chunk per worker and
+// runs work(w, lo, hi) on each non-empty chunk in its own goroutine. It
+// returns once every worker has returned; if any panicked, it then
+// re-panics with the first value recovered.
+func runWorkers(total, workers int, work func(w, lo, hi int)) {
+	var (
+		wg       sync.WaitGroup
+		once     sync.Once
+		panicked bool
+		first    any
+	)
+	chunk := (total + workers - 1) / workers
+	for w := 0; w < workers; w++ {
+		lo, hi := w*chunk, min((w+1)*chunk, total)
 		if lo >= hi {
 			continue
 		}
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			lca := factory()
-			reporter, _ := lca.(ProbeReporter)
-			for v := lo; v < hi; v++ {
-				if reporter != nil {
-					before := reporter.ProbeStats()
-					in[v] = lca.QueryVertex(v)
-					statsPer[w].Observe(reporter.ProbeStats().Sub(before))
-				} else {
-					in[v] = lca.QueryVertex(v)
-					statsPer[w].Queries++
+			defer func() {
+				if r := recover(); r != nil {
+					once.Do(func() { panicked, first = true, r })
 				}
-			}
-		}(w, lo, hi)
+			}()
+			work(w, lo, hi)
+		}()
 	}
 	wg.Wait()
+	if panicked {
+		panic(first)
+	}
+}
+
+// merged folds per-worker stats into one aggregate.
+func merged(statsPer []QueryStats) QueryStats {
 	var agg QueryStats
 	for _, s := range statsPer {
 		agg.Merge(s)
 	}
-	return in, agg
+	return agg
 }

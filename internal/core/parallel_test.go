@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"lca/internal/graph"
@@ -97,5 +98,77 @@ func TestBuildVertexSetParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("workers=%d: disagreement at %d", workers, v)
 			}
 		}
+	}
+}
+
+// budgetLCA spends one degree probe per query of any kind through a hard
+// probe budget, so each worker of a build larger than the budget panics
+// with oracle.ErrBudgetExceeded. attempts counts the probes tried across
+// every instance.
+type budgetLCA struct {
+	o        *oracle.LimitOracle
+	attempts *atomic.Int64
+}
+
+const testBudget = 10
+
+func newBudgetLCA(g *graph.Graph, attempts *atomic.Int64) budgetLCA {
+	return budgetLCA{oracle.NewLimit(oracle.New(g), testBudget), attempts}
+}
+
+func (b budgetLCA) probe(v int) int {
+	b.attempts.Add(1)
+	return b.o.Degree(v)
+}
+
+func (b budgetLCA) QueryEdge(u, v int) bool { return b.probe(u) > 0 }
+func (b budgetLCA) QueryVertex(v int) bool  { return b.probe(v) > 0 }
+func (b budgetLCA) QueryLabel(v int) int    { return b.probe(v) }
+
+// wantBudgetPanic runs a parallel build whose every worker exhausts its
+// budget, and requires the build to re-raise the budget error on this
+// goroutine only after each worker has stopped: every worker tried its
+// budget's worth of probes plus the one that panicked.
+func wantBudgetPanic(t *testing.T, workers int, build func(attempts *atomic.Int64)) {
+	t.Helper()
+	var attempts atomic.Int64
+	r := func() (r any) {
+		defer func() { r = recover() }()
+		build(&attempts)
+		return nil
+	}()
+	be, ok := r.(oracle.ErrBudgetExceeded)
+	if !ok || be.Budget != testBudget {
+		t.Fatalf("build panicked with %v (%T), want oracle.ErrBudgetExceeded{%d}", r, r, testBudget)
+	}
+	if got, want := attempts.Load(), int64(workers*(testBudget+1)); got != want {
+		t.Fatalf("%d probes tried when the build re-panicked, want %d: a worker was still running", got, want)
+	}
+}
+
+func TestBuildSubgraphParallelReraisesWorkerPanic(t *testing.T) {
+	g := parallelTestGraph()
+	for _, workers := range []int{2, 3} {
+		wantBudgetPanic(t, workers, func(attempts *atomic.Int64) {
+			BuildSubgraphParallel(g, func() EdgeLCA { return newBudgetLCA(g, attempts) }, workers)
+		})
+	}
+}
+
+func TestBuildLabelsParallelReraisesWorkerPanic(t *testing.T) {
+	g := parallelTestGraph()
+	for _, workers := range []int{2, 3} {
+		wantBudgetPanic(t, workers, func(attempts *atomic.Int64) {
+			BuildLabelsParallel(g, func() LabelLCA { return newBudgetLCA(g, attempts) }, workers)
+		})
+	}
+}
+
+func TestBuildVertexSetParallelReraisesWorkerPanic(t *testing.T) {
+	g := parallelTestGraph()
+	for _, workers := range []int{2, 3} {
+		wantBudgetPanic(t, workers, func(attempts *atomic.Int64) {
+			BuildVertexSetParallel(g, func() VertexLCA { return newBudgetLCA(g, attempts) }, workers)
+		})
 	}
 }

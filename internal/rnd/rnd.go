@@ -101,27 +101,25 @@ func (p *PRG) Shuffle(n int, swap func(i, j int)) {
 // the modular reduction after a 128-bit product branch-light.
 const mersenne61 = (1 << 61) - 1
 
-// addMod61 returns (a + b) mod 2^61-1 for a, b < 2^62.
-func addMod61(a, b uint64) uint64 {
-	s := a + b
-	s = (s & mersenne61) + (s >> 61)
-	if s >= mersenne61 {
-		s -= mersenne61
+// reduce61 returns x mod 2^61-1 for any x: x = hi·2^61 + lo ≡ lo + hi,
+// and lo + hi ≤ 2^61-1 + 7 needs at most one subtraction.
+func reduce61(x uint64) uint64 {
+	x = (x & mersenne61) + (x >> 61)
+	if x >= mersenne61 {
+		x -= mersenne61
 	}
-	return s
+	return x
 }
 
-// mulMod61 returns (a * b) mod 2^61-1 for a, b < 2^61.
-func mulMod61(a, b uint64) uint64 {
-	hi, lo := bits.Mul64(a, b)
-	// a*b = hi*2^64 + lo = hi*8*2^61 + lo ≡ hi*8 + lo (mod 2^61-1), with
-	// lo itself split the same way.
-	res := (lo & mersenne61) + (lo>>61 | hi<<3)
-	res = (res & mersenne61) + (res >> 61)
-	if res >= mersenne61 {
-		res -= mersenne61
-	}
-	return res
+// mulAdd61 returns a value below 2^62 congruent to a·x + c mod 2^61-1,
+// for a < 2^62 and x, c < 2^61, without reducing it into the field.
+// a·x < 2^123 splits as hi·2^64 + lo with hi < 2^59, and 2^64 ≡ 8, so
+// a·x ≡ (lo mod 2^61) + (lo>>61 | hi<<3) < 2^61 + 2^62. Adding c keeps
+// the sum s below 2^64, and s ≡ (s mod 2^61) + s>>61 < 2^61 + 8.
+func mulAdd61(a, x, c uint64) uint64 {
+	hi, lo := bits.Mul64(a, x)
+	s := (lo & mersenne61) + (lo>>61 | hi<<3) + c
+	return (s & mersenne61) + (s >> 61)
 }
 
 // Family is a d-wise independent hash function h: uint64 -> [0, 2^61-1),
@@ -161,18 +159,20 @@ func (f *Family) Independence() int { return len(f.coeff) }
 
 // Hash evaluates the polynomial at x (reduced into the field first) and
 // returns a value uniform in [0, 2^61-1).
+//
+// Horner's rule runs on a lazily reduced accumulator: every step is one
+// mulAdd61, which keeps it below 2^62 (below 2^61 + 8, in fact) and
+// congruent to the fully reduced value, and a single reduce61 at the end
+// folds it into the field. The result equals reducing after every step.
 func (f *Family) Hash(x uint64) uint64 {
-	// Reduce the input into the field. Inputs are vertex IDs (< 2^61 in all
-	// realistic uses), so the reduction is a formality.
-	x = (x & mersenne61) + (x >> 61)
-	if x >= mersenne61 {
-		x -= mersenne61
-	}
+	// Inputs are vertex IDs (< 2^61 in all realistic uses), so the
+	// reduction is a formality.
+	x = reduce61(x)
 	acc := uint64(0)
 	for _, c := range f.coeff {
-		acc = addMod61(mulMod61(acc, x), c)
+		acc = mulAdd61(acc, x, c)
 	}
-	return acc
+	return reduce61(acc)
 }
 
 // Float evaluates the hash as a uniform real in [0, 1).

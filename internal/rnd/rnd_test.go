@@ -2,6 +2,7 @@ package rnd
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -105,18 +106,109 @@ func TestPRGPerm(t *testing.T) {
 	}
 }
 
+// addMod61 returns (a + b) mod 2^61-1 for a, b < 2^62: the reference
+// addition of the fully reduced Horner rule.
+func addMod61(a, b uint64) uint64 {
+	s := a + b
+	s = (s & mersenne61) + (s >> 61)
+	if s >= mersenne61 {
+		s -= mersenne61
+	}
+	return s
+}
+
+// mulMod61 returns (a * b) mod 2^61-1 for a, b < 2^61: the reference
+// multiplication of the fully reduced Horner rule.
+func mulMod61(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	res := (lo & mersenne61) + (lo>>61 | hi<<3)
+	res = (res & mersenne61) + (res >> 61)
+	if res >= mersenne61 {
+		res -= mersenne61
+	}
+	return res
+}
+
+// hashReference is Family.Hash with the accumulator fully reduced after
+// every Horner step.
+func hashReference(coeff []uint64, x uint64) uint64 {
+	x = x % mersenne61
+	acc := uint64(0)
+	for _, c := range coeff {
+		acc = addMod61(mulMod61(acc, x), c)
+	}
+	return acc
+}
+
+// TestMulMod61 checks the multiply-add that Hash's Horner steps use, and
+// the reference multiplication, against 128-bit arithmetic: the product
+// reduces to the true residue, and the lazy result stays below 2^62.
 func TestMulMod61(t *testing.T) {
 	cases := []struct{ a, b uint64 }{
 		{0, 0}, {1, 1}, {mersenne61 - 1, mersenne61 - 1},
 		{mersenne61 - 1, 2}, {1 << 60, 1 << 60}, {12345678901234567, 98765432109876543 % mersenne61},
+		{1<<62 - 1, mersenne61}, {1<<61 + 7, mersenne61 - 1},
 	}
 	for _, c := range cases {
-		got := mulMod61(c.a, c.b)
 		// Check against big-integer arithmetic via math/bits decomposition.
 		hi, lo := mulCheck(c.a, c.b)
 		want := mod61Big(hi, lo)
-		if got != want {
-			t.Errorf("mulMod61(%d,%d) = %d, want %d", c.a, c.b, got, want)
+		for _, add := range []uint64{0, 1, mersenne61 - 1, mersenne61} {
+			lazy := mulAdd61(c.a, c.b, add)
+			if lazy >= 1<<62 {
+				t.Errorf("mulAdd61(%d,%d,%d) = %d, not below 2^62", c.a, c.b, add, lazy)
+			}
+			if got, want := reduce61(lazy), (want+add%mersenne61)%mersenne61; got != want {
+				t.Errorf("mulAdd61(%d,%d,%d) reduces to %d, want %d", c.a, c.b, add, got, want)
+			}
+		}
+		if c.a < 1<<61 && c.b < 1<<61 {
+			if got := mulMod61(c.a, c.b); got != want {
+				t.Errorf("mulMod61(%d,%d) = %d, want %d", c.a, c.b, got, want)
+			}
+		}
+	}
+}
+
+// TestFamilyHashMatchesReference pins the lazily reduced Hash to the
+// fully reduced Horner rule at every independence from 2 to 64, on random
+// inputs, on the inputs at and around the modulus and the word size, and
+// with the extreme coefficients 0 and M-1 (M = 2^61-1) everywhere.
+func TestFamilyHashMatchesReference(t *testing.T) {
+	const m = mersenne61
+	inputs := []uint64{0, 1, m - 1, m, m + 1, 1 << 61, 1<<62 - 1, 1 << 63, 1<<64 - 1}
+	p := NewPRG(61)
+	for range 64 {
+		inputs = append(inputs, p.Uint64(), p.Uint64()>>3)
+	}
+	for d := 2; d <= 64; d++ {
+		drawn := NewFamily(Seed(d), d)
+		if drawn.Independence() != d {
+			t.Fatalf("NewFamily(%d) has independence %d", d, drawn.Independence())
+		}
+		fams := []*Family{
+			drawn,
+			{coeff: make([]uint64, d)}, // all zero
+			{coeff: make([]uint64, d)}, // all M-1
+			{coeff: append([]uint64(nil), drawn.coeff...)},
+		}
+		for i := range fams[2].coeff {
+			fams[2].coeff[i] = m - 1
+		}
+		for i := range fams[3].coeff { // alternate the extremes with the drawn values
+			switch i % 3 {
+			case 0:
+				fams[3].coeff[i] = 0
+			case 1:
+				fams[3].coeff[i] = m - 1
+			}
+		}
+		for k, f := range fams {
+			for _, x := range inputs {
+				if got, want := f.Hash(x), hashReference(f.coeff, x); got != want {
+					t.Fatalf("independence %d, family %d: Hash(%d) = %d, reference %d", d, k, x, got, want)
+				}
+			}
 		}
 	}
 }

@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"lca/internal/gen"
+	"lca/internal/graph"
+	"lca/internal/rnd"
 )
 
 // probeLoop exercises the three scalar probe ops against a primed
@@ -65,14 +67,23 @@ func TestImplicitProbeHotPathAllocFree(t *testing.T) {
 
 // TestCSRMmapProbeHotPathAllocFree pins the mmap CSR backend at zero
 // allocations per probe: a probe is a couple of loads against the
-// mapping plus two atomic counter updates, nothing else.
+// mapping plus two atomic counter updates, nothing else. The shuffled
+// file's Adjacency probes take the unsorted-row scan, the sorted one's
+// the binary search.
 func TestCSRMmapProbeHotPathAllocFree(t *testing.T) {
 	skipNoMmap(t)
-	g := gen.Gnp(5_000, 0.002, 17)
-	c, err := OpenCSRMmap(writeCSRFile(t, g))
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"csr-mmap", gen.Gnp(5_000, 0.002, 17)},
+		{"csr-mmap-shuffled", hubGraph(2100).BuildShuffled(rnd.NewPRG(5))},
+	} {
+		c, err := OpenCSRMmap(writeCSRFile(t, tc.g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		assertProbesAllocFree(t, tc.name, c, tc.g.N())
 	}
-	defer c.Close()
-	assertProbesAllocFree(t, "csr-mmap", c, g.N())
 }

@@ -15,11 +15,14 @@ package source
 // surface to show whether a workload's probes actually exhibit the
 // locality the cache hierarchy is sized for. A probe counts its loads in
 // locals and publishes them once, with one exchange of the shared last
-// page and at most two adds, so an Adjacency probe on an unsorted file
-// costs an O(deg) loop of plain loads and compares; a sequential caller
-// still gets exactly the per-load counts.
+// page and at most two adds. An Adjacency probe on an unsorted file
+// searches the row's bytes for the target several cells per step
+// (scanCells) and records the cells a cell-by-cell scan would have read,
+// so its counts do not depend on how the row is searched; a sequential
+// caller still gets exactly the per-load counts.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -281,25 +284,44 @@ func (c *CSRMmap) search(p *probeLoc, lo, hi int64, v int) int {
 	return -1
 }
 
-// scan finds v in the unsorted cells [lo, hi) with a plain compare loop
-// over the mapped bytes: O(deg) loads and no shared writes. The loads are
-// one ascending run, recorded in p from its first and last offset.
+// scan finds v in the unsorted cells [lo, hi) with scanCells over the
+// mapped bytes: no shared writes, and the loads it records in p are the
+// ascending run a cell-by-cell scan would make, up to the match or to the
+// end of the row, recorded from its first and last offset.
 func (c *CSRMmap) scan(p *probeLoc, lo, hi int64, v int) int {
 	if lo == hi {
 		return -1
 	}
 	start := c.h.NeighborPos(lo)
-	row := c.data[start:c.h.NeighborPos(hi)]
-	idx, read := -1, hi-lo
-	if want := uint32(v); int(want) == v { // no cell decodes to any other v
-		for i := 0; len(row) >= 4; i++ {
-			if binary.LittleEndian.Uint32(row) == want {
-				idx, read = i, int64(i)+1
-				break
-			}
-			row = row[4:]
-		}
-	}
-	p.span(start, start+4*(read-1), uint64(read))
+	idx, read := scanCells(c.data[start:c.h.NeighborPos(hi)], v)
+	p.span(start, start+4*int64(read-1), uint64(read))
 	return idx
+}
+
+// scanCells returns the index of the first little-endian uint32 cell of
+// row equal to v, or -1, and the number of cells a cell-by-cell scan
+// reads to find it: through the match, or every cell on a miss. A
+// trailing partial cell is not a cell. bytes.Index looks for v's four
+// bytes many cells per step (a vectorized search for the first byte, then
+// a compare); a match that starts off a cell boundary straddles two cells
+// and is skipped by resuming at the next boundary.
+func scanCells(row []byte, v int) (idx, read int) {
+	cells := len(row) / 4
+	want := uint32(v)
+	if int(want) != v { // no cell decodes to any other v
+		return -1, cells
+	}
+	row = row[:4*cells]
+	var pat [4]byte
+	binary.LittleEndian.PutUint32(pat[:], want)
+	for off := 0; ; {
+		i := bytes.Index(row[off:], pat[:])
+		if i < 0 {
+			return -1, cells
+		}
+		if off += i; off&3 == 0 {
+			return off / 4, off/4 + 1
+		}
+		off = off&^3 + 4
+	}
 }

@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -185,31 +188,42 @@ func hubGraph(n int) *graph.Builder {
 // TestCSRMmapLocalityPerLoad pins the counts each probe publishes to the
 // per-load definition, exactly, for a sequential caller. The model loads
 // the probe's offset pair, then each cell the probe reads: the row
-// prefix up to the match on a shuffled file, the binary-search path on a
-// sorted one. Rows span several pages, so scans cross page boundaries.
+// prefix up to the first match on a shuffled file, the binary-search path
+// on a sorted one. Rows span several pages, so scans cross page
+// boundaries. Every row is also asked for targets with a low byte of 0,
+// and in shuffled-repeat one hub row holds such a target twice: the scan
+// reads up to its first copy.
 func TestCSRMmapLocalityPerLoad(t *testing.T) {
 	skipNoMmap(t)
 	const n = 2100
+	shuffled := rowsOf(hubGraph(n).BuildShuffled(rnd.NewPRG(5)))
+	repeat := rowsOf(hubGraph(n).BuildShuffled(rnd.NewPRG(6)))
+	if first := slices.Index(repeat[0], 1024); first < 0 || first > len(repeat[0])-2 {
+		t.Fatalf("hub row 0 has 1024 at %d, not before its last cell", first)
+	}
+	repeat[0][len(repeat[0])-1] = 1024 // replaces one neighbour; rows need not be symmetric
 	for _, tc := range []struct {
-		name string
-		g    *graph.Graph
+		name   string
+		rows   [][]int
+		sorted bool
 	}{
-		{"shuffled", hubGraph(n).BuildShuffled(rnd.NewPRG(5))},
-		{"sorted", hubGraph(n).Build()},
+		{"shuffled", shuffled, false},
+		{"sorted", rowsOf(hubGraph(n).Build()), true},
+		{"shuffled-repeat", repeat, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := OpenCSRMmap(writeCSRFile(t, tc.g))
+			c, err := OpenCSRMmap(writeRowsFile(t, tc.rows))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			if c.Sorted() != (tc.name == "sorted") {
-				t.Fatalf("file sorted=%v, want %s rows", c.Sorted(), tc.name)
+			if c.Sorted() != tc.sorted {
+				t.Fatalf("file sorted=%v, want %v", c.Sorted(), tc.sorted)
 			}
-			g := tc.g
+			rows := tc.rows
 			start := make([]int64, n+1) // row v is cells [start[v], start[v+1])
 			for v := 0; v < n; v++ {
-				start[v+1] = start[v] + int64(g.Degree(v))
+				start[v+1] = start[v] + int64(len(rows[v]))
 			}
 			m := localityModel{last: -1}
 			check := func(probe string) {
@@ -219,15 +233,16 @@ func TestCSRMmapLocalityPerLoad(t *testing.T) {
 						probe, c.PageTouches(), c.LocalHits(), m.touches, m.hits)
 				}
 			}
-			adjacency := func(v, w, want int) {
+			adjacency := func(v, w int) {
 				t.Helper()
+				want := slices.Index(rows[v], w)
 				m.load(c.h.OffsetPos(int64(v)))
 				lo, hi := start[v], start[v+1]
 				if c.Sorted() {
 					for lo < hi {
 						mid := (lo + hi) / 2
 						m.load(c.h.NeighborPos(mid))
-						if g.Neighbor(v, int(mid-start[v])) < w {
+						if rows[v][mid-start[v]] < w {
 							lo = mid + 1
 						} else {
 							hi = mid
@@ -251,7 +266,7 @@ func TestCSRMmapLocalityPerLoad(t *testing.T) {
 				check(fmt.Sprintf("Adjacency(%d,%d)", v, w))
 			}
 			for _, v := range []int{0, 3, 4, n / 2, n - 1} {
-				d := g.Degree(v)
+				d := len(rows[v])
 				for rep := 0; rep < 2; rep++ { // the repeat stays on its page
 					m.load(c.h.OffsetPos(int64(v)))
 					if got := c.Degree(v); got != d {
@@ -264,7 +279,7 @@ func TestCSRMmapLocalityPerLoad(t *testing.T) {
 					want := -1
 					if i >= 0 && i < d {
 						m.load(c.h.NeighborPos(start[v] + int64(i)))
-						want = g.Neighbor(v, i)
+						want = rows[v][i]
 					}
 					if got := c.Neighbor(v, i); got != want {
 						t.Fatalf("Neighbor(%d,%d) = %d, want %d", v, i, got, want)
@@ -272,11 +287,14 @@ func TestCSRMmapLocalityPerLoad(t *testing.T) {
 					check(fmt.Sprintf("Neighbor(%d,%d)", v, i))
 				}
 				for _, i := range []int{0, d / 2, d - 1} {
-					adjacency(v, g.Neighbor(v, i), i)
+					adjacency(v, rows[v][i])
 				}
-				adjacency(v, v, -1)           // no self-loops: a miss reads the whole row
-				adjacency(v, -1, -1)          // below every cell
-				adjacency(v, math.MaxInt, -1) // above every cell
+				for _, w := range []int{256, 1024, 2048} { // low byte 0
+					adjacency(v, w)
+				}
+				adjacency(v, v)           // no self-loops: a miss reads the whole row
+				adjacency(v, -1)          // below every cell
+				adjacency(v, math.MaxInt) // above every cell
 			}
 			// Out-of-range vertices load nothing.
 			c.Degree(-1)
@@ -285,6 +303,39 @@ func TestCSRMmapLocalityPerLoad(t *testing.T) {
 			check("out-of-range probes")
 		})
 	}
+}
+
+// rowsOf returns g's adjacency rows in probe order.
+func rowsOf(g *graph.Graph) [][]int {
+	rows := make([][]int, g.N())
+	for v := range rows {
+		rows[v] = make([]int, g.Degree(v))
+		for i := range rows[v] {
+			rows[v][i] = g.Neighbor(v, i)
+		}
+	}
+	return rows
+}
+
+// writeRowsFile writes rows as a CSR file cell for cell, repeats
+// included, and returns its path.
+func writeRowsFile(t *testing.T, rows [][]int) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "rows.csr")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = graph.WriteCSRStream(f, len(rows),
+		func(v int) int { return len(rows[v]) },
+		func(v, i int) int { return rows[v][i] })
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // TestCSRMmapRejectsBadFiles mirrors the cold reader's open-time

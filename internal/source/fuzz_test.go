@@ -1,6 +1,8 @@
 package source
 
 import (
+	"encoding/binary"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -147,6 +149,70 @@ func FuzzParse(f *testing.F) {
 			if err := c.Close(); err != nil {
 				t.Fatalf("Parse(%q): second Close: %v (not idempotent)", spec, err)
 			}
+		}
+	})
+}
+
+// scanCellsReference is the cell-by-cell loop scanCells replaced: the
+// index of the first cell equal to v and the cells read to find it.
+func scanCellsReference(row []byte, v int) (idx, read int) {
+	read = len(row) / 4
+	if want := uint32(v); int(want) == v {
+		for i := 0; len(row) >= 4; i++ {
+			if binary.LittleEndian.Uint32(row) == want {
+				return i, i + 1
+			}
+			row = row[4:]
+		}
+	}
+	return -1, read
+}
+
+// cellBytes encodes cells as a row of the CSR file's little-endian
+// uint32 neighbor cells.
+func cellBytes(cells ...uint32) []byte {
+	row := make([]byte, 0, 4*len(cells))
+	for _, c := range cells {
+		row = binary.LittleEndian.AppendUint32(row, c)
+	}
+	return row
+}
+
+// FuzzCSRMmapAdjacency fuzzes the kernel behind CSRMmap's Adjacency probe
+// on unsorted rows: over any row bytes (a trailing partial cell included)
+// and any target, scanCells must return the index and the read count of
+// the cell-by-cell reference, since the read count is what the probe's
+// locality accounting records. The seeds cover targets outside the cell
+// range, a low byte of 0, repeated targets and matches that start off a
+// cell boundary.
+func FuzzCSRMmapAdjacency(f *testing.F) {
+	straddle := []byte{0xaa, 0x01, 0x02, 0x03, 0x04, 0xbb, 0xcc, 0xdd, 0x01, 0x02, 0x03, 0x04}
+	for _, s := range []struct {
+		row []byte
+		v   int64
+	}{
+		{nil, 0},
+		{cellBytes(7), 7},
+		{cellBytes(5, 9, 11), -1},
+		{cellBytes(5, 9, 11), math.MinInt64},
+		{cellBytes(5, 9, 11), 1<<32 + 9},            // the low 32 bits match a cell
+		{cellBytes(1<<32-1, 3), 1<<32 - 1},          // the largest cell
+		{cellBytes(3, 512, 256, 0, 256), 256},       // low byte 0
+		{cellBytes(1, 0x100, 0x10000, 0), 0},        // zero bytes everywhere
+		{cellBytes(4, 8, 15, 16, 23, 42, 8, 15), 8}, // present twice
+		{cellBytes(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20), 19},
+		{straddle, 0x04030201},                          // off-boundary match first
+		{straddle[:7], 0x04030201},                      // straddles the partial tail
+		{[]byte{1, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0}, 0}, // two off-boundary zero runs
+		{append(cellBytes(3, 3, 3), 0, 0, 0), 3},        // trailing partial cell
+	} {
+		f.Add(s.row, s.v)
+	}
+	f.Fuzz(func(t *testing.T, row []byte, v int64) {
+		idx, read := scanCells(row, int(v))
+		wantIdx, wantRead := scanCellsReference(row, int(v))
+		if idx != wantIdx || read != wantRead {
+			t.Fatalf("scanCells(% x, %d) = (%d, %d), cell-by-cell (%d, %d)", row, v, idx, read, wantIdx, wantRead)
 		}
 	})
 }
