@@ -361,81 +361,22 @@ func (r *runner) probeHotPath(src source.Source, qc queryConfig, n int) (nsPerPr
 }
 
 // queryConfig tunes how measurePointQueries builds its oracle chain:
-// prefetch puts the row tier over the source, rowCache puts it there
-// with a bounded LRU L2, and legacy strips the rowfull and degree-bound
-// capabilities off the source — simulating a pre-rowfull shard, the
-// regime the width estimator exists for — unless width advertises a
-// static width as the shard's degree bound.
+// prefetch puts the row tier over the source, and rowCache puts it there
+// with a bounded LRU L2.
 type queryConfig struct {
 	prefetch bool
 	rowCache bool
-	legacy   bool
-	width    int
 }
 
 // probeChain builds the oracle chain a queryConfig describes through
 // oracle.NewChain, shared by the query sweeps and the hot-path probe
 // pricing so both measure the same stack.
 func probeChain(src source.Source, qc queryConfig) oracle.Oracle {
-	if qc.legacy {
-		src = &legacySource{inner: src, width: qc.width}
-	}
 	cfg := oracle.ChainConfig{Prefetch: qc.prefetch}
 	if qc.rowCache {
 		cfg.RowCache = oracle.NewRowCache(benchRowCacheRows)
 	}
 	return oracle.NewChain(src, cfg)
-}
-
-// legacySource forwards the probe interface, batching and trip
-// accounting of a network source while hiding its RowFetcher and
-// DegreeBounder capabilities — the capability surface of a shard that
-// predates the rowfull op, against which the row tier must guess
-// speculative widths. A positive width is advertised as the degree
-// bound instead, which pins the tier's width there: the static guess
-// such shards were paired with before the width was learned.
-type legacySource struct {
-	inner source.Source
-	width int
-}
-
-// Caps implements source.CapSource: no rowfull op, and a degree bound
-// only when a static width is set.
-func (l *legacySource) Caps() source.Caps {
-	if l.width <= 0 {
-		return source.Caps{}
-	}
-	return source.Caps{MaxDegree: func() int { return l.width }}
-}
-
-func (l *legacySource) N() int                 { return l.inner.N() }
-func (l *legacySource) Degree(v int) int       { return l.inner.Degree(v) }
-func (l *legacySource) Neighbor(v, i int) int  { return l.inner.Neighbor(v, i) }
-func (l *legacySource) Adjacency(u, v int) int { return l.inner.Adjacency(u, v) }
-
-func (l *legacySource) ProbeBatch(probes []source.ProbeReq) ([]int, error) {
-	if bp, ok := l.inner.(source.BatchProber); ok {
-		return bp.ProbeBatch(probes)
-	}
-	out := make([]int, len(probes))
-	for i, p := range probes {
-		switch p.Op {
-		case source.OpDegree:
-			out[i] = l.inner.Degree(p.A)
-		case source.OpNeighbor:
-			out[i] = l.inner.Neighbor(p.A, p.B)
-		default:
-			out[i] = l.inner.Adjacency(p.A, p.B)
-		}
-	}
-	return out, nil
-}
-
-func (l *legacySource) RoundTrips() uint64 {
-	if rt, ok := l.inner.(source.RoundTripCounter); ok {
-		return rt.RoundTrips()
-	}
-	return 0
 }
 
 // measurePointQueries runs `samples` point queries of the named
@@ -527,7 +468,6 @@ func (r *runner) net() {
 		n = 1_000_000
 	}
 	backingSpec := fmt.Sprintf("circulant:n=%d,d=8", n)
-	blockSpec := fmt.Sprintf("blockrandom:n=%d,d=6,block=64", n)
 	var cleanup []func()
 	defer func() {
 		for _, c := range cleanup {
@@ -562,10 +502,6 @@ func (r *runner) net() {
 		}
 		urls[i] = u
 	}
-	blockURL, _, ok := spawnShard(blockSpec, false)
-	if !ok {
-		return
-	}
 	attURL, attRoot, ok := spawnShard(backingSpec, true)
 	if !ok {
 		return
@@ -586,21 +522,9 @@ func (r *runner) net() {
 		// the integrity, scalar vs rowfull-batched transport.
 		{"remote x1 attest", "remote:" + attURL + "#root=" + attRoot, queryConfig{}},
 		{"remote x1 attest prefetch", "remote:" + attURL + "#root=" + attRoot, queryConfig{prefetch: true}},
-		// Width-learner rows: a blockrandom-backed shard whose client is
-		// capped to the legacy capability surface (no rowfull op, no
-		// degree bound), so the row tier must speculate widths.
-		// The static row pins the pre-learner default guess; the adaptive
-		// row lets the degree estimator size the batches, so its
-		// remainder trips/query must fall strictly below the static
-		// baseline once the first neighborhoods are observed. The rowfull
-		// row is the modern shard: whole rows in one answer, zero
-		// remainders by construction.
-		{"block remote rowfull prefetch", "remote:" + blockURL, queryConfig{prefetch: true}},
-		{"block remote legacy static", "remote:" + blockURL, queryConfig{prefetch: true, width: 4, legacy: true}},
-		{"block remote legacy adaptive", "remote:" + blockURL, queryConfig{prefetch: true, legacy: true}},
 	}
 	algos := []string{"mis", "coloring"}
-	t := stats.NewTable("config", "algorithm", "n", "queries", "mean probes", "max probes", "mean rt/query", "p99 rt/query", "remainder trips/query", "proof B/query", "mean us/query")
+	t := stats.NewTable("config", "algorithm", "n", "queries", "mean probes", "max probes", "mean rt/query", "p99 rt/query", "proof B/query", "mean us/query")
 	const samples = 15
 	for _, cfg := range configs {
 		src, err := source.Parse(cfg.spec, r.seed)
@@ -614,9 +538,8 @@ func (r *runner) net() {
 				fmt.Fprintf(os.Stderr, "NET: %s: %v\n", name, err)
 				continue
 			}
-			t.AddRowf("%s|%s|%d|%d|%.0f|%d|%.1f|%.1f|%.2f|%.0f|%.1f", cfg.name, name, n, q.Queries, q.Mean(), q.MaxTotal,
-				q.MeanRoundTrips(), p99rt, float64(q.ByKind.RemainderTrips)/float64(max(q.Queries, 1)),
-				float64(q.ByKind.ProofBytes)/float64(max(q.Queries, 1)),
+			t.AddRowf("%s|%s|%d|%d|%.0f|%d|%.1f|%.1f|%.0f|%.1f", cfg.name, name, n, q.Queries, q.Mean(), q.MaxTotal,
+				q.MeanRoundTrips(), p99rt, float64(q.ByKind.ProofBytes)/float64(max(q.Queries, 1)),
 				float64(elapsed.Microseconds())/float64(max(q.Queries, 1)))
 		}
 		if c, ok := src.(source.Closer); ok {
@@ -624,7 +547,7 @@ func (r *runner) net() {
 		}
 	}
 	r.print(t)
-	r.note("\nEvery non-local row's probes crossed a real HTTP hop to a loopback shard. The mean-probe column is identical down the table — the wire is transparent; mean rt/query counts the real HTTP requests (p99 the tail) and us/query prices them. Prefetch rows fetch each explored neighborhood as one batched POST, and coloring fetches its whole query DAG one level per POST (oracle.Explore), so their round trips collapse. The block-remote trio isolates the width learner: against a legacy shard (no rowfull op) the adaptive row's remainder trips/query must undercut the static-width baseline, and the rowfull row retires remainders entirely. The attest rows pin the shard's Merkle root and verify every answer against a row proof: probe and round-trip columns must match their unattested twins exactly (verification is client-side), and proof B/query is the integrity bandwidth — amortized by the prefetch row, whose batched rows carry one proof each.")
+	r.note("\nEvery non-local row's probes crossed a real HTTP hop to a loopback shard. The mean-probe column is identical down the table — the wire is transparent; mean rt/query counts the real HTTP requests (p99 the tail) and us/query prices them. Prefetch rows fetch each explored neighborhood as one rowfull POST, and coloring fetches its whole query DAG one level per POST (oracle.Explore), so their round trips collapse. The attest rows pin the shard's Merkle root and verify every answer against a row proof: probe and round-trip columns must match their unattested twins exactly (verification is client-side), and proof B/query is the integrity bandwidth — amortized by the prefetch row, whose batched rows carry one proof each.")
 }
 
 // fail benchmarks the failover path end to end: two loopback lcaserve
@@ -694,7 +617,7 @@ func (r *runner) fail() {
 		}()
 	}
 	algos := []string{"mis", "coloring"}
-	t := stats.NewTable("config", "algorithm", "n", "queries", "mean probes", "max probes", "mean rt/query", "p99 rt/query", "remainder trips/query", "failovers", "mean us/query")
+	t := stats.NewTable("config", "algorithm", "n", "queries", "mean probes", "max probes", "mean rt/query", "p99 rt/query", "failovers", "mean us/query")
 	const samples = 15
 	measure := func(phase string, deriveLabel uint64) {
 		for i, h := range hedges {
@@ -708,9 +631,8 @@ func (r *runner) fail() {
 					fmt.Fprintf(os.Stderr, "FAIL: %s: %v\n", name, err)
 					continue
 				}
-				t.AddRowf("%s|%s|%d|%d|%.0f|%d|%.1f|%.1f|%.2f|%d|%.1f", config, name, n, q.Queries, q.Mean(), q.MaxTotal,
-					q.MeanRoundTrips(), p99rt, float64(q.ByKind.RemainderTrips)/float64(max(q.Queries, 1)),
-					q.ByKind.Failovers, float64(elapsed.Microseconds())/float64(max(q.Queries, 1)))
+				t.AddRowf("%s|%s|%d|%d|%.0f|%d|%.1f|%.1f|%d|%.1f", config, name, n, q.Queries, q.Mean(), q.MaxTotal,
+					q.MeanRoundTrips(), p99rt, q.ByKind.Failovers, float64(elapsed.Microseconds())/float64(max(q.Queries, 1)))
 			}
 		}
 	}
@@ -721,7 +643,7 @@ func (r *runner) fail() {
 	servers[1] = nil
 	measure("one-killed", 0x7a1)
 	r.print(t)
-	r.note("\nBoth phases run the same query mix on the same open sharded sources; a replica is killed in between. Mean probes must be identical down the table (failover never changes answers); the failover column counts probes served away from their rendezvous shard, and rt/query prices the detection window (threshold failures, then the dead shard stops being tried). The adaptive rows hedge at the learned per-shard p95 instead of the fixed 100ms, so their p99 rt/query on the degraded phase must not exceed the fixed-hedge rows'.")
+	r.note("\nBoth phases run the same query mix on the same open sharded sources; a replica is killed in between. Mean probes must be identical down the table (failover never changes answers); the failover column counts probes served away from their rendezvous shard, and rt/query prices the detection window (threshold failures, then the dead shard stops being tried). The adaptive rows hedge at the learned per-shard p95 instead of the fixed 100ms, so their p99 rt/query on the degraded phase must not exceed the fixed-hedge rows'. The round-trip columns of the adaptive healthy rows do not repeat between runs: on a healthy loopback fleet the learned delay sits at its 1ms floor against trips of tens of microseconds, so any probe that stalls past 1ms fires a duplicate request.")
 }
 
 // sizes returns the n grid for the current scale.

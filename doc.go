@@ -105,9 +105,9 @@
 // every scalar probe costing one round trip is the wrong transport. The
 // oracle layer's exploration API fixes the unit: Neighbors(v) fetches one
 // full adjacency row, Prefetch(vs...) hints rows about to be read, and
-// the row tier turns both into single batched round trips (POST /probe)
-// on remote: and sharded: backends, serving subsequent scalar probes
-// from the cached rows. Enable it per session:
+// the row tier turns both into single round trips (a POST /probe of
+// rowfull probes) on remote: and sharded: backends, serving subsequent
+// scalar probes from the cached rows. Enable it per session:
 //
 //	src, err := lca.OpenSource("sharded:remote:http://a:8080,remote:http://b:8080", 7)
 //	s := lca.NewSessionFromSource(src,
@@ -118,8 +118,8 @@
 //	ps, _ := s.ProbeStats("mis")     // ps.RoundTrips: the transport bill
 //
 // With the row tier, each neighborhood an algorithm explores costs at
-// most one round trip (two against a legacy shard without the rowfull
-// op). Coloring goes further: before its recursion runs, it fetches
+// most one round trip. Coloring goes further: before its recursion
+// runs, it fetches
 // the whole DAG its query will read one level per round trip
 // (oracle.Explore), so its trips follow the DAG's depth, not its size.
 // The planner is off over local sources, where there is no transport to
@@ -207,9 +207,9 @@
 // is cancelled. Slow is not down — hedging alone never marks a shard
 // dead — but a hedge that masked a hard failure still records it, so a
 // dead replica cannot hide behind its faster peer. Only scalar probes
-// are hedged: batched and rowfull fetches (ProbeBatch, and the row
-// tier's prefetch) fail over group by group but are never hedged, so a
-// slow replica delays them until it answers or fails.
+// are hedged: row fetches (FetchRows, the row tier's miss path) fail
+// over group by group but are never hedged, so a slow replica delays
+// them until it answers or fails.
 //
 // What to watch. Per-query: ProbeStats/QueryStats carry RoundTrips,
 // Failovers and Hedges (serve answers mirror them as round_trips,

@@ -97,7 +97,7 @@ func TestDocsArchitectureSpecGrammar(t *testing.T) {
 	for _, token := range []string{
 		"cache=", "hedge=", "rendezvous", "failover",
 		"hedge=adaptive", "hedgefloor=", "hedgeceil=",
-		"rowfull", "row_full", "RowFetcher", "FetchWidth", "RemainderTrips",
+		"rowfull", "row_full", "RowFetcher",
 	} {
 		if !strings.Contains(doc, token) {
 			t.Errorf("ARCHITECTURE.md does not mention %q", token)
@@ -264,8 +264,7 @@ func TestDocsHotPath(t *testing.T) {
 
 // TestDocsTelemetry: ARCHITECTURE.md's telemetry table has one row per
 // oracle.TelemetryFields entry, naming the Go field, its JSON name and
-// its metric — serve_<name>_total for a counter, the gauge marked as
-// such.
+// its metric, serve_<name>_total.
 func TestDocsTelemetry(t *testing.T) {
 	arch := readDoc(t, "ARCHITECTURE.md")
 	for _, token := range []string{"### Telemetry", "telemetry.go", "Unwrap() Oracle", "Meter", "source.LocalityOf"} {
@@ -283,9 +282,6 @@ func TestDocsTelemetry(t *testing.T) {
 			}
 		}
 		want := "`serve_" + f.Name + "_total`"
-		if f.Gauge {
-			want = "gauge"
-		}
 		if row == "" || !strings.Contains(row, want) || !strings.Contains(row, "`"+fields.Field(i).Name+"`") {
 			t.Errorf("ARCHITECTURE.md has no telemetry row for %s (%s) with %s (row %q)", f.Name, fields.Field(i).Name, want, row)
 		}

@@ -1,6 +1,6 @@
 package coloring
 
-// The query planner under coloring: over a batching row tier a query
+// The query planner under coloring: over a rowfull row tier a query
 // fetches its DAG one level per round trip and each DAG row once, with
 // the bare chain's answers and probe counts; a probe budget turns the
 // planner off; a round-trip budget checks after every level.
@@ -12,7 +12,6 @@ import (
 	"lca/internal/gen"
 	"lca/internal/graph"
 	"lca/internal/oracle"
-	"lca/internal/source"
 )
 
 // rowFake answers whole rows in one call (the rowfull op's local
@@ -108,8 +107,8 @@ func TestExploreOneTripPerLevel(t *testing.T) {
 	}
 }
 
-// cellFake serves probes and batches (source.BatchProber) and counts
-// the cells it serves.
+// cellFake serves probes and whole rows (source.RowFetcher) and counts
+// the cells it serves: one per scalar probe, 1+deg per row.
 type cellFake struct {
 	g     *graph.Graph
 	cells int
@@ -120,20 +119,16 @@ func (f *cellFake) Degree(v int) int       { f.cells++; return f.g.Degree(v) }
 func (f *cellFake) Neighbor(v, i int) int  { f.cells++; return f.g.Neighbor(v, i) }
 func (f *cellFake) Adjacency(u, v int) int { f.cells++; return f.g.Adjacency(u, v) }
 
-func (f *cellFake) ProbeBatch(ps []source.ProbeReq) ([]int, error) {
-	f.cells += len(ps)
-	out := make([]int, len(ps))
-	for i, p := range ps {
-		switch p.Op {
-		case source.OpDegree:
-			out[i] = f.g.Degree(p.A)
-		case source.OpNeighbor:
-			out[i] = f.g.Neighbor(p.A, p.B)
-		default:
-			out[i] = f.g.Adjacency(p.A, p.B)
+func (f *cellFake) FetchRows(vs []int) ([][]int, error) {
+	rows := make([][]int, len(vs))
+	for i, v := range vs {
+		rows[i] = make([]int, f.g.Degree(v))
+		for j := range rows[i] {
+			rows[i][j] = f.g.Neighbor(v, j)
 		}
+		f.cells += 1 + len(rows[i])
 	}
-	return out, nil
+	return rows, nil
 }
 
 // catch runs fn and returns the value it panicked with, or nil.
@@ -144,7 +139,7 @@ func catch(fn func()) (r any) {
 }
 
 // TestExploreInertUnderProbeBudget: hints are free, so a planner under
-// a probe budget would fetch the capped query's whole DAG (16458 cells
+// a probe budget would fetch the capped query's whole DAG (13695 cells
 // here) where the recursion stops at the budget.
 func TestExploreInertUnderProbeBudget(t *testing.T) {
 	fake := &cellFake{g: gen.Gnp(2000, 0.05, 3)}

@@ -31,7 +31,7 @@ const exploreCap = DefaultRowCap / 2
 // Counter, so a round-trip budget in o's chain checks after every level
 // and Stats.Batches does not count them. Explore is inert — it returns
 // before allocating anything — unless o's chain holds a row tier whose
-// miss path batches (the rowfull op or source.BatchProber): over a
+// miss path fetches rows (the rowfull op, source.RowFetcher): over a
 // local source a level costs the same per-row loop as the recursion, so
 // planning would be pure overhead. It is inert under a probe budget
 // (a LimitOracle in the chain) too: hints are free, so a capped query
@@ -65,14 +65,15 @@ func Explore(o Oracle, root int, next func(v int, row []int) []int) {
 }
 
 // plannedTier returns the row tier of o's chain when Explore plans over
-// it: no probe budget sits above the tier, and its miss path batches.
+// it: no probe budget sits above the tier, and its miss path fetches
+// rows.
 func plannedTier(o Oracle) *TieredOracle {
 	for ; o != nil; o = unwrap(o) {
 		switch x := o.(type) {
 		case *LimitOracle:
 			return nil
 		case *TieredOracle:
-			if x.rf == nil && x.bp == nil {
+			if x.rf == nil {
 				return nil
 			}
 			return x

@@ -18,7 +18,7 @@ func ascending(v int, row []int) []int {
 	return nil
 }
 
-// TestExploreFetchesOneLevelPerBatch: over a batching tier each level
+// TestExploreFetchesOneLevelPerBatch: over a row-fetching tier each level
 // of the DAG is one Prefetch, hence one batch, and afterwards every DAG
 // row is served from L1 with no trip. The levels are read back
 // uncharged: the tier counts no hit for them.
@@ -55,7 +55,7 @@ func TestExploreCapsRows(t *testing.T) {
 	for v := 1; v < n; v++ {
 		b.AddEdge(0, v) // a star: the DAG from 0 has levels {0}, {1, …, n-1}
 	}
-	tier := NewTiered(&rowSource{g: b.Build()}, nil)
+	tier := NewTiered(newBatchSource(b.Build()), nil)
 	Explore(tier, 0, ascending)
 	if got := tier.l1.count; got != exploreCap {
 		t.Fatalf("the exploration fetched %d rows, want the cap %d", got, exploreCap)

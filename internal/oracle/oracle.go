@@ -31,11 +31,11 @@
 // otherwise they fall back to the equivalent scalar probe loop, so
 // algorithms written against the exploration API run unchanged on every
 // backend. The payoff is the row tier, TieredOracle (tier.go): over a
-// network-backed source with the source.BatchProber capability it turns
-// one exploration into one batched round trip and serves the subsequent
-// scalar probes from the cached rows — collapsing deg+1 round trips per
-// neighborhood into one or two, while per-cell probe accounting (Counter,
-// LimitOracle) is unchanged: budgets and probe counts charge the cells the
+// network-backed source with the source.RowFetcher capability (the
+// rowfull wire op) it turns one exploration into one round trip and
+// serves the subsequent scalar probes from the cached rows — collapsing
+// deg+1 round trips per neighborhood into one, while per-cell probe
+// accounting (Counter, LimitOracle) is unchanged: budgets and probe counts charge the cells the
 // algorithm reads, and round trips are measured separately (Stats.Batches,
 // Stats.RoundTrips). NewChain (chain.go) builds every chain.
 //
@@ -46,10 +46,9 @@
 // children from its own order and memo. Round trips then follow the
 // DAG's depth rather than its size, and the recursion that runs
 // afterwards still decides every answer, probe count and budget. It is
-// inert unless the chain's row tier batches its misses (the rowfull op
-// or source.BatchProber), and under a probe budget (a LimitOracle in
-// the chain), where free hints would fetch past what the budget lets
-// the query read.
+// inert unless the chain's row tier fetches rows (the rowfull op), and
+// under a probe budget (a LimitOracle in the chain), where free hints
+// would fetch past what the budget lets the query read.
 package oracle
 
 import "lca/internal/source"

@@ -20,11 +20,9 @@ import (
 // Telemetry is one reading of a chain's transport and cache figures. A
 // field's JSON name is its name on every surface: serve answers embed the
 // struct, /metrics exports each counter as serve_<name>_total, and
-// QueryStats.String prints name=value. Every field is a monotone counter
-// except the one tagged telemetry:"gauge", a level that sums and deltas
-// carry over instead of adding or subtracting. Adding a figure means
-// adding one tagged uint64 field here: TelemetryFields, Add, Sub and the
-// surfaces all follow from the struct.
+// QueryStats.String prints name=value. Every field is a monotone counter.
+// Adding a figure means adding one tagged uint64 field here:
+// TelemetryFields, Add, Sub and the surfaces all follow from the struct.
 type Telemetry struct {
 	// RoundTrips counts backend network round trips
 	// (source.RoundTripCounter; 0 on local chains).
@@ -39,11 +37,6 @@ type Telemetry struct {
 	// transported with attested answers (source.AttestCounter).
 	AttestFailures uint64 `json:"attest_failures,omitempty"`
 	ProofBytes     uint64 `json:"proof_bytes,omitempty"`
-	// RemainderTrips counts the extra batches the row tier issued because
-	// a row outgrew its speculative width; FetchWidth is that width now
-	// (TieredOracle).
-	RemainderTrips uint64 `json:"remainder_trips,omitempty"`
-	FetchWidth     uint64 `json:"fetch_width,omitempty" telemetry:"gauge"`
 	// PageTouches counts backend loads that landed on a different page
 	// than the load before them, and LocalHits those that stayed on it
 	// (source.LocalityReporter; the mmap CSR backend).
@@ -59,9 +52,7 @@ type Telemetry struct {
 type TelemetryField struct {
 	// Name is the field's JSON name.
 	Name string
-	// Gauge marks a level; every other field is a counter.
-	Gauge bool
-	off   uintptr
+	off  uintptr
 }
 
 // TelemetryFields is the name table: one row per Telemetry field, in
@@ -77,7 +68,7 @@ func telemetryTable() []TelemetryField {
 		if f.Type.Kind() != reflect.Uint64 || name == "" {
 			panic("oracle: Telemetry field " + f.Name + " must be a uint64 with a JSON name")
 		}
-		fs[i] = TelemetryField{Name: name, Gauge: f.Tag.Get("telemetry") == "gauge", off: f.Offset}
+		fs[i] = TelemetryField{Name: name, off: f.Offset}
 	}
 	return fs
 }
@@ -92,34 +83,24 @@ func (f TelemetryField) in(t *Telemetry) *uint64 {
 	return (*uint64)(unsafe.Add(unsafe.Pointer(t), f.off))
 }
 
-// Add folds u into t: counters sum, and the gauge takes u's reading when
-// u has one.
+// Add folds u into t, field by field.
 func (t *Telemetry) Add(u Telemetry) {
 	for _, f := range TelemetryFields {
-		v := f.Value(&u)
-		switch {
-		case !f.Gauge:
-			*f.in(t) += v
-		case v > 0:
-			*f.in(t) = v
-		}
+		*f.in(t) += f.Value(&u)
 	}
 }
 
-// Sub returns t - u for the counters, for before/after deltas; the gauge
-// keeps t's reading, the newer of the two.
+// Sub returns t - u, field by field, for before/after deltas.
 func (t Telemetry) Sub(u Telemetry) Telemetry {
 	for _, f := range TelemetryFields {
-		if !f.Gauge {
-			*f.in(&t) -= f.Value(&u)
-		}
+		*f.in(&t) -= f.Value(&u)
 	}
 	return t
 }
 
 // Meter is the optional capability of an oracle layer that produces
 // figures of its own (the row tier, TieredOracle): Measure adds the
-// layer's current readings into t, setting the gauge.
+// layer's current readings into t.
 type Meter interface {
 	Measure(t *Telemetry)
 }

@@ -13,8 +13,8 @@ import (
 )
 
 // TestTelemetryTable pins the name table to the struct it is read from —
-// one row per field, in order, under the field's JSON name, fetch_width
-// the only gauge — and the arithmetic written over it.
+// one row per field, in order, under the field's JSON name — and the
+// arithmetic written over it.
 func TestTelemetryTable(t *testing.T) {
 	rt := reflect.TypeFor[Telemetry]()
 	if len(TelemetryFields) != rt.NumField() {
@@ -26,26 +26,19 @@ func TestTelemetryTable(t *testing.T) {
 		if name, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ","); f.Name != name {
 			t.Errorf("row %d is %q, field %s is %q", i, f.Name, rt.Field(i).Name, name)
 		}
-		if f.Gauge != (f.Name == "fetch_width") {
-			t.Errorf("%s: gauge = %v", f.Name, f.Gauge)
-		}
 		pv.Field(i).SetUint(uint64(100 + i))
 		if got := f.Value(&probe); got != uint64(100+i) {
 			t.Errorf("%s: Value reads %d, want field %s's %d", f.Name, got, rt.Field(i).Name, 100+i)
 		}
 	}
 
-	a := Telemetry{RoundTrips: 5, RemainderTrips: 2, FetchWidth: 8, L2Hits: 1}
-	a.Add(Telemetry{RoundTrips: 3, FetchWidth: 16, L2Hits: 4})
-	if a != (Telemetry{RoundTrips: 8, RemainderTrips: 2, FetchWidth: 16, L2Hits: 5}) {
+	a := Telemetry{RoundTrips: 5, Hedges: 2, L2Hits: 1}
+	a.Add(Telemetry{RoundTrips: 3, L1Hits: 16, L2Hits: 4})
+	if a != (Telemetry{RoundTrips: 8, Hedges: 2, L1Hits: 16, L2Hits: 5}) {
 		t.Fatalf("Add = %+v", a)
 	}
-	a.Add(Telemetry{RoundTrips: 1}) // no width reading: the level stays
-	if a.FetchWidth != 16 || a.RoundTrips != 9 {
-		t.Fatalf("Add without a gauge reading = %+v", a)
-	}
-	d := a.Sub(Telemetry{RoundTrips: 4, FetchWidth: 8, L2Hits: 5})
-	if d != (Telemetry{RoundTrips: 5, RemainderTrips: 2, FetchWidth: 16}) {
+	d := a.Sub(Telemetry{RoundTrips: 4, L1Hits: 8, L2Hits: 5})
+	if d != (Telemetry{RoundTrips: 4, Hedges: 2, L1Hits: 8}) {
 		t.Fatalf("Sub = %+v", d)
 	}
 }
@@ -76,15 +69,17 @@ func TestCounterStatsAllocs(t *testing.T) {
 	}
 	defer src.Close()
 	c := NewCounter(NewChain(src, ChainConfig{RowCache: NewRowCache(256), ProbeBudget: 1 << 40}))
-	for v := 0; v < 50; v++ {
-		c.Neighbors(v)
+	for pass := 0; pass < 2; pass++ {
+		for v := 0; v < 50; v++ {
+			c.Neighbors(v)
+		}
 	}
 	var st Stats
 	allocs := testing.AllocsPerRun(1000, func() { st = c.Stats() })
 	if allocs != 0 {
 		t.Fatalf("Counter.Stats allocates %v per call", allocs)
 	}
-	if st.PageTouches+st.LocalHits == 0 || st.FetchWidth == 0 {
+	if st.PageTouches+st.LocalHits == 0 || st.L1Hits == 0 {
 		t.Fatalf("the chain's telemetry never reached the counter: %+v", st.Telemetry)
 	}
 }

@@ -13,70 +13,29 @@ package oracle
 // is built:
 //
 //   - the rowfull op (source.RowFetcher): degree plus full row per
-//     vertex in one answer, no speculation;
-//   - else batches (source.BatchProber): every missed row's degree plus
-//     a speculative prefix of the learned width in one round trip, then
-//     at most one more for the cells beyond it;
+//     vertex, every missed row in one answer;
 //   - else the scalar loop: one Degree plus one Neighbor per cell, which
 //     locally (mmap CSR, implicit families) costs barely more than one
 //     cell.
 //
-// Over a network source, an exploration therefore costs one or two
-// round trips instead of deg+1, and Prefetch(vs...) fetches every
-// uncached row it names in one call.
+// Over a network source, an exploration therefore costs one round trip
+// instead of deg+1, and Prefetch(vs...) fetches every uncached row it
+// names in one call.
 
 import (
 	"errors"
 	"fmt"
-	"math"
-	"math/bits"
 	"sync"
 
 	"lca/internal/source"
 	"lca/internal/trace"
 )
 
-// DefaultFetchWidth is the speculative number of neighbor cells fetched
-// alongside a row's degree probe when the backend's maximum degree is
-// unknown. Rows at most this long cost one round trip; longer rows cost a
-// second for the remainder. When the source has the DegreeBounder
-// capability and its bound fits MaxFetchWidth, the bound replaces the
-// default and every row costs exactly one round trip.
-const DefaultFetchWidth = 64
-
-// MaxFetchWidth caps the speculative width so a degree bound in the
-// millions cannot turn one hint into a flood of wasted cells.
-const MaxFetchWidth = 4096
-
 // DefaultRowCap bounds the rows the L1 store holds; when a fetch would
 // exceed it the whole store is dropped. Answers are unaffected (rows are
 // pure functions of the graph); only subsequent hit rates pay, and a
 // polylog working set fits many times over.
 const DefaultRowCap = 1 << 16
-
-// The learned-width estimator: unless the width is pinned (a degree
-// bound at most MaxFetchWidth — then every row fits and there is nothing
-// to learn), each fetched row's degree feeds an EWMA and a power-of-two
-// histogram, in the order the caller listed the rows, and the
-// speculative width becomes the high quantile's bucket bound — rounded
-// up, so constant-degree families converge to exactly their degree and
-// remainder trips vanish, while heavy-tailed rows stop over-fetching the
-// sparse majority. Width only changes batching, never an answer.
-const (
-	// degHistBuckets spans degrees 1 .. 2^13; bucket i covers
-	// (2^(i-1), 2^i]. MaxFetchWidth clamps whatever the walk reports.
-	degHistBuckets = 14
-	// widthWindow triggers halving, so the histogram tracks the current
-	// workload's degree mix, not the lifetime union.
-	widthWindow = 1024
-	// widthMinSamples gates re-choosing: below it the starting width holds.
-	widthMinSamples = 16
-	// widthQuantile is the tail the speculative width must cover.
-	widthQuantile = 0.95
-	// degEWMAAlpha smooths the mean-degree estimate the quantile is
-	// sanity-checked against.
-	degEWMAAlpha = 0.1
-)
 
 // TieredOracle serves probes from the row tier over any source.
 // Construct with NewTiered (or through NewChain); the zero value is
@@ -85,8 +44,7 @@ const (
 // once.
 type TieredOracle struct {
 	src source.Source
-	bp  source.BatchProber // non-nil: batched miss path
-	rf  source.RowFetcher  // non-nil: rowfull miss path
+	rf  source.RowFetcher // non-nil: rowfull miss path
 	n   int
 	l2  *RowCache // nil: L1 only
 	// tr, when non-nil, records oracle:prefetch spans around row fetches
@@ -99,16 +57,8 @@ type TieredOracle struct {
 	// one is the scratch list of a single-row miss, so scalar misses
 	// allocate nothing beyond the row's arena cells.
 	one [1]int
-	// l1Hits and l2Hits count rows answered from each tier, remTrips the
-	// remainder batches the batched miss path issued.
-	l1Hits, l2Hits, remTrips uint64
-
-	// The learned-width state of the batched miss path.
-	width    int  // speculative cells fetched with each degree probe
-	adapt    bool // learn width from observed degrees (off when pinned)
-	degEWMA  float64
-	degHist  [degHistBuckets]uint64
-	degTotal uint64
+	// l1Hits and l2Hits count rows answered from each tier.
+	l1Hits, l2Hits uint64
 }
 
 var (
@@ -118,47 +68,28 @@ var (
 )
 
 // NewTiered returns the row tier over src. l2 may be nil (L1 only) or
-// shared among tiers over the same source. The RowFetcher, BatchProber
-// and DegreeBounder capabilities are detected here: the first two pick
-// the miss path, the third lets a known small maximum degree pin the
-// speculative width so every batched row costs a single round trip.
+// shared among tiers over the same source. The RowFetcher capability is
+// detected here and picks the miss path.
 func NewTiered(src source.Source, l2 *RowCache) *TieredOracle {
 	t := &TieredOracle{
-		src:   src,
-		n:     src.N(),
-		l2:    l2,
-		l1:    newRowStore(DefaultRowCap),
-		width: DefaultFetchWidth,
-		adapt: true,
+		src: src,
+		n:   src.N(),
+		l2:  l2,
+		l1:  newRowStore(DefaultRowCap),
 	}
-	t.bp, _ = src.(source.BatchProber)
 	t.rf, _ = source.RowFetcherOf(src)
-	if db, ok := source.DegreeBounderOf(src); ok {
-		if d := db.MaxDegree(); d >= 0 {
-			// A source reporting a huge degree bound must not turn every
-			// batch into an unbounded speculative prefix.
-			t.width = min(d, MaxFetchWidth)
-			// An exact bound means every row already fits one trip; there
-			// is nothing left to learn. A clamped bound keeps the
-			// estimator on — observed degrees may run far below it.
-			t.adapt = d > MaxFetchWidth
-		}
-	}
 	return t
 }
 
 // Unwrap returns the source the tier fetches from.
 func (t *TieredOracle) Unwrap() Oracle { return t.src }
 
-// Measure implements Meter: the rows answered from L1 and from L2, the
-// remainder trips issued so far, and the current speculative width.
+// Measure implements Meter: the rows answered from L1 and from L2.
 func (t *TieredOracle) Measure(tel *Telemetry) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	tel.L1Hits += t.l1Hits
 	tel.L2Hits += t.l2Hits
-	tel.RemainderTrips += t.remTrips
-	tel.FetchWidth = uint64(t.width)
 }
 
 // N implements Oracle (free, as everywhere in the model).
@@ -295,8 +226,7 @@ func (t *TieredOracle) load(v int) []int {
 }
 
 // fetch reads the full rows of vs (in range, uncached, distinct) through
-// the miss path and stores them in both tiers, feeding their degrees to
-// the width estimator in vs order. Caller holds mu.
+// the miss path and stores them in both tiers. Caller holds mu.
 func (t *TieredOracle) fetch(vs []int) {
 	if tr := t.tr; tr != nil {
 		// Push so the rpc spans recorded by the backend nest under the
@@ -308,27 +238,17 @@ func (t *TieredOracle) fetch(vs []int) {
 			tr.End(h, fmt.Sprintf("rows=%d", len(vs)))
 		}()
 	}
-	switch {
-	case t.rf != nil:
+	if t.rf != nil {
 		t.fetchFull(vs)
-	case t.bp != nil:
-		t.fetchBatched(vs)
-	default:
-		for _, v := range vs {
-			t.keep(v, t.scalarRow(v))
-		}
+		return
 	}
-	if t.adapt {
-		t.width = t.chooseWidth()
+	for _, v := range vs {
+		t.keep(v, t.scalarRow(v))
 	}
 }
 
-// keep stores a freshly fetched row in both tiers and feeds its degree
-// to the width estimator. Caller holds mu.
+// keep stores a freshly fetched row in both tiers. Caller holds mu.
 func (t *TieredOracle) keep(v int, row []int) {
-	if t.adapt {
-		t.observeDegree(len(row))
-	}
 	t.l1.put(v, row)
 	if t.l2 != nil {
 		t.l2.Put(v, row)
@@ -356,30 +276,30 @@ func (t *TieredOracle) scalarRow(v int) []int {
 // trim keeps a misreporting backend from poisoning the cache with -1
 // neighbors).
 func (t *TieredOracle) arenaRow(cells []int) []int {
-	cells = validPrefix(cells)
+	for i, w := range cells {
+		if w < 0 {
+			cells = cells[:i]
+			break
+		}
+	}
 	row := t.l1.arena.alloc(len(cells))
 	copy(row, cells)
 	return row
 }
 
-// validPrefix returns cells up to the first out-of-range answer, capped
-// so an append reallocates instead of clobbering the cells beyond.
-func validPrefix(cells []int) []int {
-	for i, w := range cells {
-		if w < 0 {
-			return cells[:i:i]
-		}
-	}
-	return cells[:len(cells):len(cells)]
-}
-
 // fetchFull reads rows through the backend's RowFetcher capability (the
-// rowfull wire op): degree plus full row per vertex in one answer, so no
-// width guess and no remainder trip exist on this path at all.
+// rowfull wire op): degree plus full row per vertex in one answer, one
+// call per MaxProbeBatch rows. A failed fetch, or one answering a
+// different number of rows than asked, panics with *source.ProbeError,
+// matching the scalar network-probe contract that Session queries and
+// the HTTP server recover into errors.
 func (t *TieredOracle) fetchFull(vs []int) {
 	for start := 0; start < len(vs); start += source.MaxProbeBatch {
 		chunk := vs[start:min(start+source.MaxProbeBatch, len(vs))]
 		got, err := t.rf.FetchRows(chunk)
+		if err == nil && len(got) != len(chunk) {
+			err = fmt.Errorf("source answered %d rows for %d vertices", len(got), len(chunk))
+		}
 		if err != nil {
 			var pe *source.ProbeError
 			if errors.As(err, &pe) {
@@ -391,132 +311,6 @@ func (t *TieredOracle) fetchFull(vs []int) {
 			t.keep(v, t.arenaRow(got[i]))
 		}
 	}
-}
-
-// fetchBatched reads rows via batched round trips: every row's degree
-// plus its speculative prefix in one batch, then one more for the cells
-// of every row that outgrew the width.
-func (t *TieredOracle) fetchBatched(vs []int) {
-	width := t.width
-	stride := width + 1
-	probes := make([]source.ProbeReq, 0, len(vs)*stride)
-	for _, v := range vs {
-		probes = append(probes, source.ProbeReq{Op: source.OpDegree, A: v})
-		for i := 0; i < width; i++ {
-			probes = append(probes, source.ProbeReq{Op: source.OpNeighbor, A: v, B: i})
-		}
-	}
-	answers, _ := t.batch(probes)
-	rows := make([][]int, len(vs))
-	outgrew := func(j int) bool { return len(rows[j]) == width && answers[j*stride] > width }
-	var rest []source.ProbeReq
-	for j, v := range vs {
-		base := j * stride
-		rows[j] = validPrefix(answers[base+1 : base+1+min(max(answers[base], 0), width)])
-		if outgrew(j) {
-			for i := width; i < answers[base]; i++ {
-				rest = append(rest, source.ProbeReq{Op: source.OpNeighbor, A: v, B: i})
-			}
-		}
-	}
-	if len(rest) > 0 {
-		tails, trips := t.batch(rest)
-		t.remTrips += trips
-		for j := range vs {
-			if outgrew(j) {
-				k := answers[j*stride] - width
-				rows[j] = append(rows[j], validPrefix(tails[:k])...)
-				tails = tails[k:]
-			}
-		}
-	}
-	for j, v := range vs {
-		t.keep(v, t.arenaRow(rows[j]))
-	}
-}
-
-// batch issues one logical batch, chunked to the wire protocol's
-// MaxProbeBatch, and returns the answers and the round trips it took. A
-// failed batch panics with *source.ProbeError, matching the scalar
-// network-probe contract that Session queries and the HTTP server
-// recover into errors.
-func (t *TieredOracle) batch(probes []source.ProbeReq) (out []int, trips uint64) {
-	out = make([]int, 0, len(probes))
-	for len(probes) > 0 {
-		chunk := probes[:min(len(probes), source.MaxProbeBatch)]
-		answers, err := t.bp.ProbeBatch(chunk)
-		if err != nil {
-			var pe *source.ProbeError
-			if errors.As(err, &pe) {
-				panic(pe)
-			}
-			panic(&source.ProbeError{Op: "batch", A: len(chunk), Err: err})
-		}
-		trips++
-		out = append(out, answers...)
-		probes = probes[len(chunk):]
-	}
-	return out, trips
-}
-
-// observeDegree feeds one fetched row's degree into the width estimator.
-// Caller holds mu.
-func (t *TieredOracle) observeDegree(d int) {
-	if t.degTotal == 0 {
-		t.degEWMA = float64(d)
-	} else {
-		t.degEWMA += degEWMAAlpha * (float64(d) - t.degEWMA)
-	}
-	t.degHist[degBucket(d)]++
-	t.degTotal++
-	if t.degTotal >= widthWindow {
-		var kept uint64
-		for i := range t.degHist {
-			t.degHist[i] /= 2
-			kept += t.degHist[i]
-		}
-		t.degTotal = kept
-	}
-}
-
-// degBucket maps a degree to its histogram bucket; bucket i covers
-// (2^(i-1), 2^i].
-func degBucket(d int) int {
-	if d < 1 {
-		return 0
-	}
-	return min(bits.Len64(uint64(d)-1), degHistBuckets-1)
-}
-
-// chooseWidth picks the speculative width: the widthQuantile bucket's
-// upper bound (rounded up to a power of two, so constant-degree rows
-// converge exactly), floored by the EWMA's power-of-two ceiling and
-// clamped into [1, MaxFetchWidth]. Below widthMinSamples the current
-// width holds. Caller holds mu.
-func (t *TieredOracle) chooseWidth() int {
-	if t.degTotal < widthMinSamples {
-		return t.width
-	}
-	rank := max(uint64(widthQuantile*float64(t.degTotal)), 1)
-	w := 1 << (degHistBuckets - 1)
-	var cum uint64
-	for i, c := range t.degHist {
-		cum += c
-		if cum >= rank {
-			w = 1 << i
-			break
-		}
-	}
-	w = max(w, pow2Ceil(int(math.Ceil(t.degEWMA))))
-	return min(max(w, 1), MaxFetchWidth)
-}
-
-// pow2Ceil is the smallest power of two at least x (1 for x <= 1).
-func pow2Ceil(x int) int {
-	if x <= 1 {
-		return 1
-	}
-	return 1 << bits.Len(uint(x-1))
 }
 
 // prefetchTarget labels an oracle:prefetch span with the single row it

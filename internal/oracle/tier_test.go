@@ -1,8 +1,8 @@
 package oracle
 
-// Tests of the row tier's exploration path: batched rows, remainder
-// trips, the scalar fallback, failure panics, the L1 bound and
-// concurrent probers, over a local stand-in for a network shard.
+// Tests of the row tier's exploration path: fetched rows, the scalar
+// fallback, failure panics, the L1 bound and concurrent probers, over a
+// local stand-in for a network shard.
 
 import (
 	"fmt"
@@ -13,23 +13,20 @@ import (
 	"lca/internal/source"
 )
 
-// batchSource wraps a graph as a Source with the BatchProber,
-// DegreeBounder and RoundTripCounter capabilities, counting one round
-// trip per scalar probe and one per batch — a local stand-in for a
-// remote shard with exact transport accounting. The trip counter is
-// atomic because concurrent-probing tests share one fake.
+// batchSource wraps a graph as a Source with the RowFetcher and
+// RoundTripCounter capabilities, counting one round trip per scalar
+// probe and one per batch of rows — a local stand-in for a remote shard
+// with exact transport accounting. The trip counter is atomic because
+// concurrent-probing tests share one fake.
 type batchSource struct {
-	g      *graph.Graph
-	maxDeg int
-	trips  atomic.Uint64
-	// failBatches makes ProbeBatch return an error, to test the panic
+	g     *graph.Graph
+	trips atomic.Uint64
+	// failRows makes FetchRows return an error, to test the panic
 	// contract.
-	failBatches bool
+	failRows bool
 }
 
-func newBatchSource(g *graph.Graph) *batchSource {
-	return &batchSource{g: g, maxDeg: g.MaxDegree()}
-}
+func newBatchSource(g *graph.Graph) *batchSource { return &batchSource{g: g} }
 
 func (b *batchSource) N() int { return b.g.N() }
 
@@ -39,29 +36,49 @@ func (b *batchSource) Neighbor(v, i int) int { b.trips.Add(1); return b.g.Neighb
 
 func (b *batchSource) Adjacency(u, v int) int { b.trips.Add(1); return b.g.Adjacency(u, v) }
 
-func (b *batchSource) MaxDegree() int { return b.maxDeg }
-
 func (b *batchSource) RoundTrips() uint64 { return b.trips.Load() }
 
-func (b *batchSource) ProbeBatch(probes []source.ProbeReq) ([]int, error) {
-	if b.failBatches {
-		return nil, fmt.Errorf("batch backend down")
+func (b *batchSource) FetchRows(vs []int) ([][]int, error) {
+	if b.failRows {
+		return nil, fmt.Errorf("row backend down")
 	}
 	b.trips.Add(1)
-	out := make([]int, len(probes))
-	for i, p := range probes {
-		switch p.Op {
-		case source.OpDegree:
-			out[i] = b.g.Degree(p.A)
-		case source.OpNeighbor:
-			out[i] = b.g.Neighbor(p.A, p.B)
-		case source.OpAdjacency:
-			out[i] = b.g.Adjacency(p.A, p.B)
-		default:
-			return nil, fmt.Errorf("unexpected op %q", p.Op)
+	rows := make([][]int, len(vs))
+	for i, v := range vs {
+		rows[i] = make([]int, b.g.Degree(v))
+		for j := range rows[i] {
+			rows[i][j] = b.g.Neighbor(v, j)
 		}
 	}
-	return out, nil
+	return rows, nil
+}
+
+// ringGraph builds an n-cycle: every row has degree exactly 2.
+func ringGraph(n int) *graph.Graph {
+	b := graph.NewBuilder(n)
+	for v := 0; v < n; v++ {
+		b.AddEdge(v, (v+1)%n)
+	}
+	return b.Build()
+}
+
+// wideGraph builds a clique over n vertices: every row has degree n-1.
+func wideGraph(n int) *graph.Graph {
+	b := graph.NewBuilder(n)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			b.AddEdge(u, v)
+		}
+	}
+	return b.Build()
+}
+
+// measure reads o's chain telemetry the way a Counter above it would.
+func measure(o Oracle) Telemetry {
+	if m := newChainMeter(o); m != nil {
+		return *m.read()
+	}
+	return Telemetry{}
 }
 
 func TestPrefetchOracleAnswersMatchScalar(t *testing.T) {
@@ -95,8 +112,7 @@ func TestPrefetchOracleCollapsesRoundTrips(t *testing.T) {
 	g := testGraph()
 	src := newBatchSource(g)
 	p := NewTiered(src, nil)
-	// Max degree fits the fetch width, so one hint over three vertices is
-	// exactly one batch.
+	// One hint over three vertices is exactly one batch of rows.
 	before := src.RoundTrips()
 	p.Prefetch(0, 1, 2)
 	if trips := src.RoundTrips() - before; trips != 1 {
@@ -148,34 +164,8 @@ func TestTieredOracleScalarMissFetchesRow(t *testing.T) {
 	}
 }
 
-func TestPrefetchOracleSecondTripBeyondWidth(t *testing.T) {
-	// A star: center degree 9 against fetch width 2 needs a remainder
-	// fetch — two round trips, never one per cell.
-	b := graph.NewBuilder(10)
-	for v := 1; v < 10; v++ {
-		b.AddEdge(0, v)
-	}
-	g := b.Build()
-	src := newBatchSource(g)
-	src.maxDeg = 2 // a degree bound of 2 pins the speculative width there
-	p := NewTiered(src, nil)
-	before := src.RoundTrips()
-	row := p.Neighbors(0)
-	if trips := src.RoundTrips() - before; trips != 2 {
-		t.Fatalf("wide row cost %d round trips, want 2", trips)
-	}
-	if len(row) != 9 {
-		t.Fatalf("row has %d cells, want 9", len(row))
-	}
-	for i, w := range row {
-		if w != g.Neighbor(0, i) {
-			t.Fatalf("cell %d = %d, want %d", i, w, g.Neighbor(0, i))
-		}
-	}
-}
-
 func TestPrefetchOracleScalarFallback(t *testing.T) {
-	// A plain graph has no batch capability: exploration must still
+	// A plain graph has no row capability: exploration must still
 	// answer identically (scalar loops under the hood).
 	g := testGraph()
 	p := NewTiered(g, nil)
@@ -195,20 +185,35 @@ func TestPrefetchOracleScalarFallback(t *testing.T) {
 	}
 }
 
+// shortRows answers every batch of rows with one row too few.
+type shortRows struct{ *batchSource }
+
+func (s shortRows) FetchRows(vs []int) ([][]int, error) {
+	rows, err := s.batchSource.FetchRows(vs)
+	return rows[:len(rows)-1], err
+}
+
 func TestPrefetchOracleBatchFailurePanicsProbeError(t *testing.T) {
-	src := newBatchSource(testGraph())
-	src.failBatches = true
-	p := NewTiered(src, nil)
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected *source.ProbeError panic")
-		}
-		if _, ok := r.(*source.ProbeError); !ok {
-			t.Fatalf("unexpected panic payload %T: %v", r, r)
-		}
-	}()
-	p.Neighbors(0)
+	failing := newBatchSource(testGraph())
+	failing.failRows = true
+	for name, src := range map[string]source.Source{
+		"failing": failing,
+		"short":   shortRows{newBatchSource(testGraph())},
+	} {
+		p := NewTiered(src, nil)
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("%s: expected *source.ProbeError panic", name)
+				}
+				if _, ok := r.(*source.ProbeError); !ok {
+					t.Fatalf("%s: unexpected panic payload %T: %v", name, r, r)
+				}
+			}()
+			p.Prefetch(0, 1)
+		}()
+	}
 }
 
 func TestCounterExplorationAccounting(t *testing.T) {
@@ -332,5 +337,54 @@ func TestPrefetchOracleConcurrentProbing(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestPrefetchUsesRowFetcher pins the rowfull path: a backend answering
+// full rows natively serves any hint in one call, whatever the degrees.
+func TestPrefetchUsesRowFetcher(t *testing.T) {
+	g := wideGraph(80)
+	src := newBatchSource(g)
+	p := NewTiered(src, nil)
+	p.Prefetch(0, 1, 2, 3, 4)
+	if trips := src.RoundTrips(); trips != 1 {
+		t.Fatalf("hint over 5 wide rows cost %d round trips, want 1", trips)
+	}
+	for v := 0; v < 5; v++ {
+		row := p.Neighbors(v)
+		if len(row) != 79 {
+			t.Fatalf("Neighbors(%d) has %d cells, want 79", v, len(row))
+		}
+		for j, w := range row {
+			if want := g.Neighbor(v, j); w != want {
+				t.Fatalf("Neighbors(%d)[%d] = %d, want %d", v, j, w, want)
+			}
+		}
+	}
+	// The primed rows answer later hints and probes without new calls.
+	p.Prefetch(0, 1, 2)
+	if trips := src.RoundTrips(); trips != 1 {
+		t.Fatalf("re-hinting primed rows cost %d extra round trips", trips-1)
+	}
+}
+
+// TestPrefetchTelemetryThroughCounter walks the wrapper chain: the
+// tier's hits and the source's round trips must stay visible through
+// Limit and Counter, and Reset rebaselines both.
+func TestPrefetchTelemetryThroughCounter(t *testing.T) {
+	p := NewTiered(newBatchSource(wideGraph(101)), nil)
+	c := NewCounter(NewLimit(p, 1<<40))
+	for pass := 0; pass < 2; pass++ {
+		for v := 0; v < 10; v++ {
+			c.Neighbors(v)
+		}
+	}
+	if st := c.Stats(); st.RoundTrips != 10 || st.L1Hits != 10 {
+		t.Fatalf("two passes over 10 rows read %d round trips and %d L1 hits through the chain, want 10 and 10",
+			st.RoundTrips, st.L1Hits)
+	}
+	c.Reset()
+	if st := c.Stats(); st.RoundTrips != 0 || st.L1Hits != 0 {
+		t.Fatalf("after Reset the counter still reports %+v", st.Telemetry)
 	}
 }

@@ -58,8 +58,7 @@ type serverMetrics struct {
 	latency map[string]*metrics.Histogram
 
 	probes *metrics.Counter
-	// telemetry holds serve_<name>_total per oracle.TelemetryFields row,
-	// nil for the gauge.
+	// telemetry holds serve_<name>_total per oracle.TelemetryFields row.
 	telemetry    []*metrics.Counter
 	auditRecords *metrics.Counter
 
@@ -88,9 +87,7 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 		slowQueries:    reg.Counter("serve_slow_queries_total"),
 	}
 	for i, f := range oracle.TelemetryFields {
-		if !f.Gauge {
-			m.telemetry[i] = reg.Counter("serve_" + f.Name + "_total")
-		}
+		m.telemetry[i] = reg.Counter("serve_" + f.Name + "_total")
 	}
 	for _, kind := range queryKinds {
 		m.queries[kind] = reg.Counter(fmt.Sprintf("serve_queries_total{kind=%s}", kind))
@@ -109,9 +106,7 @@ func (m *serverMetrics) observeExec(st oracle.Stats) {
 		m.rtPerQuery.Observe(float64(st.RoundTrips))
 	}
 	for i, f := range oracle.TelemetryFields {
-		if c := m.telemetry[i]; c != nil {
-			c.Add(f.Value(&st.Telemetry))
-		}
+		m.telemetry[i].Add(f.Value(&st.Telemetry))
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"testing"
 
 	"lca/internal/gen"
@@ -69,37 +70,52 @@ func TestProbeEndpoints(t *testing.T) {
 	}
 }
 
-// TestProbeBatchEndpoint checks the batched POST form, including the
-// index alignment and malformed-body handling.
+// TestProbeBatchEndpoint checks the batched POST form: rowfull probes
+// answered index-aligned, any other op refused before anything is
+// answered, and malformed bodies refused.
 func TestProbeBatchEndpoint(t *testing.T) {
 	g := gen.Gnp(60, 0.1, 3)
 	ts := httptest.NewServer(New(g, 42).Handler())
 	defer ts.Close()
-	w5 := g.Neighbor(5, 0)
-	body := fmt.Sprintf(`{"probes":[{"op":"degree","a":5},{"op":"neighbor","a":5,"b":0},{"op":"adjacency","a":5,"b":%d},{"op":"neighbor","a":5,"b":9999}]}`, w5)
-	resp, err := http.Post(ts.URL+"/probe", "application/json", bytes.NewReader([]byte(body)))
-	if err != nil {
-		t.Fatal(err)
+	post := func(body string) *http.Response {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/probe", "application/json", bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
 	}
 	var out struct {
-		Answers []int `json:"answers"`
+		Answers []int   `json:"answers"`
+		Rows    [][]int `json:"rows"`
 	}
-	if err := jsonDecode(resp, &out); err != nil {
+	if err := jsonDecode(post(`{"probes":[{"op":"rowfull","a":5},{"op":"rowfull","a":0},{"op":"rowfull","a":5}]}`), &out); err != nil {
 		t.Fatal(err)
 	}
-	want := []int{g.Degree(5), w5, 0, -1}
-	if len(out.Answers) != len(want) {
-		t.Fatalf("answers = %v, want %v", out.Answers, want)
+	vs := []int{5, 0, 5}
+	if len(out.Answers) != len(vs) || len(out.Rows) != len(vs) {
+		t.Fatalf("%d answers and %d rows for %d probes", len(out.Answers), len(out.Rows), len(vs))
 	}
-	for i := range want {
-		if out.Answers[i] != want[i] {
-			t.Fatalf("answer %d = %d, want %d", i, out.Answers[i], want[i])
+	for i, v := range vs {
+		if out.Answers[i] != g.Degree(v) || len(out.Rows[i]) != g.Degree(v) {
+			t.Fatalf("probe %d: degree %d with a %d-cell row, want %d", i, out.Answers[i], len(out.Rows[i]), g.Degree(v))
+		}
+		for j, w := range out.Rows[i] {
+			if w != g.Neighbor(v, j) {
+				t.Fatalf("probe %d: cell %d = %d, want %d", i, j, w, g.Neighbor(v, j))
+			}
 		}
 	}
-	resp, err = http.Post(ts.URL+"/probe", "application/json", bytes.NewReader([]byte("{nope")))
-	if err != nil {
+	var e errorBody
+	resp := post(`{"probes":[{"op":"rowfull","a":5},{"op":"degree","a":5}]}`)
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 		t.Fatal(err)
 	}
+	resp.Body.Close()
+	if resp.StatusCode != 400 || !strings.Contains(e.Error, "rowfull") {
+		t.Fatalf("a degree probe in a batch: status %d %q, want a 400 naming rowfull", resp.StatusCode, e.Error)
+	}
+	resp = post("{nope")
 	resp.Body.Close()
 	if resp.StatusCode != 400 {
 		t.Fatalf("malformed batch: status %d, want 400", resp.StatusCode)

@@ -27,10 +27,9 @@ import (
 // meteredSource reports every source-side telemetry producer with its
 // own figure, each advancing at its own rate per probe from its own
 // nonzero start, so a missed baseline, a missed producer or a producer
-// read twice all show. Locality is exposed only through Caps(), the way
-// wrapping sources such as source.Attested carry it, next to a degree
-// bound of 2 that its rows outgrow: the row tier pins its speculative
-// width there, so every chain with the tier pays remainder trips.
+// read twice all show. Locality and FetchRows are exposed only through
+// Caps(), the way wrapping sources such as source.Attested carry them, so
+// every chain with the row tier fetches its rows in batches.
 type meteredSource struct {
 	g      *graph.Graph
 	probes uint64
@@ -38,7 +37,6 @@ type meteredSource struct {
 
 var (
 	_ source.CapSource        = (*meteredSource)(nil)
-	_ source.BatchProber      = (*meteredSource)(nil)
 	_ source.RoundTripCounter = (*meteredSource)(nil)
 	_ source.FailoverCounter  = (*meteredSource)(nil)
 	_ source.AttestCounter    = (*meteredSource)(nil)
@@ -61,21 +59,17 @@ func (m *meteredSource) Adjacency(u, v int) int {
 	return m.g.Adjacency(u, v)
 }
 
-// ProbeBatch answers a batch as one probe's worth of every figure.
-func (m *meteredSource) ProbeBatch(ps []source.ProbeReq) ([]int, error) {
+// fetchRows answers a batch of rows as one probe's worth of every figure.
+func (m *meteredSource) fetchRows(vs []int) ([][]int, error) {
 	m.probes++
-	out := make([]int, len(ps))
-	for i, p := range ps {
-		switch p.Op {
-		case source.OpDegree:
-			out[i] = m.g.Degree(p.A)
-		case source.OpNeighbor:
-			out[i] = m.g.Neighbor(p.A, p.B)
-		default:
-			out[i] = m.g.Adjacency(p.A, p.B)
+	rows := make([][]int, len(vs))
+	for i, v := range vs {
+		rows[i] = make([]int, m.g.Degree(v))
+		for j := range rows[i] {
+			rows[i][j] = m.g.Neighbor(v, j)
 		}
 	}
-	return out, nil
+	return rows, nil
 }
 
 func (m *meteredSource) RoundTrips() uint64     { return 1000 + m.probes }
@@ -86,7 +80,7 @@ func (m *meteredSource) ProofBytes() uint64     { return 5000 + 5*m.probes }
 
 func (m *meteredSource) Caps() source.Caps {
 	return source.Caps{
-		MaxDegree: func() int { return 2 },
+		FetchRows: m.fetchRows,
 		Locality:  func() (uint64, uint64) { return 6000 + 6*m.probes, 7000 + 7*m.probes },
 	}
 }
@@ -248,11 +242,11 @@ func TestTelemetryChains(t *testing.T) {
 			if st.RoundTrips == 0 || st.PageTouches == 0 {
 				t.Fatalf("the source's figures never moved: %+v", st.Telemetry)
 			}
-			if len(meters) > 0 && (want == src.reading().Sub(srcBefore) || want.RemainderTrips == 0) {
-				t.Fatalf("the chain's meters never moved, or its rows never outgrew the width: %+v", want)
+			if len(meters) > 0 && (want == src.reading().Sub(srcBefore) || want.L1Hits == 0) {
+				t.Fatalf("the chain's meters never moved, or its tier served no row twice: %+v", want)
 			}
 			c.Reset()
-			if got := c.Stats().Telemetry; got != (oracle.Telemetry{FetchWidth: want.FetchWidth}) {
+			if got := c.Stats().Telemetry; got != (oracle.Telemetry{}) {
 				t.Fatalf("after Reset the counter reports %+v, want zero counters", got)
 			}
 			before = expect()
@@ -266,7 +260,7 @@ func TestTelemetryChains(t *testing.T) {
 
 // TestTelemetrySurfaces iterates the telemetry name table: every field
 // appears under its name in each serve answer and in its request log
-// line when nonzero (and not when zero), every counter has its
+// line when nonzero (and not when zero), every field has its
 // serve_<name>_total in /metrics, and QueryStats.String prints every
 // nonzero field by name.
 func TestTelemetrySurfaces(t *testing.T) {
@@ -303,8 +297,8 @@ func TestTelemetrySurfaces(t *testing.T) {
 			t.Errorf("answers carry %s when zero: %s", f.Name, js)
 		}
 		metric := "serve_" + f.Name + "_total"
-		if _, ok := snap.Counters[metric]; ok == f.Gauge {
-			t.Errorf("/metrics has %s: %v, want %v (gauge %v)", metric, ok, !f.Gauge, f.Gauge)
+		if _, ok := snap.Counters[metric]; !ok {
+			t.Errorf("/metrics lacks %s", metric)
 		}
 		qs := core.QueryStats{ByKind: oracle.Stats{Telemetry: tel}}
 		if !strings.Contains(qs.String(), " "+f.Name+"=17") {

@@ -8,9 +8,12 @@ package source
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -284,33 +287,62 @@ func TestRowFullWireScalar(t *testing.T) {
 	}
 }
 
+// TestRowFullWireBatch: a POST batch of rowfull probes answers each
+// vertex's degree and row, index-aligned, and a batch holding any other
+// op is a 400 naming rowfull, refused before any probe is answered.
 func TestRowFullWireBatch(t *testing.T) {
-	ts := newShard(t, Ring(30))
-	body := `{"probes":[{"op":"rowfull","a":5},{"op":"degree","a":5},{"op":"rowfull","a":0}]}`
-	resp, err := http.Post(ts.URL+"/probe", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch status %d", resp.StatusCode)
+	src := &countingSource{Source: Ring(30)}
+	ts := newShard(t, src)
+	status, body := postProbes(t, ts.URL, `{"probes":[{"op":"rowfull","a":5},{"op":"rowfull","a":0}]}`)
+	if status != http.StatusOK {
+		t.Fatalf("batch status %d: %s", status, body)
 	}
 	var out struct {
 		Answers []int   `json:"answers"`
 		Rows    [][]int `json:"rows"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Answers) != 3 || len(out.Rows) != 3 {
-		t.Fatalf("batch answered %d answers, %d rows; want 3 and 3", len(out.Answers), len(out.Rows))
+	if fmt.Sprint(out.Answers) != "[2 2]" || fmt.Sprint(out.Rows) != "[[4 6] [1 29]]" {
+		t.Fatalf("batch answered %v with rows %v, want [2 2] with [[4 6] [1 29]]", out.Answers, out.Rows)
 	}
-	if out.Answers[0] != 2 || out.Answers[1] != 2 || out.Answers[2] != 2 {
-		t.Fatalf("batch answers = %v, want all degree 2", out.Answers)
+	for _, op := range []string{OpDegree, OpNeighbor, OpAdjacency, OpRandomEdge, "nope"} {
+		before := src.probes.Load()
+		status, body := postProbes(t, ts.URL, `{"probes":[{"op":"rowfull","a":5},{"op":"`+op+`","a":5,"b":1}]}`)
+		if status != http.StatusBadRequest || !strings.Contains(string(body), OpRowFull) {
+			t.Errorf("a batch holding %s: status %d %s, want a 400 naming %s", op, status, body, OpRowFull)
+		}
+		if got := src.probes.Load() - before; got != 0 {
+			t.Errorf("a batch holding %s was refused after %d probes were answered", op, got)
+		}
 	}
-	if fmt.Sprint(out.Rows[0]) != "[4 6]" || out.Rows[1] != nil || fmt.Sprint(out.Rows[2]) != "[1 29]" {
-		t.Fatalf("batch rows = %v, want rowfull slots filled and the degree slot null", out.Rows)
+}
+
+// countingSource counts the Degree and Neighbor probes it answers.
+type countingSource struct {
+	Source
+	probes atomic.Int64
+}
+
+func (c *countingSource) Degree(v int) int { c.probes.Add(1); return c.Source.Degree(v) }
+
+func (c *countingSource) Neighbor(v, i int) int { c.probes.Add(1); return c.Source.Neighbor(v, i) }
+
+// postProbes POSTs a probe batch body to a shard and returns the status
+// and the answer body.
+func postProbes(t *testing.T, url, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url+"/probe", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, out
 }
 
 func TestRowFullMetaFlag(t *testing.T) {
@@ -397,18 +429,57 @@ func TestShardedFetchRows(t *testing.T) {
 	}
 }
 
-// TestShardedFetchRowsGatedOnShards pins the capability gate: a fleet
-// with one shard lacking the rowfull op must not advertise RowFetcher.
+// TestShardedFetchRowsGatedOnShards: every fleet fetches rows, and a
+// shard without the rowfull op of its own — a local one — has its rows
+// read cell by cell. One remote and one local shard serve every row.
+// The name is historical (the capability was once advertised only when
+// every shard had it); it is kept so the test ID stays comparable.
 func TestShardedFetchRowsGatedOnShards(t *testing.T) {
-	s, err := NewSharded([]Source{
-		openRemoteShard(t, Ring(50)),
-		Ring(50), // local shard: no RowFetcher capability of its own
-	})
+	ring := Ring(50)
+	s, err := NewSharded([]Source{openRemoteShard(t, Ring(50)), Ring(50)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer closeConformance(t, s)
-	if _, ok := RowFetcherOf(s); ok {
-		t.Fatal("fleet with a row-less shard still advertises RowFetcher")
+	rf, ok := RowFetcherOf(s)
+	if !ok {
+		t.Fatal("a mixed fleet lacks the RowFetcher capability")
+	}
+	vs := make([]int, 50)
+	for v := range vs {
+		vs[v] = v
+	}
+	rows, err := rf.FetchRows(vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := assembledRows(ring, vs); fmt.Sprint(rows) != fmt.Sprint(want) {
+		t.Fatalf("mixed fleet rows\n got %v\nwant %v", rows, want)
+	}
+	sh := s.(*Sharded)
+	served := make([]bool, 2)
+	for _, v := range vs {
+		served[sh.shardFor(v)] = true
+	}
+	if !served[0] || !served[1] {
+		t.Fatalf("the 50 rows did not span both shards: %v", served)
+	}
+}
+
+// TestOpenRemoteRequiresRowFull: a shard whose /probe/meta lacks the
+// row_full flag is refused at open, and the error names the flag.
+func TestOpenRemoteRequiresRowFull(t *testing.T) {
+	inner := NewProbeHandler(Ring(30))
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/probe/meta" {
+			_, _ = io.WriteString(w, `{"n":30,"m":30,"max_degree":2}`)
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	_, err := OpenRemote(ts.URL, WithRetries(0))
+	if err == nil || !strings.Contains(err.Error(), "row_full") {
+		t.Fatalf("OpenRemote against a shard without row_full: %v, want an error naming row_full", err)
 	}
 }

@@ -9,6 +9,7 @@ package source
 
 import (
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -46,7 +47,7 @@ func TestAttestedCommitmentDeterministic(t *testing.T) {
 
 // TestRemotePinnedVerifies: a pinned remote over an honest attested
 // shard answers exactly the source's answers, counts transported proof
-// bytes and no failures — scalar, batch and rowfull paths alike.
+// bytes and no failures — scalar and rowfull paths alike.
 func TestRemotePinnedVerifies(t *testing.T) {
 	att := NewAttested(Ring(40))
 	ts := newShard(t, att)
@@ -63,22 +64,13 @@ func TestRemotePinnedVerifies(t *testing.T) {
 			t.Fatalf("Adjacency(%d,%d) = %d, want %d", v, (v+1)%40, got, want)
 		}
 	}
-	bp := src.(BatchProber)
-	got, err := bp.ProbeBatch([]ProbeReq{{Op: OpDegree, A: 3}, {Op: OpNeighbor, A: 3, B: 1}, {Op: OpAdjacency, A: 3, B: 5}})
+	rf, _ := RowFetcherOf(src)
+	rows, err := rf.FetchRows([]int{4, 5})
 	if err != nil {
-		t.Fatalf("batch over an honest attested shard: %v", err)
+		t.Fatalf("rowfull over an honest attested shard: %v", err)
 	}
-	if got[0] != 2 || got[1] != att.Neighbor(3, 1) {
-		t.Fatalf("batch answers %v diverge from the source", got)
-	}
-	if rf, ok := RowFetcherOf(src); ok {
-		rows, err := rf.FetchRows([]int{4, 5})
-		if err != nil {
-			t.Fatalf("rowfull over an honest attested shard: %v", err)
-		}
-		if len(rows) != 2 || len(rows[0]) != 2 {
-			t.Fatalf("rowfull answered %v", rows)
-		}
+	if want := assembledRows(att, []int{4, 5}); fmt.Sprint(rows) != fmt.Sprint(want) {
+		t.Fatalf("rowfull answered %v, want %v", rows, want)
 	}
 	ac := src.(AttestCounter)
 	if ac.AttestFailures() != 0 {
@@ -91,7 +83,7 @@ func TestRemotePinnedVerifies(t *testing.T) {
 
 // TestRemotePinnedDetectsLie: honest proofs over lying answers must
 // become a typed ErrAttestation — temporary (failover-eligible) and
-// counted — on the scalar, batch and rowfull paths.
+// counted — on the scalar and rowfull paths.
 func TestRemotePinnedDetectsLie(t *testing.T) {
 	liar := &liarBacking{att: NewAttested(Ring(40))}
 	liar.lying.Store(true)
@@ -105,13 +97,9 @@ func TestRemotePinnedDetectsLie(t *testing.T) {
 	if !pe.Temporary() {
 		t.Fatal("ErrAttestation must be temporary: the fleet layer re-routes it")
 	}
-	if _, err := src.(BatchProber).ProbeBatch([]ProbeReq{{Op: OpNeighbor, A: 3, B: 0}}); !errors.Is(err, ErrAttestation) {
-		t.Fatalf("batch lie surfaced as %v, want ErrAttestation", err)
-	}
-	if rf, ok := RowFetcherOf(src); ok {
-		if _, err := rf.FetchRows([]int{3}); !errors.Is(err, ErrAttestation) {
-			t.Fatalf("rowfull lie surfaced as %v, want ErrAttestation", err)
-		}
+	rf, _ := RowFetcherOf(src)
+	if _, err := rf.FetchRows([]int{3}); !errors.Is(err, ErrAttestation) {
+		t.Fatalf("rowfull lie surfaced as %v, want ErrAttestation", err)
 	}
 	if src.(AttestCounter).AttestFailures() == 0 {
 		t.Fatal("detected lies were not counted")
@@ -192,8 +180,8 @@ func TestShardedSpotCheck(t *testing.T) {
 }
 
 // TestShardedBatchByzantineCacheHygiene is the batch partial-failure
-// regression: a batch whose groups span an honest replica and a liar
-// must answer every probe correctly, and the liar must end up
+// regression: a batch of rows whose groups span an honest replica and a
+// liar must answer every row correctly, and the liar must end up
 // distrusted, so later reads serve the truth.
 func TestShardedBatchByzantineCacheHygiene(t *testing.T) {
 	root := NewAttested(Ring(40)).Commitment()
@@ -216,24 +204,22 @@ func TestShardedBatchByzantineCacheHygiene(t *testing.T) {
 	defer fleet.(Closer).Close()
 	sh := fleet.(*Sharded)
 
-	// Collect the truth, then start lying and probe everything in one
+	// Collect the truth, then start lying and fetch every row in one
 	// batch: the groups sent to the liar fail attestation, re-route, and
-	// the answers must come back correct anyway.
-	var probes []ProbeReq
-	var want []int
-	for v := 0; v < 40; v++ {
-		probes = append(probes, ProbeReq{Op: OpNeighbor, A: v, B: 0}, ProbeReq{Op: OpNeighbor, A: v, B: 1})
-		want = append(want, honest.Neighbor(v, 0), honest.Neighbor(v, 1))
+	// the rows must come back correct anyway.
+	vs := make([]int, 40)
+	for v := range vs {
+		vs[v] = v
 	}
+	want := assembledRows(honest, vs)
 	liar.lying.Store(true)
-	got, err := sh.ProbeBatch(probes)
+	rf, _ := RowFetcherOf(sh)
+	got, err := rf.FetchRows(vs)
 	if err != nil {
 		t.Fatalf("batch spanning a lying replica: %v", err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("batch probe %d (%+v) answered %d, want %d", i, probes[i], got[i], want[i])
-		}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("batch answered\n got %v\nwant %v", got, want)
 	}
 	if sh.AttestFailures() == 0 {
 		t.Fatal("the lying group was re-routed but AttestFailures() == 0")

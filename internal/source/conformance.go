@@ -37,9 +37,9 @@ const maxConformanceSample = 48
 //   - adjacency: Adjacency(v, w) returns w's index for every real
 //     neighbor, edges are symmetric, and non-edges (including self-pairs)
 //     answer -1.
-//   - batch (BatchProber backends): a mixed-op batch answers exactly the
-//     scalar answers in request order; empty batches answer empty;
-//     batches above MaxProbeBatch are rejected.
+//   - batch (RowFetcher backends): FetchRows, the one batched request,
+//     answers exactly the rows Degree/Neighbor assemble, in request
+//     order; an empty request answers no rows and no error.
 //   - determinism: equal probes answer equally across passes.
 //   - close: Close (when the backend holds resources) succeeds and is
 //     idempotent.
@@ -115,60 +115,26 @@ func TestConformance(t *testing.T, open Factory) {
 			}
 		}
 	})
+	// The subtest keeps the name it had when it checked mixed-op probe
+	// batches, so its test IDs stay comparable; a row is now the batched
+	// unit.
 	t.Run("batch", func(t *testing.T) {
 		src := open(t)
 		defer closeConformance(t, src)
-		bp, ok := src.(BatchProber)
+		rf, ok := RowFetcherOf(src)
 		if !ok {
-			t.Skip("backend has no batch capability")
+			t.Skip("backend has no row capability")
 		}
 		sample := conformanceSample(src.N())
-		if len(sample) == 0 {
-			t.Skip("empty source")
-		}
-		// A mixed-op batch spanning every scalar answer shape: degrees,
-		// real and out-of-range neighbor cells, real and non-edge
-		// adjacency cells. Batch answers must equal the scalar answers in
-		// request order.
-		var probes []ProbeReq
-		var want []int
-		for _, v := range sample {
-			d := src.Degree(v)
-			probes = append(probes, ProbeReq{Op: OpDegree, A: v})
-			want = append(want, d)
-			for i := 0; i < d; i++ {
-				w := src.Neighbor(v, i)
-				probes = append(probes, ProbeReq{Op: OpNeighbor, A: v, B: i})
-				want = append(want, w)
-				probes = append(probes, ProbeReq{Op: OpAdjacency, A: v, B: w})
-				want = append(want, i)
-			}
-			probes = append(probes, ProbeReq{Op: OpNeighbor, A: v, B: d})
-			want = append(want, -1)
-			probes = append(probes, ProbeReq{Op: OpAdjacency, A: v, B: v})
-			want = append(want, -1)
-		}
-		got, err := bp.ProbeBatch(probes)
+		got, err := rf.FetchRows(sample)
 		if err != nil {
-			t.Fatalf("ProbeBatch(%d probes): %v", len(probes), err)
+			t.Fatalf("FetchRows(%d rows): %v", len(sample), err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("ProbeBatch answered %d of %d probes", len(got), len(want))
+		if want := assembledRows(src, sample); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("FetchRows answered\n got %v\nwant the scalar rows %v", got, want)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("probe %d (%+v): batch answered %d, scalar answered %d", i, probes[i], got[i], want[i])
-			}
-		}
-		if ans, err := bp.ProbeBatch(nil); err != nil || len(ans) != 0 {
-			t.Fatalf("empty batch: got %v, %v; want no answers, no error", ans, err)
-		}
-		oversized := make([]ProbeReq, MaxProbeBatch+1)
-		for i := range oversized {
-			oversized[i] = ProbeReq{Op: OpDegree, A: sample[0]}
-		}
-		if _, err := bp.ProbeBatch(oversized); err == nil {
-			t.Fatalf("batch of %d probes accepted; the protocol maximum is %d", len(oversized), MaxProbeBatch)
+		if rows, err := rf.FetchRows(nil); err != nil || len(rows) != 0 {
+			t.Fatalf("empty request: got %v, %v; want no rows, no error", rows, err)
 		}
 	})
 	t.Run("determinism", func(t *testing.T) {
@@ -291,13 +257,13 @@ const faultDeadline = 10 * time.Second
 // TestConformanceFaults runs the failure-mode contract suite against a
 // fault-injectable sharded backend:
 //
-//   - failover: with one replica answering 500s, every probe (scalar and
-//     batched, raced across goroutines — run under -race) still answers
-//     exactly the healthy fleet's answers, the dead replica is reported
-//     dead and failovers are counted; healing the replica revives it and
-//     routing returns to normal. A fleet with the RowFetcher capability
-//     also fetches the sample's rows on a fresh fleet whose replica 0
-//     fails: healthy rows, counted failovers.
+//   - failover: with one replica answering 500s, every probe (raced
+//     across goroutines — run under -race) still answers exactly the
+//     healthy fleet's answers, the dead replica is reported dead and
+//     failovers are counted; healing the replica revives it and routing
+//     returns to normal. The sample's rows are also fetched (FetchRows)
+//     on a fresh fleet whose replica 0 fails: healthy rows, counted
+//     failovers.
 //   - hedge: with one replica hanging past the hedge delay, probes answer
 //     (from the other replica) long before the hang expires and hedges
 //     are counted; the hanging replica is never marked dead — slow is not
@@ -313,10 +279,9 @@ const faultDeadline = 10 * time.Second
 //     proofs. Every answer must stay byte-identical to the healthy
 //     fleet's, attestation failures must be counted, and the liar must
 //     be distrusted — stickily: healing it must not resurrect it, since
-//     a health-plane ping cannot prove the data plane stopped lying. A
-//     fleet with the RowFetcher capability also fetches the sample's
-//     rows on a fresh fleet whose replica 0 lies: healthy rows, counted
-//     attestation failures.
+//     a health-plane ping cannot prove the data plane stopped lying. The
+//     sample's rows are also fetched on a fresh fleet whose replica 0
+//     lies: healthy rows, counted attestation failures.
 //   - byzantine-truncate: one replica cuts its response bodies short.
 //     Malformed payloads are failures, not lies: answers stay identical
 //     via failover, the replica goes dead and healing revives it.
@@ -355,23 +320,6 @@ func TestConformanceFaults(t *testing.T, open FaultFactory) {
 		for _, err := range errs {
 			if err != nil {
 				t.Fatal(err)
-			}
-		}
-		if bp, ok := src.(BatchProber); ok {
-			var probes []ProbeReq
-			var wantAns []int
-			for _, v := range sample {
-				probes = append(probes, ProbeReq{Op: OpDegree, A: v})
-				wantAns = append(wantAns, src.Degree(v))
-			}
-			got, err := bp.ProbeBatch(probes)
-			if err != nil {
-				t.Fatalf("batch under failover: %v", err)
-			}
-			for i := range wantAns {
-				if got[i] != wantAns[i] {
-					t.Fatalf("batch under failover: probe %d answered %d, want %d", i, got[i], wantAns[i])
-				}
 			}
 		}
 		if fo, ok := src.(FailoverCounter); !ok {
@@ -844,8 +792,8 @@ func tryProbe(src Source, v int) (ans int, ok bool) {
 	return src.Degree(v), true
 }
 
-// rowsUnderFault covers a fleet's rowfull entry under one fault, when the
-// fleet fetches whole rows: on a fresh fleet, inject breaks replica 0,
+// rowsUnderFault covers a fleet's rowfull entry under one fault: on a
+// fresh fleet, inject breaks replica 0,
 // and one FetchRows over the sample must return the healthy fleet's rows
 // while count (the fault's counter, named by what) advances. The fleet is
 // fresh so replica 0 still owns its vertices and its group fails
@@ -856,16 +804,10 @@ func rowsUnderFault(t *testing.T, open FaultFactory, inject func(FaultInjector),
 	defer closeConformance(t, src)
 	rf, ok := RowFetcherOf(src)
 	if !ok {
-		return
+		t.Fatal("fault-injectable source lacks the RowFetcher capability")
 	}
 	sample := conformanceSample(src.N())
-	want := make([][]int, len(sample))
-	for i, v := range sample {
-		want[i] = make([]int, src.Degree(v))
-		for j := range want[i] {
-			want[i][j] = src.Neighbor(v, j)
-		}
-	}
+	want := assembledRows(src, sample)
 	inject(inj)
 	before := count(src)
 	got, err := rf.FetchRows(sample)
@@ -899,6 +841,19 @@ func conformanceSample(n int) []int {
 		out[i] = i * stride
 	}
 	return out
+}
+
+// assembledRows reads the rows of vs through scalar Degree/Neighbor
+// probes: what a RowFetcher must answer.
+func assembledRows(src Source, vs []int) [][]int {
+	rows := make([][]int, len(vs))
+	for i, v := range vs {
+		rows[i] = make([]int, src.Degree(v))
+		for j := range rows[i] {
+			rows[i][j] = src.Neighbor(v, j)
+		}
+	}
+	return rows
 }
 
 // conformanceSnapshot renders the sampled probe answers into one

@@ -8,7 +8,6 @@ import (
 
 	"lca/internal/gen"
 	"lca/internal/graph"
-	"lca/internal/rnd"
 )
 
 // writeCSRFile saves g as a CSR binary under the test's temp dir and
@@ -232,44 +231,6 @@ func TestShardedCapabilities(t *testing.T) {
 	for i, h := range health {
 		if h.State != ShardLive {
 			t.Fatalf("healthy shard %d reports state %q, want %q", i, h.State, ShardLive)
-		}
-	}
-}
-
-// TestShardedProbeBatch checks index alignment and shard fan-out of the
-// batch path over plain local shards.
-func TestShardedProbeBatch(t *testing.T) {
-	s, err := NewSharded([]Source{Ring(40), Ring(40)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bp := s.(BatchProber)
-	var probes []ProbeReq
-	var want []int
-	direct := Ring(40)
-	prg := rnd.NewPRG(5)
-	for i := 0; i < 64; i++ {
-		v := prg.Intn(40)
-		switch i % 3 {
-		case 0:
-			probes = append(probes, ProbeReq{Op: OpDegree, A: v})
-			want = append(want, direct.Degree(v))
-		case 1:
-			probes = append(probes, ProbeReq{Op: OpNeighbor, A: v, B: i % 3})
-			want = append(want, direct.Neighbor(v, i%3))
-		default:
-			w := direct.Neighbor(v, 0)
-			probes = append(probes, ProbeReq{Op: OpAdjacency, A: v, B: w})
-			want = append(want, direct.Adjacency(v, w))
-		}
-	}
-	got, err := bp.ProbeBatch(probes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("batch answer %d = %d, want %d (probe %+v)", i, got[i], want[i], probes[i])
 		}
 	}
 }

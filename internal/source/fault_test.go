@@ -305,9 +305,9 @@ func TestScopedTripAttribution(t *testing.T) {
 	if _, ok := EdgeCounterOf(view); !ok {
 		t.Fatal("sharded view lost the EdgeCounter capability")
 	}
-	if bp, ok := view.(BatchProber); !ok {
-		t.Fatal("sharded view lost the batch capability")
-	} else if _, err := bp.ProbeBatch([]ProbeReq{{Op: OpDegree, A: 1}}); err != nil {
+	if rf, ok := RowFetcherOf(view); !ok {
+		t.Fatal("sharded view lost the row capability")
+	} else if _, err := rf.FetchRows([]int{1}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,9 +2,14 @@ package source
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -213,6 +218,72 @@ func FuzzCSRMmapAdjacency(f *testing.F) {
 		wantIdx, wantRead := scanCellsReference(row, int(v))
 		if idx != wantIdx || read != wantRead {
 			t.Fatalf("scanCells(% x, %d) = (%d, %d), cell-by-cell (%d, %d)", row, v, idx, read, wantIdx, wantRead)
+		}
+	})
+}
+
+// FuzzRemoteFetchRows fuzzes the one batched answer a client decodes:
+// Remote's rowfull path. A loopback shard serves an honest /probe/meta
+// for Ring(30) and answers POST /probe with the fuzzed bytes. FetchRows
+// of vertices 0 and 5 must fail with a *ProbeError, or return one row
+// per vertex with every cell in [0,30); it must never panic. The shard
+// starts once per fuzz process, and each input swaps its body in.
+func FuzzRemoteFetchRows(f *testing.F) {
+	const n = 30
+	var body atomic.Pointer[[]byte]
+	honest := NewProbeHandler(Ring(n))
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			honest.ServeHTTP(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(*body.Load())
+	}))
+	f.Cleanup(ts.Close)
+	src, err := OpenRemote(ts.URL, WithRetries(0))
+	if err != nil {
+		f.Fatal(err)
+	}
+	rf, _ := RowFetcherOf(src)
+	honestBody := []byte(`{"answers":[2,2],"rows":[[1,29],[4,6]]}`)
+	body.Store(&honestBody)
+	if rows, err := rf.FetchRows([]int{0, 5}); err != nil || fmt.Sprint(rows) != "[[1 29] [4 6]]" {
+		f.Fatalf("the honest answer decoded as %v, %v", rows, err)
+	}
+	for _, seed := range []string{
+		string(honestBody),
+		`{"answers":[2],"rows":[[1,29],[4,6]]}`,
+		`{"answers":[2,2],"rows":[[1,29,3],[4,6]]}`,
+		`{"answers":[2,2],"rows":[[-1,29],[4,6]]}`,
+		`{"answers":[2,2],"rows":[[1,29],[4,30]]}`,
+		`{"answers":[-1,2],"rows":[[],[4,6]]}`,
+		`{"answers":[9223372036854775807,2],"rows":[[1,29],[4,6]]}`,
+		`{"answers":[2,2],"rows":null}`,
+		`{"answers":[2,2],"rows":[[1,29],[4,6]]}garbage`,
+		`not json`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		body.Store(&b)
+		rows, err := rf.FetchRows([]int{0, 5})
+		if err != nil {
+			var pe *ProbeError
+			if !errors.As(err, &pe) {
+				t.Fatalf("FetchRows failed with %T (%v), want a *ProbeError", err, err)
+			}
+			return
+		}
+		if len(rows) != 2 {
+			t.Fatalf("FetchRows of 2 vertices answered %d rows", len(rows))
+		}
+		for i, row := range rows {
+			for _, w := range row {
+				if w < 0 || w >= n {
+					t.Fatalf("row %d holds %d, outside [0,%d): %v", i, w, n, rows)
+				}
+			}
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package source
 
 import (
+	"net/http"
 	"testing"
 
 	"lca/internal/rnd"
@@ -108,13 +109,13 @@ func TestRemoteRoundTripsCountRequests(t *testing.T) {
 	if got := rt.RoundTrips() - base; got != 3 {
 		t.Fatalf("3 scalar probes counted %d round trips", got)
 	}
-	bp := src.(BatchProber)
+	rf, _ := RowFetcherOf(src)
 	before := rt.RoundTrips()
-	if _, err := bp.ProbeBatch([]ProbeReq{{Op: OpDegree, A: 1}, {Op: OpNeighbor, A: 1, B: 0}}); err != nil {
+	if _, err := rf.FetchRows([]int{1, 2}); err != nil {
 		t.Fatal(err)
 	}
 	if got := rt.RoundTrips() - before; got != 1 {
-		t.Fatalf("one batch counted %d round trips, want 1", got)
+		t.Fatalf("one batch of rows counted %d round trips, want 1", got)
 	}
 }
 
@@ -136,8 +137,8 @@ func TestShardedRoundTripsSumShards(t *testing.T) {
 }
 
 func TestRandomEdgeNotBatchable(t *testing.T) {
-	src := openRemoteShard(t, Ring(40))
-	if _, err := src.(BatchProber).ProbeBatch([]ProbeReq{{Op: OpRandomEdge, A: 0}}); err == nil {
-		t.Fatal("randomedge accepted in a batch")
+	ts := newShard(t, Ring(40))
+	if status, body := postProbes(t, ts.URL, `{"probes":[{"op":"randomedge","a":0}]}`); status != http.StatusBadRequest {
+		t.Fatalf("randomedge in a batch: status %d %s, want 400", status, body)
 	}
 }

@@ -100,7 +100,8 @@ func statusOf(err error) int {
 //
 // Optional capabilities (EdgeCounter, DegreeBounder, RandomEdger) mirror
 // the shard's /probe/meta and are exposed through the dynamic capability
-// view (Caps; discover them with the *Of accessors). Remote additionally
+// view (Caps; discover them with the *Of accessors), which always holds
+// RowFetcher: every shard serves the rowfull op. Remote additionally
 // implements Pinger (health-plane liveness checks for Sharded's reviver)
 // and TripScoper (request-scoped round-trip attribution).
 type Remote struct {
@@ -116,7 +117,6 @@ type Remote struct {
 	m, maxDeg       int
 	hasM, hasMaxDeg bool
 	hasRE           bool
-	hasRowFull      bool
 	// root is the pinned graph commitment (WithCommitment / #root=HEX in
 	// the spec fragment). When pinned, every probe carries attest=1 and
 	// every answer is verified against the root before use.
@@ -137,7 +137,6 @@ var (
 	_ Source           = (*Remote)(nil)
 	_ CapSource        = (*Remote)(nil)
 	_ Closer           = (*Remote)(nil)
-	_ BatchProber      = (*Remote)(nil)
 	_ RoundTripCounter = (*Remote)(nil)
 	_ Pinger           = (*Remote)(nil)
 	_ TripScoper       = (*Remote)(nil)
@@ -212,7 +211,9 @@ func WithCommitment(root attest.Root) RemoteOption {
 // segment ("http://host:port#root=HEX", "#web&root=HEX"), the spec form
 // of WithCommitment. The returned Source carries the EdgeCounter /
 // DegreeBounder / RandomEdger capabilities — on its dynamic capability
-// view — exactly when the shard's backing source does.
+// view — exactly when the shard's backing source does, and always the
+// RowFetcher capability: opening fails when the shard's meta lacks the
+// row_full flag.
 func OpenRemote(rawURL string, opts ...RemoteOption) (Source, error) {
 	base := strings.TrimSpace(rawURL)
 	if base == "" {
@@ -267,7 +268,9 @@ func OpenRemote(rawURL string, opts ...RemoteOption) (Source, error) {
 		r.maxDeg, r.hasMaxDeg = *meta.MaxDegree, true
 	}
 	r.hasRE = meta.RandomEdge
-	r.hasRowFull = meta.RowFull
+	if !meta.RowFull {
+		return nil, fmt.Errorf("source: remote: shard %s does not advertise row_full in /probe/meta; every shard must serve the %s op", r.base, OpRowFull)
+	}
 	if r.pinned {
 		// Fail fast on misconfiguration: a shard that carries no
 		// commitment could never answer attest=1, and one advertising a
@@ -313,9 +316,9 @@ func parseRemoteFragment(frag string) (name string, root attest.Root, err error)
 
 // Caps implements CapSource from the construction-time /probe/meta
 // snapshot: the remote advertises M / MaxDegree / RandomEdge exactly when
-// the shard's backing source does.
+// the shard's backing source does, and FetchRows always.
 func (r *Remote) Caps() Caps {
-	c := Caps{}
+	c := Caps{FetchRows: func(vs []int) ([][]int, error) { return r.fetchRowsScoped(probeScope{}, vs) }}
 	if r.hasM {
 		m := r.m
 		c.M = func() int { return m }
@@ -326,9 +329,6 @@ func (r *Remote) Caps() Caps {
 	}
 	if r.hasRE {
 		c.RandomEdge = func(prg *rnd.PRG) (int, int) { return r.randomEdge(probeScope{}, prg) }
-	}
-	if r.hasRowFull {
-		c.FetchRows = func(vs []int) ([][]int, error) { return r.fetchRowsScoped(probeScope{}, vs) }
 	}
 	return c
 }
@@ -357,8 +357,9 @@ func (r *Remote) Adjacency(u, v int) int {
 }
 
 // RoundTrips implements RoundTripCounter: logical shard requests issued so
-// far (probes, batches and the construction-time meta fetch; retries of a
-// failing request are not re-counted, health-plane pings never count).
+// far (probes, row fetches and the construction-time meta fetch; retries
+// of a failing request are not re-counted, health-plane pings never
+// count).
 func (r *Remote) RoundTrips() uint64 { return r.requests.load() }
 
 // ScopeTrips implements TripScoper: the view shares this remote's
@@ -500,7 +501,7 @@ func (r *Remote) verifyScalar(ps probeScope, op string, a, b int, ans *probeAnsw
 }
 
 // scalarFromRow derives the only honest scalar answer from a verified
-// adjacency row. For OpRowFull the answer is the degree.
+// adjacency row.
 func scalarFromRow(op string, row []int, b int) int {
 	switch op {
 	case OpNeighbor:
@@ -515,7 +516,7 @@ func scalarFromRow(op string, row []int, b int) int {
 			}
 		}
 		return -1
-	default: // OpDegree, OpRowFull
+	default: // OpDegree
 		return len(row)
 	}
 }
@@ -536,27 +537,17 @@ func (r *Remote) attestErr(ps probeScope, op string, a, b int, err error) *Probe
 	return &ProbeError{Shard: r.base, Op: op, A: a, B: b, Err: err}
 }
 
-// verifyBatch checks every attested answer of a batch (scalar ops and
-// rowfull alike) against the pinned root.
-func (r *Remote) verifyBatch(ps probeScope, probes []ProbeReq, out *probeBatchAnswer) *ProbeError {
-	if len(out.Rows) != len(probes) || len(out.Proofs) != len(probes) {
-		return r.attestErr(ps, "batch", len(probes), 0,
-			fmt.Errorf("%w: shard answered %d rows and %d proofs for %d probes", ErrAttestation, len(out.Rows), len(out.Proofs), len(probes)))
+// verifyRows checks every attested row of a rowfull answer for vs
+// against the pinned root.
+func (r *Remote) verifyRows(ps probeScope, vs []int, out *probeBatchAnswer) *ProbeError {
+	if len(out.Proofs) != len(vs) {
+		return r.attestErr(ps, OpRowFull, len(vs), 0,
+			fmt.Errorf("%w: shard answered %d proofs for %d rows", ErrAttestation, len(out.Proofs), len(vs)))
 	}
-	for i, p := range probes {
-		if p.A < 0 || p.A >= r.n {
-			if p.Op == OpAdjacency && out.Answers[i] != -1 {
-				return r.attestErr(ps, p.Op, p.A, p.B, fmt.Errorf("%w: answer %d for out-of-range vertex %d, want -1", ErrAttestation, out.Answers[i], p.A))
-			}
-			continue
-		}
+	for i, v := range vs {
 		r.countProof(ps, out.Proofs[i])
-		if err := attest.VerifyRow(r.root, r.n, p.A, out.Rows[i], out.Proofs[i]); err != nil {
-			return r.attestErr(ps, p.Op, p.A, p.B, fmt.Errorf("%w: probe %d: %v", ErrAttestation, i, err))
-		}
-		if want := scalarFromRow(p.Op, out.Rows[i], p.B); out.Answers[i] != want {
-			return r.attestErr(ps, p.Op, p.A, p.B,
-				fmt.Errorf("%w: probe %d: answer %d contradicts the verified row (want %d)", ErrAttestation, i, out.Answers[i], want))
+		if err := attest.VerifyRow(r.root, r.n, v, out.Rows[i], out.Proofs[i]); err != nil {
+			return r.attestErr(ps, OpRowFull, v, 0, fmt.Errorf("%w: row %d: %v", ErrAttestation, i, err))
 		}
 	}
 	return nil
@@ -570,112 +561,77 @@ func (r *Remote) AttestFailures() uint64 { return r.attestFails.load() }
 // transported so far.
 func (r *Remote) ProofBytes() uint64 { return r.proofBytes.load() }
 
-// ProbeBatch implements BatchProber with one POST round trip.
-func (r *Remote) ProbeBatch(probes []ProbeReq) ([]int, error) {
-	return r.batchScoped(probeScope{}, probes)
-}
-
-// postBatch POSTs probes as one batch, one round trip counted on ps and
-// traced as spanOp, and decodes the answer into out. A failed request
-// becomes a ProbeError for op; validating the answer is the caller's.
-func (r *Remote) postBatch(ps probeScope, spanOp, op string, probes []ProbeReq, out *probeBatchAnswer) error {
-	body, err := json.Marshal(probeBatchReq{Probes: probes})
-	if err != nil {
-		return err
-	}
-	batchURL := r.base + "/probe" + strings.Replace(r.wireParams(), "&", "?", 1)
-	var tags []string
-	if ps.tr != nil {
-		tags = []string{fmt.Sprintf("batch=%d", len(probes))}
-	}
-	if err := r.doJSON(context.Background(), ps, spanOp, -1, tags, func(ctx context.Context) (*http.Request, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, batchURL, strings.NewReader(string(body)))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		return req, nil
-	}, out); err != nil {
-		return &ProbeError{Shard: r.base, Op: op, A: len(probes), Status: statusOf(err), Err: err}
-	}
-	return nil
-}
-
-// batchScoped is ProbeBatch with per-view trip attribution.
-func (r *Remote) batchScoped(ps probeScope, probes []ProbeReq) ([]int, error) {
-	if len(probes) == 0 {
-		return nil, nil
-	}
-	var out probeBatchAnswer
-	if err := r.postBatch(ps, "rpc:batch", "batch", probes, &out); err != nil {
-		return nil, err
-	}
-	if len(out.Answers) != len(probes) {
-		return nil, &ProbeError{Shard: r.base, Op: "batch", A: len(probes),
-			Err: fmt.Errorf("shard answered %d of %d probes", len(out.Answers), len(probes))}
-	}
-	if r.pinned {
-		if perr := r.verifyBatch(ps, probes, &out); perr != nil {
-			return nil, perr
-		}
-	} else {
-		for i, p := range probes {
-			if perr := r.checkRange(p.Op, p.A, p.B, out.Answers[i]); perr != nil {
-				return nil, perr
-			}
-		}
-	}
-	return out.Answers, nil
-}
-
 // fetchRowsScoped implements the RowFetcher capability over the wire:
 // one POST of rowfull probes per MaxProbeBatch chunk, each answering the
-// degree plus the full neighbor row — the remainder round trip the
-// prefetcher would otherwise pay simply does not exist on this path. The
-// shard's answers are validated (row count, per-row length against the
-// answered degrees, and each cell's range on an unpinned shard) before
-// use.
+// degree plus the full neighbor row.
 func (r *Remote) fetchRowsScoped(ps probeScope, vs []int) ([][]int, error) {
 	if len(vs) == 0 {
 		return nil, nil
 	}
 	rows := make([][]int, 0, len(vs))
 	for start := 0; start < len(vs); start += MaxProbeBatch {
-		chunk := vs[start:min(start+MaxProbeBatch, len(vs))]
-		probes := make([]ProbeReq, len(chunk))
-		for i, v := range chunk {
-			probes[i] = ProbeReq{Op: OpRowFull, A: v}
-		}
-		var out probeBatchAnswer
-		if err := r.postBatch(ps, "rpc:rowfull", OpRowFull, probes, &out); err != nil {
+		got, err := r.postRows(ps, vs[start:min(start+MaxProbeBatch, len(vs))])
+		if err != nil {
 			return nil, err
 		}
-		if len(out.Answers) != len(chunk) || len(out.Rows) != len(chunk) {
-			return nil, &ProbeError{Shard: r.base, Op: OpRowFull, A: len(chunk),
-				Err: fmt.Errorf("shard answered %d answers and %d rows for %d probes", len(out.Answers), len(out.Rows), len(chunk))}
-		}
-		for i, row := range out.Rows {
-			if len(row) != out.Answers[i] {
-				return nil, &ProbeError{Shard: r.base, Op: OpRowFull, A: chunk[i],
-					Err: fmt.Errorf("shard answered a %d-neighbor row for degree %d", len(row), out.Answers[i])}
-			}
-		}
-		if r.pinned {
-			if perr := r.verifyBatch(ps, probes, &out); perr != nil {
-				return nil, perr
-			}
-		} else {
-			for i, row := range out.Rows {
-				for j, w := range row {
-					if perr := r.checkRange(OpRowFull, chunk[i], j, w); perr != nil {
-						return nil, perr
-					}
-				}
-			}
-		}
-		rows = append(rows, out.Rows...)
+		rows = append(rows, got...)
 	}
 	return rows, nil
+}
+
+// postRows fetches the rows of vs in one POST round trip, counted on ps
+// and traced as rpc:rowfull. The shard's answer is validated (row count,
+// per-row length against the answered degrees, and each cell's range on
+// an unpinned shard, its proofs on a pinned one) before use.
+func (r *Remote) postRows(ps probeScope, vs []int) ([][]int, error) {
+	probes := make([]ProbeReq, len(vs))
+	for i, v := range vs {
+		probes[i] = ProbeReq{Op: OpRowFull, A: v}
+	}
+	body, err := json.Marshal(probeBatchReq{Probes: probes})
+	if err != nil {
+		return nil, err
+	}
+	batchURL := r.base + "/probe" + strings.Replace(r.wireParams(), "&", "?", 1)
+	var tags []string
+	if ps.tr != nil {
+		tags = []string{fmt.Sprintf("batch=%d", len(vs))}
+	}
+	var out probeBatchAnswer
+	if err := r.doJSON(context.Background(), ps, "rpc:rowfull", -1, tags, func(ctx context.Context) (*http.Request, error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, batchURL, strings.NewReader(string(body)))
+		if err != nil {
+			return nil, err
+		}
+		req.Header.Set("Content-Type", "application/json")
+		return req, nil
+	}, &out); err != nil {
+		return nil, &ProbeError{Shard: r.base, Op: OpRowFull, A: len(vs), Status: statusOf(err), Err: err}
+	}
+	if len(out.Answers) != len(vs) || len(out.Rows) != len(vs) {
+		return nil, &ProbeError{Shard: r.base, Op: OpRowFull, A: len(vs),
+			Err: fmt.Errorf("shard answered %d answers and %d rows for %d probes", len(out.Answers), len(out.Rows), len(vs))}
+	}
+	for i, row := range out.Rows {
+		if len(row) != out.Answers[i] {
+			return nil, &ProbeError{Shard: r.base, Op: OpRowFull, A: vs[i],
+				Err: fmt.Errorf("shard answered a %d-neighbor row for degree %d", len(row), out.Answers[i])}
+		}
+	}
+	if r.pinned {
+		if perr := r.verifyRows(ps, vs, &out); perr != nil {
+			return nil, perr
+		}
+		return out.Rows, nil
+	}
+	for i, row := range out.Rows {
+		for j, w := range row {
+			if perr := r.checkRange(OpRowFull, vs[i], j, w); perr != nil {
+				return nil, perr
+			}
+		}
+	}
+	return out.Rows, nil
 }
 
 func (r *Remote) metaURL() string {
@@ -834,7 +790,6 @@ type remoteScope struct {
 var (
 	_ Source           = (*remoteScope)(nil)
 	_ CapSource        = (*remoteScope)(nil)
-	_ BatchProber      = (*remoteScope)(nil)
 	_ RoundTripCounter = (*remoteScope)(nil)
 	_ TracerSetter     = (*remoteScope)(nil)
 )
@@ -864,10 +819,6 @@ func (s *remoteScope) Adjacency(u, v int) int {
 	return s.r.probe(s.scope(), OpAdjacency, u, v)
 }
 
-func (s *remoteScope) ProbeBatch(probes []ProbeReq) ([]int, error) {
-	return s.r.batchScoped(s.scope(), probes)
-}
-
 // Caps forwards the remote's capability view, with RandomEdge and
 // FetchRows attributed to this scope.
 func (s *remoteScope) Caps() Caps {
@@ -875,9 +826,7 @@ func (s *remoteScope) Caps() Caps {
 	if c.RandomEdge != nil {
 		c.RandomEdge = func(prg *rnd.PRG) (int, int) { return s.r.randomEdge(s.scope(), prg) }
 	}
-	if c.FetchRows != nil {
-		c.FetchRows = func(vs []int) ([][]int, error) { return s.r.fetchRowsScoped(s.scope(), vs) }
-	}
+	c.FetchRows = func(vs []int) ([][]int, error) { return s.r.fetchRowsScoped(s.scope(), vs) }
 	return c
 }
 

@@ -3,6 +3,7 @@ package source
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -242,26 +243,19 @@ func TestRemoteBadRequestNotRetried(t *testing.T) {
 	}
 }
 
-// TestRemoteBatch round-trips a batch POST and checks index alignment.
+// TestRemoteBatch round-trips a batch POST of rows and checks index
+// alignment, a repeated vertex included.
 func TestRemoteBatch(t *testing.T) {
 	backing := Ring(50)
 	r := openRemoteShard(t, backing)
-	probes := []ProbeReq{
-		{Op: OpDegree, A: 10},
-		{Op: OpNeighbor, A: 10, B: 1},
-		{Op: OpAdjacency, A: 10, B: 11},
-		{Op: OpNeighbor, A: 10, B: 99},
-		{Op: OpAdjacency, A: 10, B: 20},
-	}
-	got, err := r.(BatchProber).ProbeBatch(probes)
+	rf, _ := RowFetcherOf(r)
+	vs := []int{10, 49, 10, 0}
+	rows, err := rf.FetchRows(vs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []int{2, 11, 1, -1, -1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("batch answer %d = %d, want %d", i, got[i], want[i])
-		}
+	if want := assembledRows(backing, vs); fmt.Sprint(rows) != fmt.Sprint(want) {
+		t.Fatalf("batch rows %v, want %v", rows, want)
 	}
 }
 
@@ -309,8 +303,8 @@ func TestOpenRemoteErrors(t *testing.T) {
 }
 
 // TestProbeHandlerBatchForwardsAsBatch: a shard fronting a remote source
-// must relay a POST /probe batch as one upstream round trip, not one GET
-// per probe.
+// must relay a POST /probe batch of rows as one upstream round trip, not
+// one GET per cell.
 func TestProbeHandlerBatchForwardsAsBatch(t *testing.T) {
 	var gets, posts int32
 	inner := NewProbeHandler(Ring(40))
@@ -333,7 +327,7 @@ func TestProbeHandlerBatchForwardsAsBatch(t *testing.T) {
 	}
 	front := httptest.NewServer(NewProbeHandler(mid))
 	defer front.Close()
-	body := `{"probes":[{"op":"degree","a":1},{"op":"degree","a":2},{"op":"neighbor","a":3,"b":0},{"op":"adjacency","a":4,"b":5}]}`
+	body := `{"probes":[{"op":"rowfull","a":1},{"op":"rowfull","a":2},{"op":"rowfull","a":3},{"op":"rowfull","a":4}]}`
 	resp, err := http.Post(front.URL+"/probe", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -346,11 +340,8 @@ func TestProbeHandlerBatchForwardsAsBatch(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	want := []int{2, 2, 2, 1} // adjacency(4,5): 5 is the second of 4's ascending neighbors (3,5)
-	for i := range want {
-		if out.Answers[i] != want[i] {
-			t.Fatalf("answer %d = %d, want %d", i, out.Answers[i], want[i])
-		}
+	if fmt.Sprint(out.Answers) != "[2 2 2 2]" || fmt.Sprint(out.Rows) != "[[0 2] [1 3] [2 4] [3 5]]" {
+		t.Fatalf("relayed batch answered %v with rows %v", out.Answers, out.Rows)
 	}
 	if g, p := atomic.LoadInt32(&gets), atomic.LoadInt32(&posts); g != 0 || p != 1 {
 		t.Fatalf("upstream saw %d GETs and %d POSTs for one 4-probe batch, want 0 and 1", g, p)
@@ -380,7 +371,7 @@ func TestProbeHandlerDeadUpstream502(t *testing.T) {
 		}
 	}
 	resp, err := http.Post(front.URL+"/probe", "application/json",
-		strings.NewReader(`{"probes":[{"op":"degree","a":3}]}`))
+		strings.NewReader(`{"probes":[{"op":"rowfull","a":3}]}`))
 	if err != nil {
 		t.Fatalf("batch: transport error %v, want a 502 response", err)
 	}
@@ -491,9 +482,9 @@ func TestParseRemoteAndShardedSpecs(t *testing.T) {
 	}
 }
 
-// outOfRangeShard answers every scalar and batched probe with n, the
-// first vertex past its n-vertex graph, and every rowfull row with a
-// cell of n; its meta plane is an honest ring's.
+// outOfRangeShard answers every scalar probe with n, the first vertex
+// past its n-vertex graph, and every rowfull row with a cell of n; its
+// meta plane is an honest ring's.
 func outOfRangeShard(t *testing.T, n int) *httptest.Server {
 	t.Helper()
 	inner := NewProbeHandler(Ring(n))
@@ -507,13 +498,10 @@ func outOfRangeShard(t *testing.T, n int) *httptest.Server {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
-			out := probeBatchAnswer{Answers: make([]int, len(req.Probes))}
-			for i, p := range req.Probes {
-				out.Answers[i] = n
-				if p.Op == OpRowFull {
-					out.Answers[i] = 2
-					out.Rows = append(out.Rows, []int{(p.A + 1) % n, n})
-				}
+			var out probeBatchAnswer
+			for _, p := range req.Probes {
+				out.Answers = append(out.Answers, 2)
+				out.Rows = append(out.Rows, []int{(p.A + 1) % n, n})
 			}
 			_ = json.NewEncoder(w).Encode(out)
 		default:
@@ -525,7 +513,7 @@ func outOfRangeShard(t *testing.T, n int) *httptest.Server {
 }
 
 // TestRemoteRejectsOutOfRangeAnswers: an unpinned shard's answers are
-// range-checked on each decode path — scalar, batch and rowfull — and a
+// range-checked on each decode path — scalar and rowfull — and a
 // rejected answer is a temporary ProbeError, so a fleet serves the
 // probe from another replica exactly as it would past a dead one.
 func TestRemoteRejectsOutOfRangeAnswers(t *testing.T) {
@@ -544,13 +532,7 @@ func TestRemoteRejectsOutOfRangeAnswers(t *testing.T) {
 		}
 	}
 	var pe *ProbeError
-	if _, err := liar.(BatchProber).ProbeBatch([]ProbeReq{{Op: OpNeighbor, A: 3}}); !errors.As(err, &pe) || !pe.Temporary() {
-		t.Errorf("batch: %v, want a temporary ProbeError", err)
-	}
-	rf, ok := RowFetcherOf(liar)
-	if !ok {
-		t.Fatal("the shard advertises rowfull, the remote does not")
-	}
+	rf, _ := RowFetcherOf(liar)
 	if _, err := rf.FetchRows([]int{3}); !errors.As(err, &pe) || pe.Op != OpRowFull || !pe.Temporary() {
 		t.Errorf("rowfull: %v, want a temporary rowfull ProbeError", err)
 	}
@@ -568,10 +550,6 @@ func TestRemoteRejectsOutOfRangeAnswers(t *testing.T) {
 		if fleet.Degree(v) != 2 || fleet.Neighbor(v, 1) != want.Neighbor(v, 1) || fleet.Adjacency(v, (v+1)%n) != want.Adjacency(v, (v+1)%n) {
 			t.Fatalf("the fleet answered vertex %d from the liar", v)
 		}
-	}
-	got, err := fleet.(BatchProber).ProbeBatch([]ProbeReq{{Op: OpDegree, A: 5}, {Op: OpNeighbor, A: 5, B: 0}})
-	if err != nil || got[0] != 2 || got[1] != want.Neighbor(5, 0) {
-		t.Fatalf("fleet batch: %v, %v", got, err)
 	}
 	rf, _ = RowFetcherOf(fleet)
 	vs := []int{0, 7, 11, 29}

@@ -16,9 +16,9 @@ package source
 // (health.go) revives it, and an optional hedge delay fires a second
 // request at the next-ranked replica when the first is slow — first
 // response wins, the loser is cancelled. Only scalar probes are hedged;
-// batched and rowfull fetches fail over but never hedge. Probes error
-// only when no live replica can serve them. Failovers and hedges are
-// counted (the FailoverCounter capability) but never change answers.
+// row fetches fail over but never hedge. Probes error only when no live
+// replica can serve them. Failovers and hedges are counted (the
+// FailoverCounter capability) but never change answers.
 
 import (
 	"context"
@@ -61,7 +61,6 @@ const (
 // interface.
 type scopedProber interface {
 	probeScoped(ctx context.Context, ps probeScope, op string, a, b int) (int, *ProbeError)
-	batchScoped(ps probeScope, probes []ProbeReq) ([]int, error)
 	randomEdgeScoped(ps probeScope, seed uint64) (int, int, *ProbeError)
 	fetchRowsScoped(ps probeScope, vs []int) ([][]int, error)
 }
@@ -73,8 +72,8 @@ type scopedProber interface {
 //
 // Optional capabilities (EdgeCounter, DegreeBounder, RandomEdger) are
 // exposed on the dynamic capability view exactly when every shard has
-// them; Health (HealthReporter), Failovers/Hedges (FailoverCounter) and
-// ScopeTrips (TripScoper) are always present.
+// them; FetchRows (RowFetcher), Health (HealthReporter), Failovers/Hedges
+// (FailoverCounter) and ScopeTrips (TripScoper) are always present.
 type Sharded struct {
 	shards []Source
 	labels []string
@@ -83,7 +82,6 @@ type Sharded struct {
 	m, maxDeg       int
 	hasM, hasMaxDeg bool
 	hasRE           bool
-	hasRowFull      bool
 
 	hedge         time.Duration
 	adaptiveHedge bool
@@ -120,7 +118,6 @@ var (
 	_ Source           = (*Sharded)(nil)
 	_ CapSource        = (*Sharded)(nil)
 	_ Closer           = (*Sharded)(nil)
-	_ BatchProber      = (*Sharded)(nil)
 	_ RoundTripCounter = (*Sharded)(nil)
 	_ HealthReporter   = (*Sharded)(nil)
 	_ FailoverCounter  = (*Sharded)(nil)
@@ -236,7 +233,7 @@ func newSharded(shards []Source, opts ...ShardedOption) (*Sharded, error) {
 		// replica; the exact delay is immaterial to correctness.
 		return time.Duration(rand.Int64N(int64(backoff)/2 + 1))
 	}
-	s.hasM, s.hasMaxDeg, s.hasRE, s.hasRowFull = true, true, true, true
+	s.hasM, s.hasMaxDeg, s.hasRE = true, true, true
 	s.labels = make([]string, len(shards))
 	s.health = make([]*shardState, len(shards))
 	for i, sh := range shards {
@@ -244,9 +241,6 @@ func newSharded(shards []Source, opts ...ShardedOption) (*Sharded, error) {
 		s.health[i] = newShardState()
 		if _, ok := RandomEdgerOf(sh); !ok {
 			s.hasRE = false
-		}
-		if _, ok := RowFetcherOf(sh); !ok {
-			s.hasRowFull = false
 		}
 		if mc, ok := EdgeCounterOf(sh); ok {
 			if i > 0 && s.hasM && mc.M() != s.m {
@@ -290,9 +284,12 @@ func (s *Sharded) label() string { return fmt.Sprintf("sharded(%d replicas)", le
 
 // Caps implements CapSource: the summary capabilities are the
 // intersection of the replicas' (snapshotted at construction), and the
-// fleet-level Health capability is always present.
+// fleet-level FetchRows and Health capabilities are always present.
 func (s *Sharded) Caps() Caps {
-	c := Caps{Health: s.Health}
+	c := Caps{
+		Health:    s.Health,
+		FetchRows: func(vs []int) ([][]int, error) { return s.fanOut(nil, vs) },
+	}
 	if s.hasM {
 		m := s.m
 		c.M = func() int { return m }
@@ -303,9 +300,6 @@ func (s *Sharded) Caps() Caps {
 	}
 	if s.hasRE {
 		c.RandomEdge = func(prg *rnd.PRG) (int, int) { return s.randomEdge(nil, prg) }
-	}
-	if s.hasRowFull {
-		c.FetchRows = func(vs []int) ([][]int, error) { return s.fetchRows(nil, vs) }
 	}
 	return c
 }
@@ -392,22 +386,14 @@ func (s *Sharded) SpotCheck(k int, seed uint64) []attest.Disagreement {
 // network contract's *ProbeError panics into errors for the auditor.
 func rowFromShard(sh Source, v int) (row []int, err error) {
 	defer catchProbe(func(pe *ProbeError) { row, err = nil, pe })
-	if rf, ok := RowFetcherOf(sh); ok {
-		rows, err := rf.FetchRows([]int{v})
-		if err != nil {
-			return nil, err
-		}
-		if len(rows) != 1 {
-			return nil, fmt.Errorf("source: audit: shard answered %d rows for 1 vertex", len(rows))
-		}
-		return rows[0], nil
+	rows, err := readRows(sh, []int{v})
+	if err != nil {
+		return nil, err
 	}
-	d := sh.Degree(v)
-	row = make([]int, d)
-	for i := range row {
-		row[i] = sh.Neighbor(v, i)
+	if len(rows) != 1 {
+		return nil, fmt.Errorf("source: audit: shard answered %d rows for 1 vertex", len(rows))
 	}
-	return row, nil
+	return rows[0], nil
 }
 
 // shardScore is the rendezvous (highest-random-weight) score of the
@@ -884,50 +870,29 @@ func (s *Sharded) randomEdgeOnShard(ps probeScope, i int, derived rnd.Seed) (u, 
 	return u, v, nil
 }
 
-// ProbeBatch implements BatchProber: the probes are fanned out by their
-// probed vertex (fanOut), one goroutine (and, on remote shards, one POST
-// round trip) per shard touched. Answers are index-aligned with the
-// request. Batches above MaxProbeBatch are rejected, matching the wire
-// protocol's limit whichever backend a batch lands on.
-func (s *Sharded) ProbeBatch(probes []ProbeReq) ([]int, error) {
-	return s.batch(nil, probes)
-}
-
-func (s *Sharded) batch(sink *scopeSink, probes []ProbeReq) ([]int, error) {
-	return fanOut(s, sink, "batch", probes, func(p ProbeReq) int { return p.A }, s.batchOnShard)
-}
-
-// fetchRows implements the RowFetcher capability when every shard has it:
-// the vertices are fanned out like ProbeBatch's probes (fanOut), and the
-// rows come back index-aligned with vs.
-func (s *Sharded) fetchRows(sink *scopeSink, vs []int) ([][]int, error) {
+// fanOut implements the RowFetcher capability: it fetches the rows of vs
+// across the fleet, counted on sink's view. Each vertex goes to its
+// highest-ranked live replica, and each shard's group is fetched in its
+// own goroutine (rowsOnShard). A group that fails temporarily marks its
+// shard and is re-routed to the next-ranked live replicas, round by
+// round; fanOut errors only when vertices remain that no live replica
+// can serve. Each row served away from its rendezvous winner counts one
+// failover. Groups are never hedged: only scalar probes consult
+// hedgeDelay. Rows are index-aligned with vs.
+func (s *Sharded) fanOut(sink *scopeSink, vs []int) ([][]int, error) {
 	if len(vs) == 0 {
 		return nil, nil
 	}
-	return fanOut(s, sink, OpRowFull, vs, func(v int) int { return v }, s.rowsOnShard)
-}
-
-// fanOut serves one batch of items across the fleet. Each item goes to
-// the highest-ranked live replica of its vertex route(item), and call
-// answers each shard's group in its own goroutine. A group that fails
-// temporarily marks its shard and is re-routed to the next-ranked live
-// replicas, round by round; fanOut errors only when items remain that no
-// live replica can serve. Each item served away from its rendezvous
-// winner counts one failover. Groups are never hedged: only scalar probes
-// consult hedgeDelay. Answers are index-aligned with items; op names the
-// probe span ("probe:"+op) and the errors.
-func fanOut[Q, A any](s *Sharded, sink *scopeSink, op string, items []Q, route func(Q) int,
-	call func(ps probeScope, shard int, sub []Q) ([]A, error)) ([]A, error) {
-	if len(items) > MaxProbeBatch {
-		return nil, fmt.Errorf("source: sharded: %s request of %d probes exceeds the maximum %d", op, len(items), MaxProbeBatch)
+	if len(vs) > MaxProbeBatch {
+		return nil, fmt.Errorf("source: sharded: %s request of %d rows exceeds the maximum %d", OpRowFull, len(vs), MaxProbeBatch)
 	}
 	tr := sink.tracer()
 	var h trace.Handle
 	done := false
 	if tr != nil {
-		h = tr.Start("probe:"+op, -1)
+		h = tr.Start("probe:"+OpRowFull, -1)
 		defer func() {
-			tags := []string{fmt.Sprintf("batch=%d", len(items))}
+			tags := []string{fmt.Sprintf("batch=%d", len(vs))}
 			if !done {
 				tags = append(tags, "error")
 			}
@@ -935,8 +900,8 @@ func fanOut[Q, A any](s *Sharded, sink *scopeSink, op string, items []Q, route f
 		}()
 	}
 	ps := probeScope{tc: sink.tripsCounter(), af: sink.afCounter(), pb: sink.pbCounter(), tr: tr, parent: h.ID()}
-	out := make([]A, len(items))
-	pending := make([]int, len(items)) // indices into items still unanswered
+	out := make([][]int, len(vs))
+	pending := make([]int, len(vs)) // indices into vs still unanswered
 	for i := range pending {
 		pending[i] = i
 	}
@@ -946,14 +911,14 @@ func fanOut[Q, A any](s *Sharded, sink *scopeSink, op string, items []Q, route f
 		if lastErr == nil {
 			lastErr = errors.New("all replicas are dead")
 		}
-		return &ProbeError{Shard: s.label(), Op: op, A: len(items),
-			Err: fmt.Errorf("no live replica can serve the %s request: %w", op, lastErr)}
+		return &ProbeError{Shard: s.label(), Op: OpRowFull, A: len(vs),
+			Err: fmt.Errorf("no live replica can serve the %s request: %w", OpRowFull, lastErr)}
 	}
 	for round := 0; len(pending) > 0 && round <= len(s.shards); round++ {
-		groups := make(map[int][]int)            // shard -> indices into items
+		groups := make(map[int][]int)            // shard -> indices into vs
 		wants := make(map[int]int, len(pending)) // index -> rendezvous winner
 		for _, i := range pending {
-			primary, _, want := s.pickLive(route(items[i]), exclude)
+			primary, _, want := s.pickLive(vs[i], exclude)
 			if primary < 0 {
 				return nil, noLive()
 			}
@@ -966,14 +931,14 @@ func fanOut[Q, A any](s *Sharded, sink *scopeSink, op string, items []Q, route f
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				sub := make([]Q, len(idxs))
+				sub := make([]int, len(idxs))
 				for j, i := range idxs {
-					sub[j] = items[i]
+					sub[j] = vs[i]
 				}
 				start := time.Now()
-				got, err := call(ps, shard, sub)
+				got, err := s.rowsOnShard(ps, shard, sub)
 				if err == nil && len(got) != len(sub) {
-					err = fmt.Errorf("source: sharded: shard %s answered %d of %d probes", s.labels[shard], len(got), len(sub))
+					err = fmt.Errorf("source: sharded: shard %s answered %d of %d rows", s.labels[shard], len(got), len(sub))
 				}
 				if err != nil {
 					errs[shard] = err
@@ -1041,41 +1006,15 @@ func catchProbe(set func(*ProbeError)) {
 	}
 }
 
-// batchOnShard answers sub against one shard, using its batch capability
-// when it has one.
-func (s *Sharded) batchOnShard(ps probeScope, shard int, sub []ProbeReq) (got []int, err error) {
+// rowsOnShard fetches the rows of sub from one shard: over the wire
+// with the fleet view's scope on a network shard, else through readRows.
+func (s *Sharded) rowsOnShard(ps probeScope, shard int, sub []int) (rows [][]int, err error) {
 	sh := s.shards[shard]
 	if sp, ok := sh.(scopedProber); ok {
-		return sp.batchScoped(ps, sub)
-	}
-	defer catchProbe(func(pe *ProbeError) { got, err = nil, pe })
-	if bp, ok := sh.(BatchProber); ok {
-		return bp.ProbeBatch(sub)
-	}
-	got = make([]int, len(sub))
-	for j, p := range sub {
-		ans, status, msg := answerProbe(sh, p.Op, p.A, p.B)
-		if status != 0 {
-			return nil, fmt.Errorf("source: sharded: %s", msg)
-		}
-		got[j] = ans
-	}
-	return got, nil
-}
-
-// rowsOnShard fetches the rows of sub from one shard.
-func (s *Sharded) rowsOnShard(ps probeScope, shard int, sub []int) (rows [][]int, err error) {
-	if sp, ok := s.shards[shard].(scopedProber); ok {
 		return sp.fetchRowsScoped(ps, sub)
 	}
-	rf, ok := RowFetcherOf(s.shards[shard])
-	if !ok {
-		// Unreachable: the capability is advertised only when every shard
-		// has it.
-		return nil, &ProbeError{Shard: s.labels[shard], Op: OpRowFull, Err: errors.New("shard lost the RowFetcher capability")}
-	}
 	defer catchProbe(func(pe *ProbeError) { rows, err = nil, pe })
-	return rf.FetchRows(sub)
+	return readRows(sh, sub)
 }
 
 // Close stops the background revivers and closes every shard holding
@@ -1109,7 +1048,6 @@ type shardedScope struct {
 var (
 	_ Source           = (*shardedScope)(nil)
 	_ CapSource        = (*shardedScope)(nil)
-	_ BatchProber      = (*shardedScope)(nil)
 	_ RoundTripCounter = (*shardedScope)(nil)
 	_ FailoverCounter  = (*shardedScope)(nil)
 	_ TracerSetter     = (*shardedScope)(nil)
@@ -1130,10 +1068,6 @@ func (sc *shardedScope) Neighbor(v, i int) int { return sc.s.neighbor(&sc.sink, 
 
 func (sc *shardedScope) Adjacency(u, v int) int { return sc.s.adjacency(&sc.sink, u, v) }
 
-func (sc *shardedScope) ProbeBatch(probes []ProbeReq) ([]int, error) {
-	return sc.s.batch(&sc.sink, probes)
-}
-
 // Caps forwards the fleet's capability view with RandomEdge and FetchRows
 // attributed to this scope.
 func (sc *shardedScope) Caps() Caps {
@@ -1141,9 +1075,7 @@ func (sc *shardedScope) Caps() Caps {
 	if c.RandomEdge != nil {
 		c.RandomEdge = func(prg *rnd.PRG) (int, int) { return sc.s.randomEdge(&sc.sink, prg) }
 	}
-	if c.FetchRows != nil {
-		c.FetchRows = func(vs []int) ([][]int, error) { return sc.s.fetchRows(&sc.sink, vs) }
-	}
+	c.FetchRows = func(vs []int) ([][]int, error) { return sc.s.fanOut(&sc.sink, vs) }
 	return c
 }
 

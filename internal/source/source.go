@@ -92,14 +92,14 @@ type DegreeBounder interface {
 // RowFetcher is the optional capability of answering whole adjacency rows
 // at once: FetchRows returns, index-aligned with vs, each vertex's full
 // neighbor list (degree = len(row)). It is the transport behind the
-// rowfull wire op — one answer replaces a Degree probe plus a
-// remainder-width Neighbor batch, erasing the extra round trip — and
-// exists only where a backend can serve it in one shot (Remote against a
-// rowfull-capable shard, Sharded when every replica has it). Returned
-// rows must equal what Degree/Neighbor probes would assemble; callers own
-// the returned slices. The capability is transport-level: probe
-// accounting for the cells read is the caller's job, exactly as with
-// ProbeBatch.
+// rowfull wire op, the only batched request on the wire: one answer
+// replaces a Degree probe plus deg Neighbor probes. Every network
+// backend has it (Remote, since every shard serves rowfull, and Sharded,
+// which reads a local replica's rows cell by cell); local backends do
+// not need it. Returned rows must equal what Degree/Neighbor probes
+// would assemble; callers own the returned slices. The capability is
+// transport-level: probe accounting for the cells read is the caller's
+// job.
 type RowFetcher interface {
 	FetchRows(vs []int) ([][]int, error)
 }

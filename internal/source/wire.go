@@ -7,8 +7,8 @@ package source
 //	GET  /probe?op=degree|neighbor|adjacency&a=A[&b=B][&source=NAME]
 //	GET  /probe?op=randomedge&seed=S[&source=NAME]
 //	GET  /probe?op=rowfull&a=A[&source=NAME]
-//	POST /probe[?source=NAME]      {"probes":[{"op":"neighbor","a":5,"b":2},...]}
-//	GET  /probe/meta[?source=NAME] {"n":N[,"m":M][,"max_degree":D][,"random_edge":true][,"row_full":true]}
+//	POST /probe[?source=NAME]      {"probes":[{"op":"rowfull","a":5},...]}
+//	GET  /probe/meta[?source=NAME] {"n":N[,"m":M][,"max_degree":D][,"random_edge":true],"row_full":true}
 //
 // Answers keep the Source interface's conventions exactly (-1 for
 // out-of-range neighbor indices and non-edges), so remote probing is
@@ -16,15 +16,16 @@ package source
 // and probe counts are identical. /probe/meta is O(1) by construction —
 // the optional m, max_degree and random_edge fields appear only when the
 // backing source has the EdgeCounter / DegreeBounder / RandomEdger
-// capability, never from O(n) probing. Errors use the same JSON envelope
-// as internal/serve: {"error": ..., "status": ...}.
+// capability, never from O(n) probing. Every shard serves the rowfull
+// op and says so with row_full, and the POST batch form carries rowfull
+// probes only: rows are the one batched unit. Errors use the same JSON
+// envelope as internal/serve: {"error": ..., "status": ...}.
 //
 // op=randomedge samples a uniform edge in canonical (u < v) orientation,
 // answering {"u":U,"v":V}. It is seeded: the shard derives a fresh PRG
 // from the client-supplied seed, so equal seeds answer equal edges on
 // every replica — the property that lets a Remote expose the RandomEdger
-// capability deterministically. It is GET-only: batch answers are flat
-// int slices, and a two-valued op has no slot there.
+// capability deterministically. It is GET-only, like the scalar ops.
 
 import (
 	"encoding/json"
@@ -41,13 +42,12 @@ const (
 	OpDegree    = "degree"
 	OpNeighbor  = "neighbor"
 	OpAdjacency = "adjacency"
-	// OpRandomEdge is the seeded random-edge extension (GET-only; not
-	// batchable).
+	// OpRandomEdge is the seeded random-edge extension (GET-only).
 	OpRandomEdge = "randomedge"
 	// OpRowFull answers a vertex's degree and its full neighbor row in one
-	// probe (answer = the degree, row = the neighbors in list order) — the
-	// op that erases the prefetcher's remainder round trip. Batchable;
-	// capability-gated by the row_full meta flag.
+	// probe (answer = the degree, row = the neighbors in list order). It
+	// is the only op a POST batch carries, and every shard serves it (the
+	// row_full meta flag).
 	OpRowFull = "rowfull"
 )
 
@@ -60,19 +60,13 @@ const MaxProbeBatch = 1 << 16
 const maxProbeBody = MaxProbeBatch * 64
 
 // ProbeReq is one probe on the wire. A holds the probed vertex (Degree,
-// Neighbor) or the list owner u (Adjacency); B holds the neighbor index
-// (Neighbor) or the sought vertex v (Adjacency) and is ignored for Degree.
+// Neighbor, RowFull) or the list owner u (Adjacency); B holds the
+// neighbor index (Neighbor) or the sought vertex v (Adjacency) and is
+// ignored for Degree and RowFull.
 type ProbeReq struct {
 	Op string `json:"op"`
 	A  int    `json:"a"`
 	B  int    `json:"b,omitempty"`
-}
-
-// BatchProber is the optional capability of answering many probes in one
-// round trip — Remote sends one POST instead of len(probes) GETs, and
-// Sharded fans a batch out to its shards concurrently.
-type BatchProber interface {
-	ProbeBatch(probes []ProbeReq) ([]int, error)
 }
 
 // The answer bodies optionally carry the shard's server-side spans back
@@ -107,17 +101,15 @@ type probeBatchReq struct {
 }
 
 type probeBatchAnswer struct {
+	// Answers holds each probed vertex's degree, index-aligned with the
+	// request's rowfull probes.
 	Answers []int `json:"answers"`
-	// Rows is index-aligned with the request when it carried any rowfull
-	// probes: the full neighbor row per rowfull probe (its answers entry
-	// is the degree), null for other ops. Absent on row-free batches.
-	// Under attest=1 every in-range probe's entry is filled with the
-	// committed row of its probed vertex.
+	// Rows is index-aligned with the request: the full neighbor row per
+	// probe, of the length its answers entry gives.
 	Rows [][]int `json:"rows,omitempty"`
 	// Proofs is index-aligned with the request under attest=1: each
-	// entry is the Merkle inclusion proof of the matching Rows entry
-	// (null for out-of-range adjacency probes, whose answer is -1 by
-	// protocol). Absent without attest=1.
+	// entry is the Merkle inclusion proof of the matching Rows entry.
+	// Absent without attest=1.
 	Proofs [][]string   `json:"proofs,omitempty"`
 	Trace  []trace.Span `json:"trace,omitempty"`
 }
@@ -145,7 +137,8 @@ func shardTracer(r *http.Request) *trace.Tracer {
 
 // probeMeta is the /probe/meta body: the O(1) facts a Remote needs at
 // construction. M, MaxDegree and RandomEdge are present only when the
-// shard's source has the corresponding capability; Shards carries the
+// shard's source has the corresponding capability; RowFull is always
+// true, and OpenRemote refuses a shard without it; Shards carries the
 // per-replica health of a sharded source (HealthReporter), so operators
 // can watch a fleet's failover state through any shard that fronts it.
 type probeMeta struct {
@@ -153,7 +146,7 @@ type probeMeta struct {
 	M          *int `json:"m,omitempty"`
 	MaxDegree  *int `json:"max_degree,omitempty"`
 	RandomEdge bool `json:"random_edge,omitempty"`
-	RowFull    bool `json:"row_full,omitempty"`
+	RowFull    bool `json:"row_full"`
 	// Commitment is the hex Merkle root over the graph's adjacency rows,
 	// present when the shard's source carries the Attestor capability:
 	// the flag that tells clients they may pin the root and request
@@ -163,9 +156,11 @@ type probeMeta struct {
 }
 
 // metaOf snapshots src's O(1) summary capabilities through the dynamic
-// capability view (static interfaces as the fallback).
+// capability view (static interfaces as the fallback). Any shard serves
+// rowfull: through src's RowFetcher when it has one, else by reading
+// the row cell by cell (fetchRowsFrom).
 func metaOf(src Source) probeMeta {
-	meta := probeMeta{N: src.N()}
+	meta := probeMeta{N: src.N(), RowFull: true}
 	if mc, ok := EdgeCounterOf(src); ok {
 		m := mc.M()
 		meta.M = &m
@@ -176,15 +171,6 @@ func metaOf(src Source) probeMeta {
 	}
 	if _, ok := RandomEdgerOf(src); ok {
 		meta.RandomEdge = true
-	}
-	if _, ok := RowFetcherOf(src); ok {
-		meta.RowFull = true
-	} else if _, ok := src.(RoundTripCounter); !ok {
-		// A local source assembles a row from Degree/Neighbor reads for
-		// free, so any shard fronting one serves rowfull; a network-backed
-		// source advertises it only when its own upstream does, or the
-		// "one answer, one trip" promise would silently cost a fan-out.
-		meta.RowFull = true
 	}
 	if at, ok := AttestorOf(src); ok {
 		meta.Commitment = at.Commitment().String()
@@ -197,8 +183,8 @@ func metaOf(src Source) probeMeta {
 
 // attestParam reports whether the request asked for row proofs, and
 // resolves the source's Attestor when it did. A shard without the
-// capability answers 400 — like rowfull, the client must only send
-// attest=1 after seeing the commitment flag in /probe/meta.
+// capability answers 400 — the client must only send attest=1 after
+// seeing the commitment flag in /probe/meta.
 func attestParam(r *http.Request, src Source) (Attestor, bool, int, string) {
 	if r.URL.Query().Get("attest") != "1" {
 		return nil, false, 0, ""
@@ -256,9 +242,6 @@ func validateProbe(src Source, p ProbeReq) (status int, msg string) {
 			return http.StatusBadRequest, fmt.Sprintf("probe %s: vertex %d out of range [0,%d)", p.Op, p.A, n)
 		}
 	case OpAdjacency:
-	case OpRandomEdge:
-		// Answers are (u,v) pairs; batch answers are flat int slices.
-		return http.StatusBadRequest, fmt.Sprintf("probe op %q is not batchable (use GET /probe?op=%s&seed=...)", OpRandomEdge, OpRandomEdge)
 	default:
 		return http.StatusBadRequest, fmt.Sprintf("unknown probe op %q (want %s, %s, %s or %s)", p.Op, OpDegree, OpNeighbor, OpAdjacency, OpRowFull)
 	}
@@ -356,8 +339,10 @@ func ServeProbe(w http.ResponseWriter, r *http.Request, src Source) {
 	writeWireJSON(w, http.StatusOK, body)
 }
 
-// ServeProbeBatch answers one POST /probe request for src: the answers
-// slice is index-aligned with the request's probes.
+// ServeProbeBatch answers one POST /probe request for src: a batch of
+// rowfull probes, answered with each vertex's degree and row,
+// index-aligned with the request. A probe of any other op is a 400,
+// checked before any probe is answered.
 func ServeProbeBatch(w http.ResponseWriter, r *http.Request, src Source) {
 	var req probeBatchReq
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxProbeBody))
@@ -374,11 +359,17 @@ func ServeProbeBatch(w http.ResponseWriter, r *http.Request, src Source) {
 		writeWireErr(w, status, "%s", msg)
 		return
 	}
+	vs := make([]int, len(req.Probes))
 	for i, p := range req.Probes {
+		if p.Op != OpRowFull {
+			writeWireErr(w, http.StatusBadRequest, "probe %d: op %q cannot be batched; a batch carries %s probes only", i, p.Op, OpRowFull)
+			return
+		}
 		if status, msg := validateProbe(src, p); status != 0 {
 			writeWireErr(w, status, "probe %d: %s", i, msg)
 			return
 		}
+		vs[i] = p.A
 	}
 	tr := shardTracer(r)
 	view := src
@@ -389,7 +380,7 @@ func ServeProbeBatch(w http.ResponseWriter, r *http.Request, src Source) {
 		tr.Push(h)
 		view = TracedView(src, tr)
 	}
-	answers, rows, status, msg := answerBatch(view, req.Probes)
+	rows, status, msg := fetchRowsFrom(view, vs)
 	if tr != nil {
 		tr.Pop()
 		tr.End(h)
@@ -398,94 +389,19 @@ func ServeProbeBatch(w http.ResponseWriter, r *http.Request, src Source) {
 		writeWireErr(w, status, "%s", msg)
 		return
 	}
-	body := probeBatchAnswer{Answers: answers, Rows: rows, Trace: tr.Spans()}
+	body := probeBatchAnswer{Answers: make([]int, len(rows)), Rows: rows, Trace: tr.Spans()}
+	for i, row := range rows {
+		body.Answers[i] = len(row)
+	}
 	if attested {
-		// Attach each in-range probe's committed row and proof. rowfull
-		// entries keep the row the fetch path served (a corrupted fetch
-		// must stay visible to the verifier), gaining only the proof.
-		if body.Rows == nil {
-			body.Rows = make([][]int, len(req.Probes))
-		}
-		body.Proofs = make([][]string, len(req.Probes))
-		n := src.N()
-		for i, p := range req.Probes {
-			if p.A < 0 || p.A >= n {
-				continue // out-of-range adjacency: answer is -1 by protocol, nothing to prove
-			}
-			row, proof := at.ProveRow(p.A)
-			if body.Rows[i] == nil {
-				body.Rows[i] = row
-			}
-			body.Proofs[i] = proof
+		// Each row keeps the one the fetch path served (a corrupted fetch
+		// must stay visible to the verifier), gaining only its proof.
+		body.Proofs = make([][]string, len(vs))
+		for i, v := range vs {
+			_, body.Proofs[i] = at.ProveRow(v)
 		}
 	}
 	writeWireJSON(w, http.StatusOK, body)
-}
-
-// answerBatch answers a validated probe batch against src. rowfull probes
-// are split out and served through the row path (RowFetcher when src has
-// it, free local assembly otherwise); the rest is forwarded whole when a
-// network-backed source (a shard fronting other shards) can answer it in
-// its own single round trip instead of one upstream request per probe.
-// rows is index-aligned with probes when any probe was rowfull, nil
-// otherwise.
-func answerBatch(src Source, probes []ProbeReq) (answers []int, rows [][]int, status int, msg string) {
-	var rowIdx, restIdx []int
-	for i, p := range probes {
-		if p.Op == OpRowFull {
-			rowIdx = append(rowIdx, i)
-		} else {
-			restIdx = append(restIdx, i)
-		}
-	}
-	rest := probes
-	if len(rowIdx) > 0 {
-		answers = make([]int, len(probes))
-		rows = make([][]int, len(probes))
-		vs := make([]int, len(rowIdx))
-		for j, i := range rowIdx {
-			vs[j] = probes[i].A
-		}
-		got, status, msg := fetchRowsFrom(src, vs)
-		if status != 0 {
-			return nil, nil, status, msg
-		}
-		for j, i := range rowIdx {
-			rows[i] = got[j]
-			answers[i] = len(got[j])
-		}
-		if len(restIdx) == 0 {
-			return answers, rows, 0, ""
-		}
-		rest = make([]ProbeReq, len(restIdx))
-		for j, i := range restIdx {
-			rest[j] = probes[i]
-		}
-	}
-	var got []int
-	if bp, ok := src.(BatchProber); ok {
-		var err error
-		got, err = bp.ProbeBatch(rest)
-		if err != nil {
-			return nil, nil, http.StatusBadGateway, err.Error()
-		}
-	} else {
-		got = make([]int, len(rest))
-		for j, p := range rest {
-			ans, status, msg := answerProbeRecover(src, p.Op, p.A, p.B)
-			if status != 0 {
-				return nil, nil, status, fmt.Sprintf("probe %d: %s", restIdx[j], msg)
-			}
-			got[j] = ans
-		}
-	}
-	if len(rowIdx) == 0 {
-		return got, nil, 0, ""
-	}
-	for j, i := range restIdx {
-		answers[i] = got[j]
-	}
-	return answers, rows, 0, ""
 }
 
 // serveRowFull answers GET /probe?op=rowfull&a=V: the degree plus the
@@ -521,10 +437,9 @@ func serveRowFull(w http.ResponseWriter, src Source, a int, at Attestor, tr *tra
 	writeWireJSON(w, http.StatusOK, body)
 }
 
-// fetchRowsFrom answers rowfull probes against src: the RowFetcher
-// capability when present, scalar Degree/Neighbor assembly otherwise
-// (free reads on a local backend). Upstream failures (*ProbeError, from
-// either path) answer the 502 envelope, matching answerProbeRecover.
+// fetchRowsFrom answers rowfull probes against src (readRows).
+// Upstream failures (*ProbeError, from either path) answer the 502
+// envelope, matching answerProbeRecover.
 func fetchRowsFrom(src Source, vs []int) (rows [][]int, status int, msg string) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -535,14 +450,22 @@ func fetchRowsFrom(src Source, vs []int) (rows [][]int, status int, msg string) 
 			rows, status, msg = nil, http.StatusBadGateway, pe.Error()
 		}
 	}()
-	if rf, ok := RowFetcherOf(src); ok {
-		got, err := rf.FetchRows(vs)
-		if err != nil {
-			return nil, http.StatusBadGateway, err.Error()
-		}
-		return got, 0, ""
+	rows, err := readRows(src, vs)
+	if err != nil {
+		return nil, http.StatusBadGateway, err.Error()
 	}
-	rows = make([][]int, len(vs))
+	return rows, 0, ""
+}
+
+// readRows reads the full rows of vs from src: through its RowFetcher
+// capability when it has one, else cell by cell — free reads on a local
+// backend, which is the only kind without the capability. A
+// network-backed src may panic with *ProbeError.
+func readRows(src Source, vs []int) ([][]int, error) {
+	if rf, ok := RowFetcherOf(src); ok {
+		return rf.FetchRows(vs)
+	}
+	rows := make([][]int, len(vs))
 	for i, v := range vs {
 		row := make([]int, src.Degree(v))
 		for j := range row {
@@ -550,7 +473,7 @@ func fetchRowsFrom(src Source, vs []int) (rows [][]int, status int, msg string) 
 		}
 		rows[i] = row
 	}
-	return rows, 0, ""
+	return rows, nil
 }
 
 // serveRandomEdge answers op=randomedge: a uniform edge drawn from a PRG
