@@ -230,7 +230,8 @@ func TestDocsTrustPlane(t *testing.T) {
 }
 
 // TestDocsHotPath: the hot local path's surface — the mmap spec knob
-// and its fallback error, the row tier with its L2 constructor and
+// and its fallback error, the one-row Adjacency op the mmap source
+// answers, the row tier with its L2 constructor and
 // session switch, the LocalityReporter capability with its QueryStats
 // fields and serve counters, and the bench columns CI gates — is
 // documented in ARCHITECTURE.md and the doc.go quickstart with the
@@ -239,7 +240,7 @@ func TestDocsHotPath(t *testing.T) {
 	arch := readDoc(t, "ARCHITECTURE.md")
 	for _, token := range []string{
 		"Hot local path", "csr_mmap.go", "OpenCSRMmap", "mmap=1",
-		"ErrMmapUnsupported",
+		"ErrMmapUnsupported", "AdjacencyScanner", "AdjacencyEach",
 		"rowcache.go", "TieredOracle", "WithRowCache",
 		"NewRowCache", "arena",
 		"LocalityReporter", "PageTouches", "LocalHits",

@@ -30,7 +30,11 @@
 // oracle implements the optional Explorer capability they delegate to it,
 // otherwise they fall back to the equivalent scalar probe loop, so
 // algorithms written against the exploration API run unchanged on every
-// backend. The payoff is the row tier, TieredOracle (tier.go): over a
+// backend. AdjacencyEach(o, u, vs, idx, first) is the same kind of helper
+// for a scan's Adjacency probes on one row: it answers Adjacency(u, vs[k])
+// for k in order, each charged as one probe, and the AdjacencyScanner
+// capability lets the mmap CSR source answer them in one pass over u's
+// row. The payoff is the row tier, TieredOracle (tier.go): over a
 // network-backed source with the source.RowFetcher capability (the
 // rowfull wire op) it turns one exploration into one round trip and
 // serves the subsequent scalar probes from the cached rows — collapsing
@@ -127,6 +131,42 @@ func Prefetch(o Oracle, vs ...int) {
 	}
 }
 
+// AdjacencyScanner is the optional one-row Adjacency capability: it
+// answers a scan's Adjacency probes on one row together. AdjacencyEach
+// sets idx[k] to Adjacency(u, vs[k]) for k in order, stops after the
+// first edge (idx[k] >= 0) when first is set, and returns how many
+// targets it answered; idx must be at least as long as vs. Answers must
+// equal the scalar probes', and each answered target counts as one
+// Adjacency probe. Counter and the mmap CSR source (source.CSRMmap)
+// implement it. Use the package-level AdjacencyEach helper rather than
+// asserting the interface: it supplies the scalar loop on oracles
+// without the capability, so a budget still stops at the exact probe.
+type AdjacencyScanner interface {
+	AdjacencyEach(u int, vs, idx []int, first bool) int
+}
+
+// AdjacencyEach answers Adjacency(u, vs[k]) into idx[k] for k in order
+// through o, stopping after the first edge when first is set, and
+// returns how many targets it answered: the AdjacencyScanner capability
+// when o has it, otherwise the scalar loop.
+func AdjacencyEach(o Oracle, u int, vs, idx []int, first bool) int {
+	if a, ok := o.(AdjacencyScanner); ok {
+		return a.AdjacencyEach(u, vs, idx, first)
+	}
+	return adjacencyLoop(o, u, vs, idx, first)
+}
+
+// adjacencyLoop is AdjacencyEach as scalar probes on o.
+func adjacencyLoop(o Oracle, u int, vs, idx []int, first bool) int {
+	for k, v := range vs {
+		idx[k] = o.Adjacency(u, v)
+		if first && idx[k] >= 0 {
+			return k + 1
+		}
+	}
+	return len(vs)
+}
+
 // Stats is a snapshot of probe counts by type, plus the batch accounting
 // of the exploration API and the chain's telemetry. Total — the theory's
 // probe-complexity measure — counts cells only; Batches and the Telemetry
@@ -181,16 +221,30 @@ type Counter struct {
 	inner Oracle
 	stats Stats
 	chain *chainMeter // nil when the chain produces no telemetry
+	// scan is inner's AdjacencyScanner when inner answers the op itself
+	// (a source with the capability, or a Counter over one); nil sends
+	// AdjacencyEach through Adjacency, one probe at a time.
+	scan AdjacencyScanner
 }
 
 var (
-	_ Oracle   = (*Counter)(nil)
-	_ Explorer = (*Counter)(nil)
+	_ Oracle           = (*Counter)(nil)
+	_ Explorer         = (*Counter)(nil)
+	_ AdjacencyScanner = (*Counter)(nil)
 )
 
 // NewCounter wraps inner with probe accounting.
 func NewCounter(inner Oracle) *Counter {
-	return &Counter{inner: inner, chain: newChainMeter(inner)}
+	c := &Counter{inner: inner, chain: newChainMeter(inner)}
+	switch in := inner.(type) {
+	case *Counter:
+		if in.scan != nil {
+			c.scan = in
+		}
+	case AdjacencyScanner:
+		c.scan = in
+	}
+	return c
 }
 
 // Unwrap returns the wrapped oracle.
@@ -215,6 +269,20 @@ func (c *Counter) Neighbor(v, i int) int {
 func (c *Counter) Adjacency(u, v int) int {
 	c.stats.Adjacency++
 	return c.inner.Adjacency(u, v)
+}
+
+// AdjacencyEach implements AdjacencyScanner, charging one Adjacency
+// probe per answered target: the scalar loop's account. Without an op
+// below it runs that loop through Adjacency, which charges each probe
+// before making it, so a probe that panics partway through a list (a
+// budget running out) is charged exactly as a scalar one is.
+func (c *Counter) AdjacencyEach(u int, vs, idx []int, first bool) int {
+	if c.scan == nil {
+		return adjacencyLoop(c, u, vs, idx, first)
+	}
+	n := c.scan.AdjacencyEach(u, vs, idx, first)
+	c.stats.Adjacency += uint64(n)
+	return n
 }
 
 // Neighbors implements Explorer, charging one Degree probe plus one

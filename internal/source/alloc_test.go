@@ -69,7 +69,8 @@ func TestImplicitProbeHotPathAllocFree(t *testing.T) {
 // allocations per probe: a probe is a couple of loads against the
 // mapping plus two atomic counter updates, nothing else. The shuffled
 // file's Adjacency probes take the unsorted-row scan, the sorted one's
-// the binary search.
+// the binary search. AdjacencyEach over target lists is pinned at zero
+// too, on both of the unsorted file's paths.
 func TestCSRMmapProbeHotPathAllocFree(t *testing.T) {
 	skipNoMmap(t)
 	for _, tc := range []struct {
@@ -85,5 +86,23 @@ func TestCSRMmapProbeHotPathAllocFree(t *testing.T) {
 		}
 		defer c.Close()
 		assertProbesAllocFree(t, tc.name, c, tc.g.N())
+		// AdjacencyEach target by target (3 targets) and in one pass
+		// (two chunks of targets), with and without first.
+		for _, m := range []int{3, 2 * eachChunk} {
+			vs := make([]int, m)
+			for k := range vs {
+				vs[k] = k * 7919 % tc.g.N()
+			}
+			idx := make([]int, m)
+			u := 0
+			allocs := testing.AllocsPerRun(200, func() {
+				c.AdjacencyEach(u, vs, idx, false)
+				c.AdjacencyEach(u, vs, idx, true)
+				u = (u + 1) % tc.g.N()
+			})
+			if allocs != 0 {
+				t.Errorf("%s: AdjacencyEach of %d targets allocates %.1f times per run, want 0", tc.name, m, allocs)
+			}
+		}
 	}
 }

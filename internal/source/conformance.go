@@ -9,6 +9,7 @@ package source
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -43,8 +44,9 @@ const maxConformanceSample = 48
 //   - determinism: equal probes answer equally across passes.
 //   - close: Close (when the backend holds resources) succeeds and is
 //     idempotent.
-//   - concurrent: racing probers observe the same answers; run the suite
-//     under -race to make this subtest a race detector.
+//   - concurrent: racing probers observe the same answers, a source
+//     with the one-row Adjacency op (AdjacencyEach) included; run the
+//     suite under -race to make this subtest a race detector.
 func TestConformance(t *testing.T, open Factory) {
 	t.Run("probes", func(t *testing.T) {
 		src := open(t)
@@ -176,6 +178,21 @@ func TestConformance(t *testing.T, open Factory) {
 				want[i].adj = src.Adjacency(want[i].first, v)
 			}
 		}
+		// With the op, each worker also asks v's row for the whole sample
+		// (a long list) and for its first three (a short one).
+		each, _ := src.(interface {
+			AdjacencyEach(u int, vs, idx []int, first bool) int
+		})
+		var eachWant [][]int // eachWant[i][k] = Adjacency(sample[i], sample[k])
+		if each != nil {
+			for _, u := range sample {
+				row := make([]int, len(sample))
+				for k, v := range sample {
+					row[k] = src.Adjacency(u, v)
+				}
+				eachWant = append(eachWant, row)
+			}
+		}
 		const workers = 8
 		var wg sync.WaitGroup
 		errs := make([]error, workers)
@@ -198,6 +215,14 @@ func TestConformance(t *testing.T, open Factory) {
 					if want[i].first >= 0 {
 						if adj := src.Adjacency(want[i].first, v); adj != want[i].adj {
 							errs[w] = fmt.Errorf("worker %d: Adjacency(%d,%d) = %d, want %d", w, want[i].first, v, adj, want[i].adj)
+							return
+						}
+					}
+					if each != nil {
+						vs := sample[:min(len(sample), 3+it%2*len(sample))]
+						idx := make([]int, len(vs))
+						if n := each.AdjacencyEach(v, vs, idx, false); n != len(vs) || !slices.Equal(idx, eachWant[i][:len(vs)]) {
+							errs[w] = fmt.Errorf("worker %d: AdjacencyEach(%d, %v) = %v (%d answered), want %v", w, v, vs, idx, n, eachWant[i][:len(vs)])
 							return
 						}
 					}

@@ -19,7 +19,12 @@ package source
 // searches the row's bytes for the target several cells per step
 // (scanCells) and records the cells a cell-by-cell scan would have read,
 // so its counts do not depend on how the row is searched; a sequential
-// caller still gets exactly the per-load counts.
+// caller still gets exactly the per-load counts. AdjacencyEach answers a
+// list of Adjacency targets on one row (the oracle's AdjacencyScanner
+// op): it reads the row's offsets once, looks for a long list's targets
+// in one pass over the row (scanCellsEach), records the loads of the
+// scalar probes in their order and publishes them with one touch, so a
+// scan's answers and counts do not depend on which path asked.
 
 import (
 	"bytes"
@@ -284,6 +289,59 @@ func (c *CSRMmap) search(p *probeLoc, lo, hi int64, v int) int {
 	return -1
 }
 
+// AdjacencyEach answers Adjacency(u, vs[k]) into idx[k] for k in order,
+// stopping after the first edge when first is set, and returns how many
+// targets it answered (the oracle package's AdjacencyScanner). It reads
+// u's offsets once. On an unsorted file, a list of at least eachMin
+// targets is searched for in one pass over u's row (scanCellsEach), and
+// a shorter one target by target (scanCells). For each answered target,
+// in order, it records the loads the scalar probe would make: the offset
+// load, then the binary-search path or the cells a cell-by-cell scan
+// reads. One touch publishes them all, so answers and a sequential
+// caller's locality counts equal those of the scalar probes.
+func (c *CSRMmap) AdjacencyEach(u int, vs, idx []int, first bool) int {
+	idx = idx[:len(vs)]
+	if len(vs) == 0 {
+		return 0
+	}
+	if u < 0 || int64(u) >= c.h.N { // loads nothing, like Adjacency
+		for k := range idx {
+			idx[k] = -1
+		}
+		return len(vs)
+	}
+	var p probeLoc
+	lo, hi, ok := c.run(&p, u)
+	off, start := c.h.OffsetPos(int64(u)), c.h.NeighborPos(lo)
+	onePass := ok && !c.h.Sorted && lo < hi && len(vs) >= eachMin
+	if onePass {
+		scanCellsEach(c.data[start:c.h.NeighborPos(hi)], vs, idx)
+	}
+	n := len(vs)
+	for k, v := range vs {
+		if k > 0 {
+			p.load(off)
+		}
+		switch {
+		case onePass:
+			read := cellsRead(idx[k], int(hi-lo))
+			p.span(start, start+4*int64(read-1), uint64(read))
+		case !ok:
+			idx[k] = -1
+		case c.h.Sorted:
+			idx[k] = c.search(&p, lo, hi, v)
+		default:
+			idx[k] = c.scan(&p, lo, hi, v)
+		}
+		if first && idx[k] >= 0 {
+			n = k + 1
+			break
+		}
+	}
+	c.touch(&p)
+	return n
+}
+
 // scan finds v in the unsorted cells [lo, hi) with scanCells over the
 // mapped bytes: no shared writes, and the loads it records in p are the
 // ascending run a cell-by-cell scan would make, up to the match or to the
@@ -296,6 +354,16 @@ func (c *CSRMmap) scan(p *probeLoc, lo, hi int64, v int) int {
 	idx, read := scanCells(c.data[start:c.h.NeighborPos(hi)], v)
 	p.span(start, start+4*int64(read-1), uint64(read))
 	return idx
+}
+
+// cellsRead is the number of cells a cell-by-cell scan of a row of
+// cells cells reads to answer idx: through the match, or every cell on a
+// miss.
+func cellsRead(idx, cells int) int {
+	if idx < 0 {
+		return cells
+	}
+	return idx + 1
 }
 
 // scanCells returns the index of the first little-endian uint32 cell of
@@ -323,5 +391,94 @@ func scanCells(row []byte, v int) (idx, read int) {
 			return off / 4, off/4 + 1
 		}
 		off = off&^3 + 4
+	}
+}
+
+// eachMin is the shortest target list AdjacencyEach answers in one pass
+// over the row. BenchmarkScanCellsEach puts the crossover there: on
+// 200-cell rows a pass costs about as much as five scanCells searches
+// (2-vCPU Xeon, Go 1.24).
+const eachMin = 6
+
+// eachChunk is the most targets one pass of scanCellsEach looks for; a
+// longer list takes one pass per chunk. The table keeps at most half its
+// slots full.
+const eachChunk = 32
+
+// cellSet is scanCellsEach's table of targets: a filter indexed by the
+// top ten bits of a value's hash, which rejects most other cells with
+// one load, and an open-addressed table of 2*eachChunk slots, each
+// holding a target and where it was first seen.
+type cellSet struct {
+	filter [1024]bool
+	key    [2 * eachChunk]uint32
+	// at is 0 for an empty slot, -1 for a target not seen yet, and 1 +
+	// the index of the first cell equal to key once seen.
+	at [2 * eachChunk]int32
+}
+
+// cellHash is the multiplicative hash the filter and the table share.
+func cellHash(w uint32) uint32 { return w * 0x9e3779b1 }
+
+// slot returns the slot holding w, or the empty slot where w would go.
+func (s *cellSet) slot(w uint32) uint32 {
+	j := cellHash(w) >> 26
+	for s.at[j] != 0 && s.key[j] != w {
+		j = (j + 1) % (2 * eachChunk)
+	}
+	return j
+}
+
+// see records that cell i holds w, and returns 1 if that is the first
+// sighting of a target, else 0.
+func (s *cellSet) see(w uint32, i int) int {
+	if j := s.slot(w); s.at[j] == -1 {
+		s.at[j] = int32(i + 1)
+		return 1
+	}
+	return 0
+}
+
+// scanCellsEach sets idx[k] to the index scanCells(row, vs[k]) returns,
+// for every k, reading the row's cells once per chunk of eachChunk
+// targets, two cells per step. Repeated targets share a slot, and a pass
+// stops once every target of its chunk has been seen. The read count of
+// each answer is cellsRead(idx[k], len(row)/4), as scanCells returns it.
+func scanCellsEach(row []byte, vs, idx []int) {
+	for len(vs) > eachChunk {
+		scanCellsEach(row, vs[:eachChunk], idx[:eachChunk])
+		vs, idx = vs[eachChunk:], idx[eachChunk:]
+	}
+	var s cellSet
+	left := 0 // targets in the table not seen yet
+	for _, v := range vs {
+		w := uint32(v)
+		if int(w) != v { // no cell decodes to any other v
+			continue
+		}
+		if j := s.slot(w); s.at[j] == 0 {
+			s.filter[cellHash(w)>>22] = true
+			s.key[j], s.at[j] = w, -1
+			left++
+		}
+	}
+	i := 0
+	for ; left > 0 && i+8 <= len(row); i += 8 {
+		x := binary.LittleEndian.Uint64(row[i:])
+		lo, hi := uint32(x), uint32(x>>32)
+		if s.filter[cellHash(lo)>>22] || s.filter[cellHash(hi)>>22] {
+			left -= s.see(lo, i/4) + s.see(hi, i/4+1)
+		}
+	}
+	if left > 0 && i+4 <= len(row) {
+		s.see(binary.LittleEndian.Uint32(row[i:]), i/4)
+	}
+	for k, v := range vs {
+		idx[k] = -1
+		if w := uint32(v); int(w) == v {
+			if at := s.at[s.slot(w)]; at > 0 {
+				idx[k] = int(at - 1)
+			}
+		}
 	}
 }

@@ -192,23 +192,32 @@ func hubGraph(n int) *graph.Builder {
 // on a sorted one. Rows span several pages, so scans cross page
 // boundaries. Every row is also asked for targets with a low byte of 0,
 // and in shuffled-repeat one hub row holds such a target twice: the scan
-// reads up to its first copy.
+// reads up to its first copy. AdjacencyEach is asked the same targets in
+// lists, short (target by target) and long (one pass, and on hub rows
+// more than one chunk), with and without first, on every probed row, the
+// empty row of vertex emptyRow and out-of-range vertices: its answers
+// must be the scalar probes' and its counts the model's loads of those
+// probes, in order.
 func TestCSRMmapLocalityPerLoad(t *testing.T) {
 	skipNoMmap(t)
-	const n = 2100
+	const n, emptyRow = 2100, 5
 	shuffled := rowsOf(hubGraph(n).BuildShuffled(rnd.NewPRG(5)))
 	repeat := rowsOf(hubGraph(n).BuildShuffled(rnd.NewPRG(6)))
 	if first := slices.Index(repeat[0], 1024); first < 0 || first > len(repeat[0])-2 {
 		t.Fatalf("hub row 0 has 1024 at %d, not before its last cell", first)
 	}
 	repeat[0][len(repeat[0])-1] = 1024 // replaces one neighbour; rows need not be symmetric
+	sorted := rowsOf(hubGraph(n).Build())
+	for _, rows := range [][][]int{shuffled, sorted, repeat} {
+		rows[emptyRow] = nil // drops a path vertex's row; it is probed only below
+	}
 	for _, tc := range []struct {
 		name   string
 		rows   [][]int
 		sorted bool
 	}{
 		{"shuffled", shuffled, false},
-		{"sorted", rowsOf(hubGraph(n).Build()), true},
+		{"sorted", sorted, true},
 		{"shuffled-repeat", repeat, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -233,8 +242,12 @@ func TestCSRMmapLocalityPerLoad(t *testing.T) {
 						probe, c.PageTouches(), c.LocalHits(), m.touches, m.hits)
 				}
 			}
-			adjacency := func(v, w int) {
-				t.Helper()
+			// model replays the loads of Adjacency(v, w) and returns its
+			// answer.
+			model := func(v, w int) int {
+				if v < 0 || v >= n {
+					return -1
+				}
 				want := slices.Index(rows[v], w)
 				m.load(c.h.OffsetPos(int64(v)))
 				lo, hi := start[v], start[v+1]
@@ -260,10 +273,54 @@ func TestCSRMmapLocalityPerLoad(t *testing.T) {
 						m.load(c.h.NeighborPos(i))
 					}
 				}
+				return want
+			}
+			adjacency := func(v, w int) {
+				t.Helper()
+				want := model(v, w)
 				if got := c.Adjacency(v, w); got != want {
 					t.Fatalf("Adjacency(%d,%d) = %d, want %d", v, w, got, want)
 				}
 				check(fmt.Sprintf("Adjacency(%d,%d)", v, w))
+			}
+			each := func(u int, vs []int) {
+				t.Helper()
+				for _, first := range []bool{false, true} {
+					var want []int
+					for _, w := range vs {
+						want = append(want, model(u, w))
+						if first && want[len(want)-1] >= 0 {
+							break
+						}
+					}
+					idx := make([]int, len(vs))
+					got := c.AdjacencyEach(u, vs, idx, first)
+					if got != len(want) || !slices.Equal(idx[:got], want) {
+						t.Fatalf("AdjacencyEach(%d, %v, first=%v) = %v (%d answered), scalar %v",
+							u, vs, first, idx[:got], got, want)
+					}
+					check(fmt.Sprintf("AdjacencyEach(%d, %v, first=%v)", u, vs, first))
+				}
+			}
+			// lists returns target lists for row v: none; short ones
+			// (answered target by target) and long ones (in one pass),
+			// each opening with misses, so that first mode reads past
+			// them, then cells of the row (a repeat among them),
+			// low-byte-0 targets and targets outside the cell range; and
+			// every fiftieth cell, 41 targets on a hub row (two chunks).
+			lists := func(v int) [][]int {
+				var cells []int
+				if d := len(rows[v]); d > 0 {
+					cells = []int{rows[v][d-1], rows[v][d/2], rows[v][0], rows[v][d/2]}
+				}
+				short := append([]int{v, -1}, cells[:min(len(cells), 2)]...)
+				long := append([]int{v, math.MaxInt, 256}, cells...)
+				long = append(long, 1024, 2048, -1, v)
+				var spread []int
+				for i := 0; i < len(rows[v]); i += 50 {
+					spread = append(spread, rows[v][i])
+				}
+				return [][]int{nil, short, long, append(spread, v, 1<<32)}
 			}
 			for _, v := range []int{0, 3, 4, n / 2, n - 1} {
 				d := len(rows[v])
@@ -295,6 +352,15 @@ func TestCSRMmapLocalityPerLoad(t *testing.T) {
 				adjacency(v, v)           // no self-loops: a miss reads the whole row
 				adjacency(v, -1)          // below every cell
 				adjacency(v, math.MaxInt) // above every cell
+				for _, vs := range lists(v) {
+					each(v, vs)
+				}
+			}
+			adjacency(emptyRow, 0) // loads the offsets only
+			for _, u := range []int{emptyRow, -1, n} {
+				for _, vs := range lists(0) {
+					each(u, vs)
+				}
 			}
 			// Out-of-range vertices load nothing.
 			c.Degree(-1)
@@ -417,4 +483,49 @@ func TestOpenCSRSpecMmapFallback(t *testing.T) {
 		t.Fatalf("fallback opened %T, want the cold *CSR", src)
 	}
 	_ = src.(Closer).Close()
+}
+
+// BenchmarkScanCellsEach prices one row's Adjacency targets answered by
+// one scanCells search per target (scalar) against one scanCellsEach
+// pass for all of them (each), over 64 rows of 200 vertex IDs below
+// 20000, the shape of a dense Gnp row, with 64 target lists drawn from
+// the same range (mostly misses, as in a spanner's coverage scan). The
+// target count where each starts to win is eachMin.
+func BenchmarkScanCellsEach(b *testing.B) {
+	prg := rnd.NewPRG(7)
+	draw := func(k int) []int {
+		vs := make([]int, k)
+		for i := range vs {
+			vs[i] = prg.Intn(20000)
+		}
+		return vs
+	}
+	var rows [64][]byte
+	for r := range rows {
+		cells := make([]uint32, 200)
+		for i, v := range draw(len(cells)) {
+			cells[i] = uint32(v)
+		}
+		rows[r] = cellBytes(cells...)
+	}
+	for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 32} {
+		var lists [64][]int
+		for r := range lists {
+			lists[r] = draw(m)
+		}
+		idx := make([]int, m)
+		b.Run(fmt.Sprintf("targets=%d/scalar", m), func(b *testing.B) {
+			for i := range b.N {
+				row := rows[i%64]
+				for k, v := range lists[i/64%64] {
+					idx[k], _ = scanCells(row, v)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("targets=%d/each", m), func(b *testing.B) {
+			for i := range b.N {
+				scanCellsEach(rows[i%64], lists[i/64%64], idx)
+			}
+		})
+	}
 }

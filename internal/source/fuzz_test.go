@@ -183,13 +183,18 @@ func cellBytes(cells ...uint32) []byte {
 	return row
 }
 
-// FuzzCSRMmapAdjacency fuzzes the kernel behind CSRMmap's Adjacency probe
-// on unsorted rows: over any row bytes (a trailing partial cell included)
-// and any target, scanCells must return the index and the read count of
-// the cell-by-cell reference, since the read count is what the probe's
-// locality accounting records. The seeds cover targets outside the cell
-// range, a low byte of 0, repeated targets and matches that start off a
-// cell boundary.
+// FuzzCSRMmapAdjacency fuzzes the kernels behind CSRMmap's Adjacency
+// probes on unsorted rows: over any row bytes (a trailing partial cell
+// included) and any target, scanCells must return the index and the read
+// count of the cell-by-cell reference, since the read count is what the
+// probe's locality accounting records. The same input drives the
+// one-pass kernel, scanCellsEach, over a target list built from v, cells
+// of the row (up to 40, so long rows take more than one chunk), v again
+// and targets outside the cell range; every index, and the read count
+// cellsRead derives from it, must equal the reference's for that target.
+// The seeds cover targets outside the cell range, a low byte of 0,
+// repeated targets, matches that start off a cell boundary and a row of
+// more than eachChunk distinct cells.
 func FuzzCSRMmapAdjacency(f *testing.F) {
 	straddle := []byte{0xaa, 0x01, 0x02, 0x03, 0x04, 0xbb, 0xcc, 0xdd, 0x01, 0x02, 0x03, 0x04}
 	for _, s := range []struct {
@@ -210,6 +215,7 @@ func FuzzCSRMmapAdjacency(f *testing.F) {
 		{straddle[:7], 0x04030201},                      // straddles the partial tail
 		{[]byte{1, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0}, 0}, // two off-boundary zero runs
 		{append(cellBytes(3, 3, 3), 0, 0, 0), 3},        // trailing partial cell
+		{cellBytes(longRow...), 39},                     // two chunks of targets
 	} {
 		f.Add(s.row, s.v)
 	}
@@ -219,8 +225,31 @@ func FuzzCSRMmapAdjacency(f *testing.F) {
 		if idx != wantIdx || read != wantRead {
 			t.Fatalf("scanCells(% x, %d) = (%d, %d), cell-by-cell (%d, %d)", row, v, idx, read, wantIdx, wantRead)
 		}
+		vs := []int{int(v)}
+		for i := 0; i+4 <= len(row) && i < 4*40; i += 4 {
+			vs = append(vs, int(binary.LittleEndian.Uint32(row[i:])))
+		}
+		vs = append(vs, int(v), -1, 1<<32)
+		each := make([]int, len(vs))
+		scanCellsEach(row, vs, each)
+		for k, w := range vs {
+			wantIdx, wantRead := scanCellsReference(row, w)
+			if each[k] != wantIdx || cellsRead(each[k], len(row)/4) != wantRead {
+				t.Fatalf("scanCellsEach(% x, %v)[%d] = %d (read %d), cell-by-cell (%d, %d)",
+					row, vs, k, each[k], cellsRead(each[k], len(row)/4), wantIdx, wantRead)
+			}
+		}
 	})
 }
+
+// longRow is 40 distinct cells, some with a low byte of 0.
+var longRow = func() []uint32 {
+	cells := make([]uint32, 40)
+	for i := range cells {
+		cells[i] = uint32(i * 251 % 1031 << (i % 3 * 4))
+	}
+	return cells
+}()
 
 // FuzzRemoteFetchRows fuzzes the one batched answer a client decodes:
 // Remote's rowfull path. A loopback shard serves an honest /probe/meta

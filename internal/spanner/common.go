@@ -138,6 +138,8 @@ type scanPart struct {
 	centerPrefix  int
 	window        int
 	scannerMaxDeg int
+
+	idx []int // cover's scratch: one row's Adjacency answers
 }
 
 // isCenter reports whether v was sampled as a center; no probes.
@@ -168,15 +170,11 @@ func (s *scanPart) centerSet(v int) []int {
 }
 
 // inCenterSet reports whether c is in S(w): c must be a center and
-// appear within w's center prefix.
+// appear within w's center prefix, which one Adjacency probe tells.
 func (s *scanPart) inCenterSet(w, c int) bool {
-	return s.isCenter(c) && s.inPrefix(w, c)
-}
-
-// inPrefix reports whether c appears within w's center prefix using a
-// single Adjacency probe. For a c already known to be a center (one
-// centerSet returned) this is inCenterSet without re-hashing c.
-func (s *scanPart) inPrefix(w, c int) bool {
+	if !s.isCenter(c) {
+		return false
+	}
 	idx := s.o.Adjacency(w, c)
 	return idx >= 0 && idx < s.centerPrefix
 }
@@ -187,10 +185,39 @@ func (s *scanPart) memberEdge(u, v int) bool {
 	return s.inCenterSet(u, v) || s.inCenterSet(v, u)
 }
 
+// cover drops from left, a list of centers (so no center check is
+// needed), those within v's center prefix, and returns the rest, in
+// order, in left's storage. Probes: len(left) Adjacency on v's row, in
+// order, asked in one oracle.AdjacencyEach.
+func (s *scanPart) cover(v int, left []int) []int {
+	s.idx = grow(s.idx, len(left))
+	oracle.AdjacencyEach(s.o, v, left, s.idx, false)
+	n := 0
+	for k, c := range left {
+		if i := s.idx[k]; i < 0 || i >= s.centerPrefix {
+			left[n] = c
+			n++
+		}
+	}
+	return left[:n]
+}
+
+// grow returns buf with length n, reallocating only when it is too
+// short.
+func grow(buf []int, n int) []int {
+	if cap(buf) < n {
+		return make([]int, n)
+	}
+	return buf[:n]
+}
+
 // scanKeep reports whether scanner w keeps the edge (w, x): within w's scan
 // range before x, no earlier neighbor's center set covers all of S(x).
 // The scanner's row is hinted up front: its degree, the position of x and
 // the scan range all read from one prefetched row on batched backends.
+// Probes: per earlier neighbor in the range, one Neighbor plus one
+// Adjacency per center of S(x) still uncovered, asked of its row together
+// (cover).
 func (s *scanPart) scanKeep(w, x int) bool {
 	oracle.Prefetch(s.o, w)
 	if s.scannerMaxDeg > 0 && s.o.Degree(w) > s.scannerMaxDeg {
@@ -208,24 +235,15 @@ func (s *scanPart) scanKeep(w, x int) bool {
 	if s.window > 0 {
 		lo, _ = blockBounds(s.o.Degree(w), s.window, pos)
 	}
-	covered := make([]bool, len(sx))
-	remaining := len(sx)
-	for j := lo; j < pos && remaining > 0; j++ {
+	left := sx // the centers not covered yet; cover shrinks it in place
+	for j := lo; j < pos && len(left) > 0; j++ {
 		prev := s.o.Neighbor(w, j)
 		if prev < 0 {
 			break
 		}
-		for si, c := range sx {
-			if covered[si] {
-				continue
-			}
-			if s.inPrefix(prev, c) { // c came from centerSet
-				covered[si] = true
-				remaining--
-			}
-		}
+		left = s.cover(prev, left)
 	}
-	return remaining > 0
+	return len(left) > 0
 }
 
 // keep reports whether either endpoint's rule keeps the edge.

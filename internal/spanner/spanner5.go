@@ -53,6 +53,10 @@ type Spanner5 struct {
 	clusterMemo map[int][]int
 	repsMemo    map[int][]int
 	keepMemo    map[[2]int]bool
+
+	// firstBucketEdge's scratch: the screened candidates, one row's
+	// targets and their Adjacency answers.
+	cand, targets, idx []int
 }
 
 // NewSpanner5 returns a 5-spanner LCA over o with default configuration.
@@ -335,6 +339,9 @@ func (s *Spanner5) bcktRule(u, v int) bool {
 // lexicographically first pair (by vertex IDs, iterating from the bucket
 // with the smaller (centerID, bucketIndex) key) that is an edge whose
 // endpoints both have degree >= dMed. It returns (-1,-1) if none exists.
+// Probes: one Degree per member of either bucket, then, per screened a in
+// order, one Adjacency per screened b != a up to the first edge, asked of
+// a's row together (AdjacencyEach with first set).
 func (s *Spanner5) firstBucketEdge(cs, bi int, bu []int, ct, bj int, bv []int) (int, int) {
 	// Canonical orientation so every query of this bucket pair agrees.
 	if cs > ct || (cs == ct && bi > bj) {
@@ -344,27 +351,34 @@ func (s *Spanner5) firstBucketEdge(cs, bi int, bu []int, ct, bj int, bv []int) (
 	}
 	// Both buckets' rows in one exploration hint: the degree screening and
 	// the Adjacency pair scan below all read prefetched rows.
-	s.counter.Prefetch(append(append(make([]int, 0, len(bu)+len(bv)), bu...), bv...)...)
-	// Degree screening, one probe per candidate.
-	okA := make([]bool, len(bu))
-	for i, a := range bu {
-		okA[i] = s.degree(a) >= s.dMed
-	}
-	okB := make([]bool, len(bv))
-	for j, b := range bv {
-		okB[j] = s.degree(b) >= s.dMed
-	}
-	for i, a := range bu {
-		if !okA[i] {
-			continue
+	s.cand = append(append(s.cand[:0], bu...), bv...)
+	s.counter.Prefetch(s.cand...)
+	// Degree screening, one probe per candidate: bu's kept in cand[:na],
+	// then bv's after them.
+	s.cand = s.cand[:0]
+	for _, a := range bu {
+		if s.degree(a) >= s.dMed {
+			s.cand = append(s.cand, a)
 		}
-		for j, b := range bv {
-			if !okB[j] || a == b {
-				continue
+	}
+	na := len(s.cand)
+	for _, b := range bv {
+		if s.degree(b) >= s.dMed {
+			s.cand = append(s.cand, b)
+		}
+	}
+	// Each a's targets are the screened bv but a, asked of a's row
+	// together, in order, up to the first edge.
+	for _, a := range s.cand[:na] {
+		s.targets = s.targets[:0]
+		for _, b := range s.cand[na:] {
+			if b != a {
+				s.targets = append(s.targets, b)
 			}
-			if s.counter.Adjacency(a, b) >= 0 {
-				return a, b
-			}
+		}
+		s.idx = grow(s.idx, len(s.targets))
+		if n := s.counter.AdjacencyEach(a, s.targets, s.idx, true); n > 0 && s.idx[n-1] >= 0 {
+			return a, s.targets[n-1]
 		}
 	}
 	return -1, -1
@@ -421,7 +435,10 @@ func (s *Spanner5) repMemberEdge(u, v, du, dv int) bool {
 
 // repScan evaluates H_rep rule (B) with scanner u: v introduces a center
 // (through some representative) that no earlier band neighbor of u reaches
-// through its representatives.
+// through its representatives. Probes: per earlier neighbor, one Neighbor
+// and one Degree, and for a band neighbor its reps, then per
+// representative one Adjacency per center still uncovered, asked of the
+// representative's row together (super.cover).
 func (s *Spanner5) repScan(u, v int) bool {
 	rs := s.repCenterSet(v)
 	if len(rs) == 0 {
@@ -432,9 +449,8 @@ func (s *Spanner5) repScan(u, v int) bool {
 	if pos < 0 {
 		return false
 	}
-	covered := make([]bool, len(rs))
-	remaining := len(rs)
-	for j := 0; j < pos && remaining > 0; j++ {
+	left := rs // the centers not covered yet; cover shrinks it in place
+	for j := 0; j < pos && len(left) > 0; j++ {
 		w := s.counter.Neighbor(u, j)
 		if w < 0 {
 			break
@@ -444,21 +460,12 @@ func (s *Spanner5) repScan(u, v int) bool {
 			continue
 		}
 		for _, x := range s.reps(w) {
-			for si, c := range rs {
-				if covered[si] {
-					continue
-				}
-				if s.super.inPrefix(x, c) { // c came from super.centerSet
-					covered[si] = true
-					remaining--
-				}
-			}
-			if remaining == 0 {
+			if left = s.super.cover(x, left); len(left) == 0 {
 				break
 			}
 		}
 	}
-	return remaining > 0
+	return len(left) > 0
 }
 
 // repCenterSet returns RS(v) = ∪_{x in Reps(v)} S'(x), deduplicated.
