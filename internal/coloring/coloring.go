@@ -11,9 +11,16 @@
 // the fetched rows: answers and probe counts come from the recursion
 // alone. Over a local source, or under a probe budget, Explore does
 // nothing.
+//
+// Colors and priorities live in a memo.Table: a map for an instance
+// that colors a few vertices, slices indexed by vertex once it has
+// colored n/16 of them (a batch build), where each vertex is hashed at
+// most once. Either way a vertex's priority is hashed once per visit,
+// not once per neighbor comparing against it.
 package coloring
 
 import (
+	"lca/internal/memo"
 	"lca/internal/oracle"
 	"lca/internal/rnd"
 )
@@ -25,8 +32,10 @@ import (
 // use.
 type Coloring struct {
 	counter *oracle.Counter
-	fam     *rnd.Family
-	memo    map[int]int
+	// memo holds color+1 per colored vertex (0: not colored yet). A
+	// color is at most its row's length, and a row is an []int in
+	// memory, so color+1 fits the uint32.
+	memo memo.Table[uint32]
 	// next is children as a func value, made once in New so an inert
 	// Explore allocates nothing; kids is its reused result buffer.
 	next func(v int, row []int) []int
@@ -37,8 +46,7 @@ type Coloring struct {
 func New(o oracle.Oracle, seed rnd.Seed) *Coloring {
 	c := &Coloring{
 		counter: oracle.NewCounter(o),
-		fam:     rnd.NewFamily(seed.Derive(0xc01), 16),
-		memo:    make(map[int]int),
+		memo:    memo.Make[uint32](o.N(), rnd.NewFamily(seed.Derive(0xc01), 16)),
 	}
 	c.next = c.children
 	return c
@@ -49,20 +57,14 @@ func (c *Coloring) ProbeStats() oracle.Stats { return c.counter.Stats() }
 
 // Before reports whether u precedes v in the random greedy order
 // (priorities tie-broken by ID, so the order is a strict total order).
-func (c *Coloring) Before(u, v int) bool {
-	hu, hv := c.fam.Hash(uint64(u)), c.fam.Hash(uint64(v))
-	if hu != hv {
-		return hu < hv
-	}
-	return u < v
-}
+func (c *Coloring) Before(u, v int) bool { return c.memo.Before(u, v, c.memo.Priority(v)) }
 
 // QueryLabel returns v's color: the smallest color not taken by any
 // neighbor preceding v in the random order. The query DAG is prefetched
 // first (oracle.Explore), then colored by the recursion.
 func (c *Coloring) QueryLabel(v int) int {
-	if col, ok := c.memo[v]; ok {
-		return col
+	if col := c.memo.Get(v); col != 0 {
+		return int(col) - 1
 	}
 	oracle.Explore(c.counter.Unwrap(), v, c.next)
 	return c.label(v)
@@ -73,8 +75,9 @@ func (c *Coloring) QueryLabel(v int) int {
 // call.
 func (c *Coloring) children(v int, row []int) []int {
 	c.kids = c.kids[:0]
+	pv := c.memo.Priority(v)
 	for _, w := range row {
-		if _, done := c.memo[w]; !done && c.Before(w, v) {
+		if c.memo.Get(w) == 0 && c.memo.Before(w, v, pv) {
 			c.kids = append(c.kids, w)
 		}
 	}
@@ -83,16 +86,18 @@ func (c *Coloring) children(v int, row []int) []int {
 
 // label is the recursion of QueryLabel. The full neighbor row is always
 // needed here, so the scan is one exploration — a single batched round
-// trip on network backends, or none once Explore has fetched it.
+// trip on network backends, or none once Explore has fetched it. v's
+// priority is hashed once for the whole row.
 func (c *Coloring) label(v int) int {
-	if col, ok := c.memo[v]; ok {
-		return col
+	if col := c.memo.Get(v); col != 0 {
+		return int(col) - 1
 	}
 	row := c.counter.Neighbors(v)
 	deg := len(row)
 	used := make([]bool, deg+1)
+	pv := c.memo.Priority(v)
 	for _, w := range row {
-		if c.Before(w, v) {
+		if c.memo.Before(w, v, pv) {
 			if wc := c.label(w); wc <= deg {
 				used[wc] = true
 			}
@@ -102,6 +107,6 @@ func (c *Coloring) label(v int) int {
 	for col <= deg && used[col] {
 		col++
 	}
-	c.memo[v] = col
+	c.memo.Put(v, uint32(col)+1)
 	return col
 }

@@ -48,7 +48,7 @@ func (f *rowFake) FetchRows(vs []int) ([][]int, error) {
 // from root through neighbors that precede their parent.
 func queryDAG(c *Coloring, g *graph.Graph, root int) (levels int, rows map[int]bool) {
 	rows = map[int]bool{}
-	if _, done := c.memo[root]; done {
+	if c.memo.Get(root) != 0 {
 		return 0, rows
 	}
 	rows[root] = true
@@ -57,7 +57,7 @@ func queryDAG(c *Coloring, g *graph.Graph, root int) (levels int, rows map[int]b
 		for _, v := range level {
 			for i := 0; i < g.Degree(v); i++ {
 				w := g.Neighbor(v, i)
-				if _, done := c.memo[w]; !done && !rows[w] && c.Before(w, v) {
+				if c.memo.Get(w) == 0 && !rows[w] && c.Before(w, v) {
 					rows[w] = true
 					below = append(below, w)
 				}

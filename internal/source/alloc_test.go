@@ -67,24 +67,32 @@ func TestImplicitProbeHotPathAllocFree(t *testing.T) {
 
 // TestCSRMmapProbeHotPathAllocFree pins the mmap CSR backend at zero
 // allocations per probe: a probe is a couple of loads against the
-// mapping plus two atomic counter updates, nothing else. The shuffled
-// file's Adjacency probes take the unsorted-row scan, the sorted one's
-// the binary search. AdjacencyEach over target lists is pinned at zero
-// too, on both of the unsorted file's paths.
+// mapping plus two atomic counter updates, nothing else. gen.Gnp and
+// BuildShuffled write unsorted rows, whose Adjacency probes take the
+// unsorted-row scan; the Gnp graph rebuilt from its edge list writes
+// sorted rows and the sorted flag, so its probes take the binary
+// search. AdjacencyEach over target lists is pinned at zero too, on
+// every file: target by target and in one pass on the unsorted ones.
 func TestCSRMmapProbeHotPathAllocFree(t *testing.T) {
 	skipNoMmap(t)
+	gnp := gen.Gnp(5_000, 0.002, 17)
 	for _, tc := range []struct {
-		name string
-		g    *graph.Graph
+		name   string
+		g      *graph.Graph
+		sorted bool
 	}{
-		{"csr-mmap", gen.Gnp(5_000, 0.002, 17)},
-		{"csr-mmap-shuffled", hubGraph(2100).BuildShuffled(rnd.NewPRG(5))},
+		{"csr-mmap", gnp, false},
+		{"csr-mmap-shuffled", hubGraph(2100).BuildShuffled(rnd.NewPRG(5)), false},
+		{"csr-mmap-sorted", graph.FromEdges(gnp.N(), gnp.Edges()), true},
 	} {
 		c, err := OpenCSRMmap(writeCSRFile(t, tc.g))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
+		if c.Sorted() != tc.sorted {
+			t.Fatalf("%s: Sorted() = %v, want %v", tc.name, c.Sorted(), tc.sorted)
+		}
 		assertProbesAllocFree(t, tc.name, c, tc.g.N())
 		// AdjacencyEach target by target (3 targets) and in one pass
 		// (two chunks of targets), with and without first.
