@@ -20,6 +20,8 @@
 package coloring
 
 import (
+	"slices"
+
 	"lca/internal/memo"
 	"lca/internal/oracle"
 	"lca/internal/rnd"
@@ -40,6 +42,10 @@ type Coloring struct {
 	// Explore allocates nothing; kids is its reused result buffer.
 	next func(v int, row []int) []int
 	kids []int
+	// taken is label's stack of taken-color flags: each call pushes its
+	// deg+1 cells above its callers' and truncates back on return, so a
+	// query allocates only when it recurses deeper than any before it.
+	taken []bool
 }
 
 // New returns a coloring LCA over o.
@@ -67,6 +73,8 @@ func (c *Coloring) QueryLabel(v int) int {
 		return int(col) - 1
 	}
 	oracle.Explore(c.counter.Unwrap(), v, c.next)
+	// A query a probe budget stopped left its cells on the stack.
+	c.taken = c.taken[:0]
 	return c.label(v)
 }
 
@@ -94,19 +102,24 @@ func (c *Coloring) label(v int) int {
 	}
 	row := c.counter.Neighbors(v)
 	deg := len(row)
-	used := make([]bool, deg+1)
+	base := len(c.taken)
+	c.taken = slices.Grow(c.taken, deg+1)[:base+deg+1]
+	clear(c.taken[base:])
 	pv := c.memo.Priority(v)
 	for _, w := range row {
 		if c.memo.Before(w, v, pv) {
+			// The recursion may move the stack: index it afresh.
 			if wc := c.label(w); wc <= deg {
-				used[wc] = true
+				c.taken[base+wc] = true
 			}
 		}
 	}
+	used := c.taken[base:]
 	col := 0
 	for col <= deg && used[col] {
 		col++
 	}
+	c.taken = c.taken[:base]
 	c.memo.Put(v, uint32(col)+1)
 	return col
 }

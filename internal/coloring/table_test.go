@@ -104,3 +104,19 @@ func TestColoringOutOfRangeNeighbor(t *testing.T) {
 		t.Fatalf("IDs ≥ n first answered before the switch: %v, after it: %v; want both", metBefore, metAfter)
 	}
 }
+
+// TestColoringQueryAllocFree: once its table has switched, a query over
+// an in-memory graph allocates nothing. Rows are the graph's own
+// (oracle.Explorer), the taken-color flags live on the instance's stack,
+// and colors and priorities sit in slices.
+func TestColoringQueryAllocFree(t *testing.T) {
+	g, err := gen.RandomRegular(20000, 8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(g, 5)
+	allocs := memotest.AllocsAfterSwitch(g, func(v int) { c.QueryLabel(v) }, c.memo.Sliced)
+	if !c.memo.Sliced() || allocs != 0 {
+		t.Fatalf("sliced %v, %.1f allocs per query; want 0 after the switch", c.memo.Sliced(), allocs)
+	}
+}

@@ -109,69 +109,85 @@ func (q QueryStats) String() string {
 	return s
 }
 
+// tally is one build loop's per-query accounting. It reads the LCA's
+// ProbeStats once before the first query and once after each query: a
+// query's cell probes are the difference of consecutive Totals, and
+// ByKind is the last reading minus the first. That equals reading the
+// stats before and after every query while nothing else moves the
+// reading between one query's end and the next one's start, which holds
+// when the chain's telemetry is its own: every Session build runs over
+// an in-memory graph, whose telemetry is per chain.
+type tally struct {
+	r           ProbeReporter // nil: queries are only counted
+	first, last oracle.Stats
+	stats       QueryStats
+}
+
+// newTally starts the accounting of a loop over lca's queries.
+func newTally(lca any) tally {
+	var t tally
+	if t.r, _ = lca.(ProbeReporter); t.r != nil {
+		t.first = t.r.ProbeStats()
+		t.last = t.first
+	}
+	return t
+}
+
+// observe accounts the query just answered.
+func (t *tally) observe() {
+	t.stats.Queries++
+	if t.r == nil {
+		return
+	}
+	prev := t.last.Total()
+	t.last = t.r.ProbeStats()
+	d := t.last.Total() - prev
+	t.stats.MaxTotal = max(t.stats.MaxTotal, d)
+	t.stats.SumTotal += d
+}
+
+// result returns the loop's QueryStats.
+func (t *tally) result() QueryStats {
+	t.stats.ByKind = t.last.Sub(t.first)
+	return t.stats
+}
+
 // BuildSubgraph queries the LCA on every edge of g and assembles the
 // selected subgraph. The returned stats carry per-query probe accounting if
 // the LCA implements ProbeReporter (via a Counter it owns).
 func BuildSubgraph(g *graph.Graph, lca EdgeLCA) (*graph.Graph, QueryStats) {
-	var stats QueryStats
-	reporter, _ := lca.(ProbeReporter)
+	t := newTally(lca)
 	b := graph.NewBuilder(g.N())
 	for _, e := range g.Edges() {
-		var before oracle.Stats
-		if reporter != nil {
-			before = reporter.ProbeStats()
-		}
 		if lca.QueryEdge(e.U, e.V) {
 			b.AddEdge(e.U, e.V)
 		}
-		if reporter != nil {
-			stats.Observe(reporter.ProbeStats().Sub(before))
-		} else {
-			stats.Queries++
-		}
+		t.observe()
 	}
-	return b.Build(), stats
+	return b.Build(), t.result()
 }
 
 // BuildVertexSet queries the LCA on every vertex and returns the selected
 // set as a boolean slice.
 func BuildVertexSet(g *graph.Graph, lca VertexLCA) ([]bool, QueryStats) {
-	var stats QueryStats
-	reporter, _ := lca.(ProbeReporter)
+	t := newTally(lca)
 	in := make([]bool, g.N())
-	for v := 0; v < g.N(); v++ {
-		var before oracle.Stats
-		if reporter != nil {
-			before = reporter.ProbeStats()
-		}
+	for v := range in {
 		in[v] = lca.QueryVertex(v)
-		if reporter != nil {
-			stats.Observe(reporter.ProbeStats().Sub(before))
-		} else {
-			stats.Queries++
-		}
+		t.observe()
 	}
-	return in, stats
+	return in, t.result()
 }
 
 // BuildLabels queries the LCA on every vertex and returns the labeling.
 func BuildLabels(g *graph.Graph, lca LabelLCA) ([]int, QueryStats) {
-	var stats QueryStats
-	reporter, _ := lca.(ProbeReporter)
+	t := newTally(lca)
 	labels := make([]int, g.N())
-	for v := 0; v < g.N(); v++ {
-		var before oracle.Stats
-		if reporter != nil {
-			before = reporter.ProbeStats()
-		}
+	for v := range labels {
 		labels[v] = lca.QueryLabel(v)
-		if reporter != nil {
-			stats.Observe(reporter.ProbeStats().Sub(before))
-		} else {
-			stats.Queries++
-		}
+		t.observe()
 	}
-	return labels, stats
+	return labels, t.result()
 }
 
 // CheckSymmetric verifies QueryEdge(u,v) == QueryEdge(v,u) on every edge

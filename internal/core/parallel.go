@@ -35,22 +35,14 @@ func BuildSubgraphParallel(g *graph.Graph, factory func() EdgeLCA, workers int) 
 	statsPer := make([]QueryStats, workers)
 	runWorkers(len(edges), workers, func(w, lo, hi int) {
 		lca := factory()
-		reporter, _ := lca.(ProbeReporter)
+		t := newTally(lca)
 		for _, e := range edges[lo:hi] {
-			var before, after QueryStats
-			if reporter != nil {
-				before.ByKind = reporter.ProbeStats()
-			}
 			if lca.QueryEdge(e.U, e.V) {
 				kept[w] = append(kept[w], e)
 			}
-			if reporter != nil {
-				after.ByKind = reporter.ProbeStats()
-				statsPer[w].Observe(after.ByKind.Sub(before.ByKind))
-			} else {
-				statsPer[w].Queries++
-			}
+			t.observe()
 		}
+		statsPer[w] = t.result()
 	})
 	b := graph.NewBuilder(g.N())
 	for _, es := range kept {
@@ -76,17 +68,12 @@ func BuildLabelsParallel(g *graph.Graph, factory func() LabelLCA, workers int) (
 	statsPer := make([]QueryStats, workers)
 	runWorkers(n, workers, func(w, lo, hi int) {
 		lca := factory()
-		reporter, _ := lca.(ProbeReporter)
+		t := newTally(lca)
 		for v := lo; v < hi; v++ {
-			if reporter != nil {
-				before := reporter.ProbeStats()
-				labels[v] = lca.QueryLabel(v)
-				statsPer[w].Observe(reporter.ProbeStats().Sub(before))
-			} else {
-				labels[v] = lca.QueryLabel(v)
-				statsPer[w].Queries++
-			}
+			labels[v] = lca.QueryLabel(v)
+			t.observe()
 		}
+		statsPer[w] = t.result()
 	})
 	return labels, merged(statsPer)
 }
@@ -102,17 +89,12 @@ func BuildVertexSetParallel(g *graph.Graph, factory func() VertexLCA, workers in
 	statsPer := make([]QueryStats, workers)
 	runWorkers(n, workers, func(w, lo, hi int) {
 		lca := factory()
-		reporter, _ := lca.(ProbeReporter)
+		t := newTally(lca)
 		for v := lo; v < hi; v++ {
-			if reporter != nil {
-				before := reporter.ProbeStats()
-				in[v] = lca.QueryVertex(v)
-				statsPer[w].Observe(reporter.ProbeStats().Sub(before))
-			} else {
-				in[v] = lca.QueryVertex(v)
-				statsPer[w].Queries++
-			}
+			in[v] = lca.QueryVertex(v)
+			t.observe()
 		}
+		statsPer[w] = t.result()
 	})
 	return in, merged(statsPer)
 }

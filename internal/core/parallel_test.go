@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -170,5 +171,93 @@ func TestBuildVertexSetParallelReraisesWorkerPanic(t *testing.T) {
 		wantBudgetPanic(t, workers, func(attempts *atomic.Int64) {
 			BuildVertexSetParallel(g, func() VertexLCA { return newBudgetLCA(g, attempts) }, workers)
 		})
+	}
+}
+
+// rowLCA answers every kind of query by reading rows through its
+// Counter, so each query costs probes and, over a row tier, row hits.
+type rowLCA struct{ c *oracle.Counter }
+
+func (r rowLCA) QueryEdge(u, v int) bool { return len(r.c.Neighbors(u)) <= len(r.c.Neighbors(v)) }
+func (r rowLCA) QueryVertex(v int) bool  { return r.QueryLabel(v)%2 == 0 }
+func (r rowLCA) QueryLabel(v int) int {
+	s := 0
+	for _, w := range r.c.Neighbors(v) {
+		s += r.c.Degree(w)
+	}
+	return s
+}
+func (r rowLCA) ProbeStats() oracle.Stats { return r.c.Stats() }
+
+// twoReads keeps the reference account of a rowLCA's queries in ref:
+// ProbeStats read before and after every query, each delta folded by
+// Observe.
+type twoReads struct {
+	rowLCA
+	ref *QueryStats
+}
+
+func (t twoReads) account(query func()) {
+	before := t.ProbeStats()
+	query()
+	t.ref.Observe(t.ProbeStats().Sub(before))
+}
+
+func (t twoReads) QueryEdge(u, v int) (in bool) {
+	t.account(func() { in = t.rowLCA.QueryEdge(u, v) })
+	return in
+}
+
+func (t twoReads) QueryVertex(v int) (in bool) {
+	t.account(func() { in = t.rowLCA.QueryVertex(v) })
+	return in
+}
+
+func (t twoReads) QueryLabel(v int) (label int) {
+	t.account(func() { label = t.rowLCA.QueryLabel(v) })
+	return label
+}
+
+// TestBuildStatsMatchTwoReadAccount: the build loops read ProbeStats
+// once per query, and their QueryStats equal the account that reads it
+// before and after every query, for edge, vertex and label builds at 1
+// and 2 workers, over a plain graph and over chains sharing a row cache.
+func TestBuildStatsMatchTwoReadAccount(t *testing.T) {
+	g := parallelTestGraph()
+	for _, cached := range []bool{false, true} {
+		for _, workers := range []int{1, 2} {
+			var rc *oracle.RowCache
+			if cached {
+				rc = oracle.NewRowCache(1024)
+			}
+			var mu sync.Mutex
+			var refs []*QueryStats
+			lca := func() twoReads {
+				mu.Lock()
+				defer mu.Unlock()
+				refs = append(refs, new(QueryStats))
+				return twoReads{rowLCA{oracle.NewCounter(oracle.NewChain(g, oracle.ChainConfig{RowCache: rc}))}, refs[len(refs)-1]}
+			}
+			check := func(kind string, got QueryStats) {
+				t.Helper()
+				var want QueryStats
+				for _, r := range refs {
+					want.Merge(*r)
+				}
+				refs = nil
+				if got != want {
+					t.Errorf("cached=%v workers=%d %s: stats %+v, two-read account %+v", cached, workers, kind, got, want)
+				}
+				if hits := got.ByKind.L1Hits + got.ByKind.L2Hits; got.SumTotal == 0 || cached != (hits > 0) {
+					t.Errorf("cached=%v workers=%d %s: %d probes, %d row hits", cached, workers, kind, got.SumTotal, hits)
+				}
+			}
+			_, qs := BuildSubgraphParallel(g, func() EdgeLCA { return lca() }, workers)
+			check("edges", qs)
+			_, qs = BuildVertexSetParallel(g, func() VertexLCA { return lca() }, workers)
+			check("vertices", qs)
+			_, qs = BuildLabelsParallel(g, func() LabelLCA { return lca() }, workers)
+			check("labels", qs)
+		}
 	}
 }

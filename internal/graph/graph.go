@@ -8,10 +8,18 @@
 // constructions make decisions based on list positions (first sqrt(n)
 // neighbors, block boundaries, ...). Builders therefore fix an explicit
 // order at construction time and never reorder afterwards.
+//
+// A Graph keeps its rows flat, end to end in one []int, and hands a row
+// out in place: Neighbors(v) is a shared sub-slice, not a copy, which
+// makes *Graph an exploring oracle (oracle.Explorer) whose rows cost no
+// probe loop and no allocation. A cell takes 8 bytes, twice the int32
+// the CSR file stores, in exchange for rows the algorithms read as they
+// are.
 package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"lca/internal/rnd"
@@ -20,36 +28,46 @@ import (
 // Graph is an immutable simple undirected graph on vertices 0..N()-1.
 // Vertex IDs are the indices themselves. The zero value is the empty graph.
 type Graph struct {
-	adj  [][]int32        // adj[v] is the ordered neighbor list of v
-	pos  map[uint64]int32 // (u,v) -> index of v in adj[u]
-	m    int              // number of undirected edges
-	stub []int64          // stub[v] = sum of degrees of vertices < v
+	cells []int            // every row in vertex order, end to end
+	stub  []int            // row v is cells[stub[v]:stub[v+1]]; n+1 offsets
+	pos   map[uint64]int32 // (u,v) -> index of v in row u
+	m     int              // number of undirected edges
 }
 
 // pairKey packs an ordered vertex pair into a map key.
 func pairKey(u, v int) uint64 { return uint64(uint32(u))<<32 | uint64(uint32(v)) }
 
 // N returns the number of vertices.
-func (g *Graph) N() int { return len(g.adj) }
+func (g *Graph) N() int { return max(len(g.stub)-1, 0) }
 
 // M returns the number of undirected edges.
 func (g *Graph) M() int { return g.m }
 
 // Degree returns the degree of v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v int) int { return g.stub[v+1] - g.stub[v] }
 
 // Neighbor returns the i-th neighbor of v (0-indexed), or -1 if i is out of
 // range. This mirrors the Neighbor probe semantics of the LCA model.
 func (g *Graph) Neighbor(v, i int) int {
-	if i < 0 || i >= len(g.adj[v]) {
+	row := g.Neighbors(v)
+	if i < 0 || i >= len(row) {
 		return -1
 	}
-	return int(g.adj[v][i])
+	return row[i]
 }
 
-// Neighbors returns v's neighbor list in probe order. The slice is shared
-// with the graph and must not be modified.
-func (g *Graph) Neighbors(v int) []int32 { return g.adj[v] }
+// Neighbors returns v's neighbor list in probe order. The slice is the
+// graph's own row, shared with every caller, and must not be modified.
+// Its capacity ends with the row, so an append copies it rather than
+// overwrite row v+1. Neighbors makes *Graph an oracle.Explorer.
+func (g *Graph) Neighbors(v int) []int {
+	lo, hi := g.stub[v], g.stub[v+1]
+	return g.cells[lo:hi:hi]
+}
+
+// Prefetch is the Explorer hint; every row is already in memory, so it
+// does nothing.
+func (g *Graph) Prefetch(...int) {}
 
 // RandomEdge returns a uniformly random edge in canonical orientation. It
 // implements the "random edge" oracle extension used by sublinear-time
@@ -60,20 +78,11 @@ func (g *Graph) RandomEdge(prg *rnd.PRG) (u, v int) {
 	if g.m == 0 {
 		panic("graph: RandomEdge on edgeless graph")
 	}
-	stub := int64(prg.Intn(2 * g.m))
-	// Binary search the stub prefix sums: O(log n) per sample.
-	lo, hi := 0, len(g.stub)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if g.stub[mid] <= stub {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	w := lo
-	x := int(g.adj[w][stub-g.stub[w]])
-	e := Edge{U: w, V: x}.Canon()
+	// The stub's row is the last whose offset is at most the stub:
+	// O(log n) per sample. Cell s is the stub's other endpoint.
+	s := prg.Intn(2 * g.m)
+	w := sort.Search(len(g.stub), func(i int) bool { return g.stub[i] > s }) - 1
+	e := Edge{U: w, V: g.cells[s]}.Canon()
 	return e.U, e.V
 }
 
@@ -101,9 +110,9 @@ func (g *Graph) HasEdge(u, v int) bool {
 // MaxDegree returns the maximum degree, or 0 for the empty graph.
 func (g *Graph) MaxDegree() int {
 	max := 0
-	for _, l := range g.adj {
-		if len(l) > max {
-			max = len(l)
+	for v := 0; v < g.N(); v++ {
+		if d := g.Degree(v); d > max {
+			max = d
 		}
 	}
 	return max
@@ -111,13 +120,13 @@ func (g *Graph) MaxDegree() int {
 
 // MinDegree returns the minimum degree, or 0 for the empty graph.
 func (g *Graph) MinDegree() int {
-	if len(g.adj) == 0 {
+	if g.N() == 0 {
 		return 0
 	}
-	min := len(g.adj[0])
-	for _, l := range g.adj[1:] {
-		if len(l) < min {
-			min = len(l)
+	min := g.Degree(0)
+	for v := 1; v < g.N(); v++ {
+		if d := g.Degree(v); d < min {
+			min = d
 		}
 	}
 	return min
@@ -145,10 +154,10 @@ func (e Edge) Key() uint64 {
 // Edges returns all edges in canonical orientation, sorted by (U, V).
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, g.m)
-	for u, l := range g.adj {
-		for _, w := range l {
-			if u < int(w) {
-				out = append(out, Edge{U: u, V: int(w)})
+	for u := 0; u < g.N(); u++ {
+		for _, w := range g.Neighbors(u) {
+			if u < w {
+				out = append(out, Edge{U: u, V: w})
 			}
 		}
 	}
@@ -212,33 +221,41 @@ func (b *Builder) BuildShuffled(prg *rnd.PRG) *Graph {
 }
 
 func (b *Builder) build(prg *rnd.PRG) *Graph {
-	adj := make([][]int32, b.n)
 	keys := make([]uint64, 0, len(b.edges))
 	for k := range b.edges {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
+	// Offsets from the degrees, then each row filled in key order.
+	stub := make([]int, b.n+1)
 	for _, k := range keys {
 		u, v := int(k>>32), int(uint32(k))
-		adj[u] = append(adj[u], int32(v))
-		adj[v] = append(adj[v], int32(u))
+		stub[u+1]++
+		stub[v+1]++
 	}
-	// Deterministic sorted order first; optional shuffle second.
-	for v := range adj {
-		l := adj[v]
-		sort.Slice(l, func(i, j int) bool { return l[i] < l[j] })
+	for v := 0; v < b.n; v++ {
+		stub[v+1] += stub[v]
+	}
+	cells := make([]int, stub[b.n])
+	fill := slices.Clone(stub[:b.n])
+	for _, k := range keys {
+		u, v := int(k>>32), int(uint32(k))
+		cells[fill[u]] = v
+		fill[u]++
+		cells[fill[v]] = u
+		fill[v]++
+	}
+	g := &Graph{cells: cells, stub: stub, m: len(b.edges), pos: make(map[uint64]int32, 2*len(b.edges))}
+	// Deterministic sorted order first; optional shuffle second, one
+	// PRG shuffle per row in vertex order.
+	for v := 0; v < b.n; v++ {
+		l := g.Neighbors(v)
+		slices.Sort(l)
 		if prg != nil {
 			prg.Shuffle(len(l), func(i, j int) { l[i], l[j] = l[j], l[i] })
 		}
-	}
-	g := &Graph{adj: adj, m: len(b.edges), pos: make(map[uint64]int32, 2*len(b.edges))}
-	g.stub = make([]int64, len(adj))
-	var acc int64
-	for v, l := range adj {
-		g.stub[v] = acc
-		acc += int64(len(l))
 		for i, w := range l {
-			g.pos[pairKey(v, int(w))] = int32(i)
+			g.pos[pairKey(v, w)] = int32(i)
 		}
 	}
 	return g

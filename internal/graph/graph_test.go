@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -88,6 +89,41 @@ func TestDegreeAndNeighbors(t *testing.T) {
 	}
 	if g.Neighbor(0, 0) != 1 || g.Neighbor(0, 1) != -1 || g.Neighbor(0, -1) != -1 {
 		t.Error("Neighbor probe semantics broken at endpoint")
+	}
+}
+
+// TestNeighborsSharedRows: Neighbors hands out the graph's own rows,
+// clipped so that an append copies the row instead of overwriting the
+// next one, including around zero-degree rows; the zero-value Graph is
+// the empty graph.
+func TestNeighborsSharedRows(t *testing.T) {
+	b := NewBuilder(6)
+	b.AddEdge(0, 1)
+	b.AddEdge(0, 4)
+	b.AddEdge(3, 4) // 2 and 5 are isolated
+	g := b.BuildShuffled(rnd.NewPRG(1))
+	want := make([][]int, g.N())
+	for v := range want {
+		want[v] = append([]int(nil), g.Neighbors(v)...)
+	}
+	for v := 0; v < g.N(); v++ {
+		row := g.Neighbors(v)
+		if len(row) != g.Degree(v) || cap(row) != len(row) {
+			t.Fatalf("row %d: len %d cap %d, degree %d", v, len(row), cap(row), g.Degree(v))
+		}
+		_ = append(row, -1)
+		for u := range want {
+			if got := g.Neighbors(u); !slices.Equal(got, want[u]) {
+				t.Fatalf("append to row %d: row %d = %v, want %v", v, u, got, want[u])
+			}
+		}
+	}
+	var z Graph
+	if z.N() != 0 || z.M() != 0 || z.MaxDegree() != 0 || z.MinDegree() != 0 || len(z.Edges()) != 0 || !z.IsConnected() {
+		t.Fatalf("zero-value Graph: n=%d m=%d degrees [%d,%d] edges %v", z.N(), z.M(), z.MinDegree(), z.MaxDegree(), z.Edges())
+	}
+	if e := NewBuilder(0).Build(); e.N() != 0 || e.M() != 0 {
+		t.Fatalf("empty build: n=%d m=%d", e.N(), e.M())
 	}
 }
 

@@ -26,16 +26,15 @@ func (g *Graph) Dist(u, v, maxDepth int) int {
 			if maxDepth >= 0 && d >= maxDepth {
 				continue
 			}
-			for _, w := range g.adj[x] {
-				wi := int(w)
-				if _, seen := dist[wi]; seen {
+			for _, w := range g.Neighbors(x) {
+				if _, seen := dist[w]; seen {
 					continue
 				}
-				if wi == v {
+				if w == v {
 					return d + 1
 				}
-				dist[wi] = d + 1
-				next = append(next, wi)
+				dist[w] = d + 1
+				next = append(next, w)
 			}
 		}
 		frontier = next
@@ -56,11 +55,10 @@ func (g *Graph) BFSWithin(v, radius int) (order []int, dist map[int]int) {
 		if radius >= 0 && d >= radius {
 			continue
 		}
-		for _, w := range g.adj[x] {
-			wi := int(w)
-			if _, seen := dist[wi]; !seen {
-				dist[wi] = d + 1
-				order = append(order, wi)
+		for _, w := range g.Neighbors(x) {
+			if _, seen := dist[w]; !seen {
+				dist[w] = d + 1
+				order = append(order, w)
 			}
 		}
 	}
@@ -84,10 +82,10 @@ func (g *Graph) Components() (comp []int, count int) {
 		for len(queue) > 0 {
 			x := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
-			for _, w := range g.adj[x] {
+			for _, w := range g.Neighbors(x) {
 				if comp[w] == -1 {
 					comp[w] = count
-					queue = append(queue, int(w))
+					queue = append(queue, w)
 				}
 			}
 		}
@@ -147,21 +145,20 @@ func (g *Graph) Girth() int {
 			if best >= 0 && 2*dist[x] >= best {
 				break // no shorter cycle reachable from here
 			}
-			for _, w := range g.adj[x] {
-				wi := int(w)
-				if dist[wi] == -1 {
-					dist[wi] = dist[x] + 1
-					parent[wi] = x
-					queue = append(queue, wi)
+			for _, w := range g.Neighbors(x) {
+				if dist[w] == -1 {
+					dist[w] = dist[x] + 1
+					parent[w] = x
+					queue = append(queue, w)
 					continue
 				}
-				if wi == parent[x] {
+				if w == parent[x] {
 					continue
 				}
 				// Non-tree edge: a cycle through src of length at most
-				// dist[x] + dist[wi] + 1 (exact for the first one found at
+				// dist[x] + dist[w] + 1 (exact for the first one found at
 				// minimal levels).
-				if c := dist[x] + dist[wi] + 1; best < 0 || c < best {
+				if c := dist[x] + dist[w] + 1; best < 0 || c < best {
 					best = c
 				}
 			}
@@ -181,10 +178,10 @@ func (g *Graph) AllDistancesFrom(src int) []int {
 	queue := []int{src}
 	for qi := 0; qi < len(queue); qi++ {
 		x := queue[qi]
-		for _, w := range g.adj[x] {
+		for _, w := range g.Neighbors(x) {
 			if dist[w] == -1 {
 				dist[w] = dist[x] + 1
-				queue = append(queue, int(w))
+				queue = append(queue, w)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 // Package memotest holds the fixtures that the greedy LCAs' tests of
 // their vertex tables share: a view that keeps a table a map, a query
-// order, and a CSR file holding neighbor IDs outside the graph.
+// order, a CSR file holding neighbor IDs outside the graph, and an
+// allocation count for queries over a switched table.
 package memotest
 
 import (
@@ -82,4 +83,20 @@ func CorruptCSR(t testing.TB, g *graph.Graph, rows []int) (*source.CSRMmap, []in
 	}
 	t.Cleanup(func() { src.Close() })
 	return src, bad
+}
+
+// AllocsAfterSwitch answers vertices 0, 1, ... of g with query until
+// sliced reports that the instance's table has switched, then returns
+// the allocations per query over the next 2000 fresh vertices
+// (testing.AllocsPerRun). g needs at least n/16 + 2001 vertices beyond
+// those the switch takes.
+func AllocsAfterSwitch(g *graph.Graph, query func(v int), sliced func() bool) float64 {
+	v := 0
+	for ; !sliced() && v < g.N(); v++ {
+		query(v)
+	}
+	return testing.AllocsPerRun(2000, func() {
+		query(v)
+		v++
+	})
 }

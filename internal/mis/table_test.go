@@ -104,3 +104,18 @@ func TestMISOutOfRangeNeighbor(t *testing.T) {
 		t.Fatalf("IDs ≥ n first answered before the switch: %v, after it: %v; want both", metBefore, metAfter)
 	}
 }
+
+// TestMISQueryAllocFree: once its table has switched, a query over an
+// in-memory graph allocates nothing. Rows are the graph's own
+// (oracle.Explorer) and answers and priorities sit in slices.
+func TestMISQueryAllocFree(t *testing.T) {
+	g, err := gen.RandomRegular(20000, 8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(g, 5)
+	allocs := memotest.AllocsAfterSwitch(g, func(v int) { m.QueryVertex(v) }, m.memo.Sliced)
+	if !m.memo.Sliced() || allocs != 0 {
+		t.Fatalf("sliced %v, %.1f allocs per query; want 0 after the switch", m.memo.Sliced(), allocs)
+	}
+}

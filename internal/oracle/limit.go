@@ -94,14 +94,16 @@ func (l *LimitOracle) Adjacency(u, v int) int {
 
 // Neighbors implements Explorer, spending one probe for the degree plus
 // one per cell of the row — the scalar loop's exact account. Over a
-// plain backend the loop spends before each cell is probed, so the
-// backend never serves a probe past the budget — the strict contract.
-// Over an exploring inner oracle the row arrives as one speculative
-// batch (exactly what a free Prefetch hint would fetch) and the per-cell
-// charges land as the cells are accounted: the budget panic still fires
-// before any answer beyond it reaches the caller's logic, while the
-// transport-level overshoot is bounded by the one row — the same
-// speculation Prefetch is documented to perform.
+// backend without Explorer (an implicit family, a CSR file) the loop
+// spends before each cell is probed, so the backend never serves a probe
+// past the budget — the strict contract. Over an exploring inner oracle
+// (an in-memory graph, the row tier) the row arrives whole and the
+// per-cell charges land after it, one per cell in the loop's order: the
+// budget panic fires at the same probe, before any answer beyond it
+// reaches the caller's logic. A graph's row is already in memory, so
+// nothing is read past the budget; the row tier's transport-level
+// overshoot is bounded by the one row — the same speculation Prefetch
+// is documented to perform.
 func (l *LimitOracle) Neighbors(v int) []int {
 	e, ok := l.inner.(Explorer)
 	if !ok {

@@ -30,8 +30,11 @@
 // oracle implements the optional Explorer capability they delegate to it,
 // otherwise they fall back to the equivalent scalar probe loop, so
 // algorithms written against the exploration API run unchanged on every
-// backend. AdjacencyEach(o, u, vs, idx, first) is the same kind of helper
-// for a scan's Adjacency probes on one row: it answers Adjacency(u, vs[k])
+// backend. An in-memory *graph.Graph implements Explorer by handing out
+// its own rows, so a row costs neither a probe loop nor an allocation
+// there; implicit families and CSR files keep the loop.
+// AdjacencyEach(o, u, vs, idx, first) is the same kind of helper for a
+// scan's Adjacency probes on one row: it answers Adjacency(u, vs[k])
 // for k in order, each charged as one probe, and the AdjacencyScanner
 // capability lets the mmap CSR source answer them in one pass over u's
 // row. The payoff is the row tier, TieredOracle (tier.go): over a
@@ -89,7 +92,8 @@ func New(src source.Source) Oracle { return src }
 // fallback on oracles without the capability.
 type Explorer interface {
 	// Neighbors returns v's full adjacency row. The slice may be shared
-	// with the oracle's cache; callers must not modify it.
+	// with the oracle's cache, or be an in-memory graph's own row;
+	// callers must not modify it.
 	Neighbors(v int) []int
 	// Prefetch hints that the caller is about to read cells of the listed
 	// rows. It is free at the probe-accounting level (only cells actually
@@ -105,6 +109,11 @@ func Neighbors(o Oracle, v int) []int {
 	if e, ok := o.(Explorer); ok {
 		return e.Neighbors(v)
 	}
+	return neighborsLoop(o, v)
+}
+
+// neighborsLoop is Neighbors as scalar probes on o, into a fresh row.
+func neighborsLoop(o Oracle, v int) []int {
 	deg := o.Degree(v)
 	row := make([]int, 0, deg)
 	for i := 0; i < deg; i++ {
@@ -221,6 +230,9 @@ type Counter struct {
 	inner Oracle
 	stats Stats
 	chain *chainMeter // nil when the chain produces no telemetry
+	// rows is inner's Explorer (an in-memory graph, the row tier, a
+	// wrapper); nil sends Neighbors through the scalar loop.
+	rows Explorer
 	// scan is inner's AdjacencyScanner when inner answers the op itself
 	// (a source with the capability, or a Counter over one); nil sends
 	// AdjacencyEach through Adjacency, one probe at a time.
@@ -236,6 +248,7 @@ var (
 // NewCounter wraps inner with probe accounting.
 func NewCounter(inner Oracle) *Counter {
 	c := &Counter{inner: inner, chain: newChainMeter(inner)}
+	c.rows, _ = inner.(Explorer)
 	switch in := inner.(type) {
 	case *Counter:
 		if in.scan != nil {
@@ -286,9 +299,15 @@ func (c *Counter) AdjacencyEach(u int, vs, idx []int, first bool) int {
 }
 
 // Neighbors implements Explorer, charging one Degree probe plus one
-// Neighbor probe per returned cell — exactly the scalar loop's account.
+// Neighbor probe per returned cell — exactly the scalar loop's account,
+// whether the row came from inner's Explorer or from that loop.
 func (c *Counter) Neighbors(v int) []int {
-	row := Neighbors(c.inner, v)
+	var row []int
+	if c.rows != nil {
+		row = c.rows.Neighbors(v)
+	} else {
+		row = neighborsLoop(c.inner, v)
+	}
 	c.stats.Degree++
 	c.stats.Neighbor += uint64(len(row))
 	c.stats.Batches++
@@ -301,7 +320,9 @@ func (c *Counter) Prefetch(vs ...int) {
 		return
 	}
 	c.stats.Batches++
-	Prefetch(c.inner, vs...)
+	if c.rows != nil {
+		c.rows.Prefetch(vs...)
+	}
 }
 
 // Stats returns the probe counts so far.

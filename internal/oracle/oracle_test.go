@@ -176,3 +176,41 @@ func TestAdjacencyEachBudgetStopsAtExactProbe(t *testing.T) {
 		}
 	}
 }
+
+// scalarOnly hides every optional capability of the wrapped oracle.
+type scalarOnly struct{ Oracle }
+
+// TestGraphRowsInPlace: a Counter over an in-memory graph hands out the
+// graph's own rows and charges them as the scalar loop does, and a
+// LimitOracle over the graph, taking its Explorer branch, stops a row at
+// the probe the scalar loop stops at, with the same Used() and the same
+// Counter stats, for every budget up to the row's whole cost.
+func TestGraphRowsInPlace(t *testing.T) {
+	g := testGraph() // deg(0) = 2, deg(5) = 0
+	for _, v := range []int{0, 5} {
+		c, s := NewCounter(g), NewCounter(scalarOnly{g})
+		row, loop := c.Neighbors(v), s.Neighbors(v)
+		if len(row) != len(loop) || c.Stats() != s.Stats() {
+			t.Fatalf("row %d: %v with %+v; scalar loop %v with %+v", v, row, c.Stats(), loop, s.Stats())
+		}
+		if len(row) > 0 && &row[0] != &g.Neighbors(v)[0] {
+			t.Fatalf("row %d is a copy, not the graph's row", v)
+		}
+	}
+	for budget := uint64(0); budget <= 3; budget++ {
+		run := func(o Oracle) (used uint64, st Stats, r any) {
+			l := NewLimit(o, budget)
+			c := NewCounter(l)
+			func() {
+				defer func() { r = recover() }()
+				c.Neighbors(0)
+			}()
+			return l.Used(), c.Stats(), r
+		}
+		u1, s1, r1 := run(g)
+		u2, s2, r2 := run(scalarOnly{g})
+		if u1 != u2 || s1 != s2 || r1 != r2 {
+			t.Fatalf("budget %d: graph used=%d %+v panic=%v; scalar used=%d %+v panic=%v", budget, u1, s1, r1, u2, s2, r2)
+		}
+	}
+}
