@@ -169,7 +169,6 @@ func (r *runner) reg() {
 		fmt.Fprintf(os.Stderr, "REG: %v\n", err)
 		return
 	}
-	edges := g.Edges()
 	t := stats.NewTable("algorithm", "kind", "queries", "mean probes", "max probes", "mean us/query")
 	const samples = 60
 	for _, d := range registry.All() {
@@ -178,6 +177,8 @@ func (r *runner) reg() {
 			fmt.Fprintf(os.Stderr, "REG: %s: %v\n", d.Name, err)
 			continue
 		}
+		ask, _ := d.Kind.Bind(inst)
+		queries := d.Kind.Queries(g)
 		rep, _ := inst.(core.ProbeReporter)
 		prg := rnd.NewPRG(r.seed.Derive(0x9ea))
 		var q core.QueryStats
@@ -187,15 +188,7 @@ func (r *runner) reg() {
 			if rep != nil {
 				before = rep.ProbeStats()
 			}
-			switch d.Kind {
-			case registry.KindEdge:
-				e := edges[prg.Intn(len(edges))]
-				inst.(core.EdgeLCA).QueryEdge(e.U, e.V)
-			case registry.KindVertex:
-				inst.(core.VertexLCA).QueryVertex(prg.Intn(n))
-			case registry.KindLabel:
-				inst.(core.LabelLCA).QueryLabel(prg.Intn(n))
-			}
+			ask(queries[prg.Intn(len(queries))])
 			if rep != nil {
 				q.Observe(rep.ProbeStats().Sub(before))
 			} else {
@@ -382,7 +375,8 @@ func probeChain(src source.Source, qc queryConfig) oracle.Oracle {
 // measurePointQueries runs `samples` point queries of the named
 // algorithm's kind against src on one fresh instance, returning probe
 // stats, elapsed wall time and the p99 round trips per query — the
-// shared measurement loop of the SRC, NET and FAIL sweeps. Edge-kind
+// shared measurement loop of the SRC, NET and FAIL sweeps. Each query
+// is the kind's query rooted at a random vertex v (Kind.QueryAt): edge
 // queries target (v, first neighbor of v), skipping the rare isolated
 // vertex (blockrandom has a few). With prefetch, the instance runs over
 // the row tier; the per-query stats then show the round-trip collapse
@@ -396,6 +390,7 @@ func (r *runner) measurePointQueries(src source.Source, algo string, n, samples 
 	if err != nil {
 		return core.QueryStats{}, 0, 0, err
 	}
+	ask, _ := d.Kind.Bind(inst)
 	rep, _ := inst.(core.ProbeReporter)
 	prg := rnd.NewPRG(r.seed.Derive(deriveLabel))
 	var q core.QueryStats
@@ -407,18 +402,11 @@ func (r *runner) measurePointQueries(src source.Source, algo string, n, samples 
 		if rep != nil {
 			before = rep.ProbeStats()
 		}
-		switch d.Kind {
-		case registry.KindEdge:
-			w := src.Neighbor(v, 0)
-			if w < 0 {
-				continue
-			}
-			inst.(core.EdgeLCA).QueryEdge(v, w)
-		case registry.KindVertex:
-			inst.(core.VertexLCA).QueryVertex(v)
-		case registry.KindLabel:
-			inst.(core.LabelLCA).QueryLabel(v)
+		query, ok := d.Kind.QueryAt(src, v)
+		if !ok {
+			continue
 		}
+		ask(query)
 		if rep != nil {
 			delta := rep.ProbeStats().Sub(before)
 			q.Observe(delta)

@@ -156,38 +156,18 @@ func (t *tally) result() QueryStats {
 // selected subgraph. The returned stats carry per-query probe accounting if
 // the LCA implements ProbeReporter (via a Counter it owns).
 func BuildSubgraph(g *graph.Graph, lca EdgeLCA) (*graph.Graph, QueryStats) {
-	t := newTally(lca)
-	b := graph.NewBuilder(g.N())
-	for _, e := range g.Edges() {
-		if lca.QueryEdge(e.U, e.V) {
-			b.AddEdge(e.U, e.V)
-		}
-		t.observe()
-	}
-	return b.Build(), t.result()
+	return Subgraph(g, func() EdgeLCA { return lca }, 1, nil)
 }
 
 // BuildVertexSet queries the LCA on every vertex and returns the selected
 // set as a boolean slice.
 func BuildVertexSet(g *graph.Graph, lca VertexLCA) ([]bool, QueryStats) {
-	t := newTally(lca)
-	in := make([]bool, g.N())
-	for v := range in {
-		in[v] = lca.QueryVertex(v)
-		t.observe()
-	}
-	return in, t.result()
+	return VertexSet(g, func() VertexLCA { return lca }, 1, nil)
 }
 
 // BuildLabels queries the LCA on every vertex and returns the labeling.
 func BuildLabels(g *graph.Graph, lca LabelLCA) ([]int, QueryStats) {
-	t := newTally(lca)
-	labels := make([]int, g.N())
-	for v := range labels {
-		labels[v] = lca.QueryLabel(v)
-		t.observe()
-	}
-	return labels, t.result()
+	return Labels(g, func() LabelLCA { return lca }, 1, nil)
 }
 
 // CheckSymmetric verifies QueryEdge(u,v) == QueryEdge(v,u) on every edge

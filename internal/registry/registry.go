@@ -21,6 +21,7 @@ import (
 	"lca/internal/graph"
 	"lca/internal/oracle"
 	"lca/internal/rnd"
+	"lca/internal/source"
 )
 
 // Kind is the query shape an algorithm answers.
@@ -39,8 +40,91 @@ const (
 	KindLabel Kind = "label"
 )
 
-func (k Kind) valid() bool {
-	return k == KindEdge || k == KindVertex || k == KindLabel
+// Query is one point query's coordinates, in the order Kind.Coords
+// names them: (u, v) for an edge query, v alone for a vertex or label
+// query.
+type Query [2]int
+
+// Answer is one point query's answer: In for edge and vertex kinds,
+// Label for label kinds. The other field stays nil, so an answer
+// marshals to its kind's own key alone ({"in":true} or {"label":3}).
+type Answer struct {
+	In    *bool `json:"in,omitempty"`
+	Label *int  `json:"label,omitempty"`
+}
+
+// kindSpec is one query kind's row of the kind table, the one place a
+// kind's shape is decided: its coordinates, the op of its root span, and
+// how to ask an instance built for it.
+type kindSpec struct {
+	coords []string
+	span   string
+	// bind returns inst's query method, false when inst does not answer
+	// the kind's queries.
+	bind func(inst any) (func(Query) Answer, bool)
+}
+
+var kinds = map[Kind]kindSpec{
+	KindEdge: {[]string{"u", "v"}, "query:edge", func(inst any) (func(Query) Answer, bool) {
+		l, ok := inst.(core.EdgeLCA)
+		return func(q Query) Answer { in := l.QueryEdge(q[0], q[1]); return Answer{In: &in} }, ok
+	}},
+	KindVertex: {[]string{"v"}, "query:vertex", func(inst any) (func(Query) Answer, bool) {
+		l, ok := inst.(core.VertexLCA)
+		return func(q Query) Answer { in := l.QueryVertex(q[0]); return Answer{In: &in} }, ok
+	}},
+	KindLabel: {[]string{"v"}, "query:label", func(inst any) (func(Query) Answer, bool) {
+		l, ok := inst.(core.LabelLCA)
+		return func(q Query) Answer { label := l.QueryLabel(q[0]); return Answer{Label: &label} }, ok
+	}},
+}
+
+func (k Kind) valid() bool { _, ok := kinds[k]; return ok }
+
+// Coords names the coordinates of a k query, in Query order; nil for an
+// unknown kind.
+func (k Kind) Coords() []string { return kinds[k].coords }
+
+// Span is the op of a k point query's root span.
+func (k Kind) Span() string { return kinds[k].span }
+
+// Bind returns inst's query method for kind k: it asks one query and
+// returns its answer. ok is false when inst does not answer k's queries
+// or k is unknown.
+func (k Kind) Bind(inst any) (ask func(Query) Answer, ok bool) {
+	spec, ok := kinds[k]
+	if !ok {
+		return nil, false
+	}
+	return spec.bind(inst)
+}
+
+// Queries lists every k query over g in g's order: one per edge for an
+// edge kind, one per vertex otherwise.
+func (k Kind) Queries(g *graph.Graph) []Query {
+	if k == KindEdge {
+		qs := make([]Query, 0, g.M())
+		for _, e := range g.Edges() {
+			qs = append(qs, Query{e.U, e.V})
+		}
+		return qs
+	}
+	qs := make([]Query, g.N())
+	for v := range qs {
+		qs[v] = Query{v}
+	}
+	return qs
+}
+
+// QueryAt returns the k query rooted at vertex v of src: v itself, or
+// for an edge kind the edge to v's first neighbor (one Neighbor probe of
+// src; false when v has none).
+func (k Kind) QueryAt(src source.Source, v int) (Query, bool) {
+	if k != KindEdge {
+		return Query{v}, true
+	}
+	w := src.Neighbor(v, 0)
+	return Query{v, w}, w >= 0
 }
 
 // ParamType is the value type of a tunable parameter.
@@ -246,16 +330,7 @@ func (d *Descriptor) Build(o oracle.Oracle, seed rnd.Seed, p Params) (any, error
 	if err != nil {
 		return nil, fmt.Errorf("algorithm %q: %v", d.Name, err)
 	}
-	var ok bool
-	switch d.Kind {
-	case KindEdge:
-		_, ok = inst.(core.EdgeLCA)
-	case KindVertex:
-		_, ok = inst.(core.VertexLCA)
-	case KindLabel:
-		_, ok = inst.(core.LabelLCA)
-	}
-	if !ok {
+	if _, ok := d.Kind.Bind(inst); !ok {
 		return nil, &BadInstanceError{Algo: d.Name, Kind: d.Kind, Instance: fmt.Sprintf("%T", inst)}
 	}
 	return inst, nil
@@ -341,44 +416,6 @@ func All() []*Descriptor {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// BuildEdge constructs the named edge-kind algorithm.
-func BuildEdge(name string, o oracle.Oracle, seed rnd.Seed, p Params) (core.EdgeLCA, error) {
-	inst, err := buildKind(name, KindEdge, o, seed, p)
-	if err != nil {
-		return nil, err
-	}
-	return inst.(core.EdgeLCA), nil
-}
-
-// BuildVertex constructs the named vertex-kind algorithm.
-func BuildVertex(name string, o oracle.Oracle, seed rnd.Seed, p Params) (core.VertexLCA, error) {
-	inst, err := buildKind(name, KindVertex, o, seed, p)
-	if err != nil {
-		return nil, err
-	}
-	return inst.(core.VertexLCA), nil
-}
-
-// BuildLabel constructs the named label-kind algorithm.
-func BuildLabel(name string, o oracle.Oracle, seed rnd.Seed, p Params) (core.LabelLCA, error) {
-	inst, err := buildKind(name, KindLabel, o, seed, p)
-	if err != nil {
-		return nil, err
-	}
-	return inst.(core.LabelLCA), nil
-}
-
-func buildKind(name string, kind Kind, o oracle.Oracle, seed rnd.Seed, p Params) (any, error) {
-	d, err := Get(name)
-	if err != nil {
-		return nil, err
-	}
-	if d.Kind != kind {
-		return nil, fmt.Errorf("registry: algorithm %q answers %s queries, not %s", d.Name, d.Kind, kind)
-	}
-	return d.Build(o, seed, p)
 }
 
 // Build constructs the named algorithm of any kind.

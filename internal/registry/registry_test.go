@@ -145,19 +145,33 @@ func TestParamRangeRejected(t *testing.T) {
 	}
 }
 
+// TestKindMismatch checks that Kind.Bind refuses an instance built for
+// another kind and binds one built for its own.
 func TestKindMismatch(t *testing.T) {
 	g := testGraph()
-	if _, err := registry.BuildEdge("mis", oracle.New(g), testSeed, nil); err == nil {
-		t.Error("BuildEdge accepted a vertex-kind algorithm")
+	build := func(name string) any {
+		inst, err := registry.Build(name, oracle.New(g), testSeed, nil)
+		if err != nil {
+			t.Fatalf("Build(%s): %v", name, err)
+		}
+		return inst
 	}
-	if _, err := registry.BuildVertex("spanner3", oracle.New(g), testSeed, nil); err == nil {
-		t.Error("BuildVertex accepted an edge-kind algorithm")
+	if _, ok := registry.KindEdge.Bind(build("mis")); ok {
+		t.Error("KindEdge bound a vertex-kind algorithm")
 	}
-	if _, err := registry.BuildLabel("matching", oracle.New(g), testSeed, nil); err == nil {
-		t.Error("BuildLabel accepted an edge-kind algorithm")
+	if _, ok := registry.KindVertex.Bind(build("spanner3")); ok {
+		t.Error("KindVertex bound an edge-kind algorithm")
 	}
-	if _, err := registry.BuildEdge("spanner3", oracle.New(g), testSeed, nil); err != nil {
-		t.Errorf("BuildEdge(spanner3): %v", err)
+	if _, ok := registry.KindLabel.Bind(build("matching")); ok {
+		t.Error("KindLabel bound an edge-kind algorithm")
+	}
+	ask, ok := registry.KindEdge.Bind(build("spanner3"))
+	if !ok {
+		t.Fatal("KindEdge refused spanner3")
+	}
+	e := g.Edges()[0]
+	if a := ask(registry.Query{e.U, e.V}); a.In == nil || a.Label != nil {
+		t.Errorf("spanner3 edge answer = %+v, want In alone", a)
 	}
 }
 

@@ -32,7 +32,6 @@ import (
 	"sync"
 
 	"lca/internal/attest"
-	"lca/internal/core"
 	"lca/internal/oracle"
 	"lca/internal/registry"
 	"lca/internal/rnd"
@@ -106,7 +105,7 @@ type AuditRecord struct {
 // recordAudit assembles, signs and appends one record. A nil recorder
 // (auditing off, or an estimate flight) is a no-op. Called inside the
 // coalescing flight, so a hot key is logged once, like it executed once.
-func (s *Server) recordAudit(kind string, d *registry.Descriptor, ns *namedSource, p registry.Params, coords map[string]int, rec *auditOracle, answer map[string]any) {
+func (s *Server) recordAudit(kind string, d *registry.Descriptor, ns *namedSource, p registry.Params, coords map[string]int, rec *auditOracle, answer registry.Answer) {
 	if s.audit == nil || rec == nil {
 		return
 	}
@@ -346,37 +345,30 @@ func replayRecord(rec *AuditRecord) (proofs int, err error) {
 
 // replayQuery re-runs the recorded query on the rebuilt instance,
 // converting transcript misses (a *source.ProbeError panic) into errors.
-func replayQuery(rec *AuditRecord, inst any) (ans map[string]any, err error) {
+func replayQuery(rec *AuditRecord, inst any) (ans registry.Answer, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			pe, ok := r.(*source.ProbeError)
 			if !ok {
 				panic(r)
 			}
-			ans, err = nil, fmt.Errorf("replay diverged from the transcript: %v", pe)
+			ans, err = registry.Answer{}, fmt.Errorf("replay diverged from the transcript: %v", pe)
 		}
 	}()
-	switch rec.Kind {
-	case "edge":
-		lca, ok := inst.(core.EdgeLCA)
-		if !ok {
-			return nil, fmt.Errorf("algorithm %q does not answer edge queries", rec.Algo)
-		}
-		return map[string]any{"in": lca.QueryEdge(rec.Coords["u"], rec.Coords["v"])}, nil
-	case "vertex":
-		lca, ok := inst.(core.VertexLCA)
-		if !ok {
-			return nil, fmt.Errorf("algorithm %q does not answer vertex queries", rec.Algo)
-		}
-		return map[string]any{"in": lca.QueryVertex(rec.Coords["v"])}, nil
-	case "label":
-		lca, ok := inst.(core.LabelLCA)
-		if !ok {
-			return nil, fmt.Errorf("algorithm %q does not answer label queries", rec.Algo)
-		}
-		return map[string]any{"label": lca.QueryLabel(rec.Coords["v"])}, nil
+	kind := registry.Kind(rec.Kind)
+	coords := kind.Coords()
+	if coords == nil {
+		return ans, fmt.Errorf("unknown query kind %q", rec.Kind)
 	}
-	return nil, fmt.Errorf("unknown query kind %q", rec.Kind)
+	ask, ok := kind.Bind(inst)
+	if !ok {
+		return ans, fmt.Errorf("algorithm %q does not answer %s queries", rec.Algo, rec.Kind)
+	}
+	var q registry.Query
+	for i, c := range coords {
+		q[i] = rec.Coords[c]
+	}
+	return ask(q), nil
 }
 
 // verifyRecordRows checks every embedded row proof against the record's

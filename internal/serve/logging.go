@@ -24,26 +24,14 @@ func WithLogger(l *slog.Logger) Option {
 	return func(s *Server) { s.log = l }
 }
 
-// logQuery emits one request line for a served query. The answer's
-// telemetry is logged the way the answers carry it: each nonzero field
-// under its oracle.TelemetryFields name.
+// logQuery emits one request line for a served query, whose answer ans
+// is a pointAnswer. The answer's telemetry is logged the way the answers
+// carry it: each nonzero field under its oracle.TelemetryFields name.
 func (s *Server) logQuery(w http.ResponseWriter, kind, algo string, ten *tenantState, elapsed time.Duration, ans any) {
 	if s.log == nil {
 		return
 	}
-	var probes uint64
-	var tel oracle.Telemetry
-	var traceID string
-	switch a := ans.(type) {
-	case edgeAnswer:
-		probes, tel, traceID = a.Probes, a.Telemetry, a.TraceID
-	case vertexAnswer:
-		probes, tel, traceID = a.Probes, a.Telemetry, a.TraceID
-	case labelAnswer:
-		probes, tel, traceID = a.Probes, a.Telemetry, a.TraceID
-	case estimateAnswer:
-		traceID = a.TraceID
-	}
+	a := ans.(pointAnswer)
 	attrs := make([]any, 0, 16+2*len(oracle.TelemetryFields))
 	attrs = append(attrs,
 		"request_id", w.Header().Get(RequestIDHeader),
@@ -51,18 +39,18 @@ func (s *Server) logQuery(w http.ResponseWriter, kind, algo string, ten *tenantS
 		"algo", algo,
 		"status", http.StatusOK,
 		"duration_us", elapsed.Microseconds(),
-		"probes", probes,
+		"probes", a.Probes,
 	)
 	for _, f := range oracle.TelemetryFields {
-		if v := f.Value(&tel); v != 0 {
+		if v := f.Value(&a.Telemetry); v != 0 {
 			attrs = append(attrs, f.Name, v)
 		}
 	}
 	if ten != nil {
 		attrs = append(attrs, "tenant", ten.Name)
 	}
-	if traceID != "" {
-		attrs = append(attrs, "trace_id", traceID)
+	if a.TraceID != "" {
+		attrs = append(attrs, "trace_id", a.TraceID)
 	}
 	s.log.Info("query", attrs...)
 }

@@ -7,9 +7,11 @@
 // server answers point queries against implicit generators and cold
 // disk-backed CSR files at vertex counts far beyond RAM.
 //
-// Routing is registry-generic: one handler per query kind, dispatching by
-// algorithm name through internal/registry. Registering a new algorithm
-// makes it appear on /algos and become queryable with no edits here.
+// Routing is registry-generic: one handler answers the three point-query
+// kinds, dispatching by algorithm name through internal/registry, whose
+// kind table gives each kind's coordinates, answer and root span.
+// Registering a new algorithm makes it appear on /algos and become
+// queryable with no edits here.
 //
 //	GET  /healthz
 //	GET  /metrics[?format=text]
@@ -197,9 +199,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /algos", s.handleAlgos)
 	mux.HandleFunc("GET /sources", s.handleSourcesList)
 	mux.HandleFunc("POST /sources", s.handleSourcesOpen)
-	mux.HandleFunc("GET /edge/{algo}", s.handleEdge)
-	mux.HandleFunc("GET /vertex/{algo}", s.handleVertex)
-	mux.HandleFunc("GET /label/{algo}", s.handleLabel)
+	mux.HandleFunc("GET /edge/{algo}", s.handleQuery(registry.KindEdge))
+	mux.HandleFunc("GET /vertex/{algo}", s.handleQuery(registry.KindVertex))
+	mux.HandleFunc("GET /label/{algo}", s.handleQuery(registry.KindLabel))
 	mux.HandleFunc("GET /estimate/{algo}", s.handleEstimate)
 	mux.HandleFunc("GET /probe", s.probeHandler(source.ServeProbe))
 	mux.HandleFunc("POST /probe", s.probeHandler(source.ServeProbeBatch))
@@ -638,251 +640,115 @@ func statsOf(inst any) oracle.Stats {
 
 // kind handlers --------------------------------------------------------
 
-type edgeAnswer struct {
-	Algo   string `json:"algo"`
-	U      int    `json:"u"`
-	V      int    `json:"v"`
-	In     bool   `json:"in"`
+// pointAnswer is the answer of every point query: the algorithm, the
+// query's coordinates (u on edge queries only), the kind's answer field
+// (in or label), and the query's probe total and telemetry.
+type pointAnswer struct {
+	Algo string `json:"algo"`
+	U    *int   `json:"u,omitempty"`
+	V    int    `json:"v"`
+	registry.Answer
 	Probes uint64 `json:"probes"`
 	oracle.Telemetry
 	TraceID string       `json:"trace_id,omitempty"`
 	Trace   []trace.Span `json:"trace,omitempty"`
 }
 
-func (s *Server) handleEdge(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	ten, err := s.admitTenant(w, r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	d, err := descriptorFor(r, registry.KindEdge)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	ns, err := s.sourceFor(r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	p, err := queryParams(r, d, "u", "v", "source", "prefetch", "trace")
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	prefetch, err := prefetchParam(r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	forced, err := traceParam(r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	var u, v int
-	if u, err = vertexParam(r, ns.src, "u"); err == nil {
-		v, err = vertexParam(r, ns.src, "v")
-	}
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	dec := s.traceDecision(forced)
-	key := s.queryKey("edge", d.Name, ns.name, p, prefetch, dec, ten, fmt.Sprintf("u=%d,v=%d", u, v))
-	ans, err, _ := s.flights.do(key, s.met.coalesced.Inc, func() (_ any, ferr error) {
-		qt := dec.begin("query:edge", u, d.Name)
-		defer func() { s.finishTrace(qt, oracle.Stats{}, ferr) }()
-		src := source.TracedView(ns.src, qt.tracer())
-		// The input-edge validation probe runs inside the flight: it is
-		// oracle traffic, shared once per coalesced key like the query.
-		var isEdge bool
-		if perr := runProbing(func() { isEdge = src.Adjacency(u, v) >= 0 }); perr != nil {
-			return nil, perr
-		}
-		if !isEdge {
-			return nil, badRequest("(%d,%d) is not an edge of the graph", u, v)
-		}
-		inst, rec, err := s.build(d, src, p, prefetch, ten, qt.tracer())
+// handleQuery answers /edge, /vertex and /label: kind is the route's
+// query kind, whose coordinates, answer and root span the registry's
+// kind table gives.
+func (s *Server) handleQuery(kind registry.Kind) http.HandlerFunc {
+	coords := kind.Coords()
+	reserved := append([]string{"source", "prefetch", "trace"}, coords...)
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		ten, err := s.admitTenant(w, r)
 		if err != nil {
-			return nil, err
+			s.writeError(w, err)
+			return
 		}
-		var in bool
-		if err := runProbing(func() { in = inst.(core.EdgeLCA).QueryEdge(u, v) }); err != nil {
-			return nil, err
-		}
-		st := statsOf(inst)
-		s.met.observeExec(st)
-		ans := edgeAnswer{Algo: d.Name, U: u, V: v, In: in,
-			Probes: st.Total(), Telemetry: st.Telemetry}
-		s.recordAudit("edge", d, ns, p, map[string]int{"u": u, "v": v}, rec, map[string]any{"in": in})
-		ans.TraceID, ans.Trace = s.finishTrace(qt, st, nil)
-		return ans, nil
-	})
-	if err != nil {
-		s.failQuery(w, ten, err)
-		return
-	}
-	s.met.observeRequest("edge", time.Since(start))
-	s.logQuery(w, "edge", d.Name, ten, time.Since(start), ans)
-	writeJSON(w, http.StatusOK, ans)
-}
-
-type vertexAnswer struct {
-	Algo   string `json:"algo"`
-	V      int    `json:"v"`
-	In     bool   `json:"in"`
-	Probes uint64 `json:"probes"`
-	oracle.Telemetry
-	TraceID string       `json:"trace_id,omitempty"`
-	Trace   []trace.Span `json:"trace,omitempty"`
-}
-
-func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	ten, err := s.admitTenant(w, r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	d, err := descriptorFor(r, registry.KindVertex)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	ns, err := s.sourceFor(r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	p, err := queryParams(r, d, "v", "source", "prefetch", "trace")
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	prefetch, err := prefetchParam(r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	forced, err := traceParam(r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	v, err := vertexParam(r, ns.src, "v")
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	dec := s.traceDecision(forced)
-	key := s.queryKey("vertex", d.Name, ns.name, p, prefetch, dec, ten, fmt.Sprintf("v=%d", v))
-	ans, err, _ := s.flights.do(key, s.met.coalesced.Inc, func() (_ any, ferr error) {
-		qt := dec.begin("query:vertex", v, d.Name)
-		defer func() { s.finishTrace(qt, oracle.Stats{}, ferr) }()
-		src := source.TracedView(ns.src, qt.tracer())
-		inst, rec, err := s.build(d, src, p, prefetch, ten, qt.tracer())
+		d, err := descriptorFor(r, kind)
 		if err != nil {
-			return nil, err
+			s.writeError(w, err)
+			return
 		}
-		var in bool
-		if err := runProbing(func() { in = inst.(core.VertexLCA).QueryVertex(v) }); err != nil {
-			return nil, err
-		}
-		st := statsOf(inst)
-		s.met.observeExec(st)
-		ans := vertexAnswer{Algo: d.Name, V: v, In: in,
-			Probes: st.Total(), Telemetry: st.Telemetry}
-		s.recordAudit("vertex", d, ns, p, map[string]int{"v": v}, rec, map[string]any{"in": in})
-		ans.TraceID, ans.Trace = s.finishTrace(qt, st, nil)
-		return ans, nil
-	})
-	if err != nil {
-		s.failQuery(w, ten, err)
-		return
-	}
-	s.met.observeRequest("vertex", time.Since(start))
-	s.logQuery(w, "vertex", d.Name, ten, time.Since(start), ans)
-	writeJSON(w, http.StatusOK, ans)
-}
-
-type labelAnswer struct {
-	Algo   string `json:"algo"`
-	V      int    `json:"v"`
-	Label  int    `json:"label"`
-	Probes uint64 `json:"probes"`
-	oracle.Telemetry
-	TraceID string       `json:"trace_id,omitempty"`
-	Trace   []trace.Span `json:"trace,omitempty"`
-}
-
-func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	ten, err := s.admitTenant(w, r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	d, err := descriptorFor(r, registry.KindLabel)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	ns, err := s.sourceFor(r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	p, err := queryParams(r, d, "v", "source", "prefetch", "trace")
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	prefetch, err := prefetchParam(r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	forced, err := traceParam(r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	v, err := vertexParam(r, ns.src, "v")
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	dec := s.traceDecision(forced)
-	key := s.queryKey("label", d.Name, ns.name, p, prefetch, dec, ten, fmt.Sprintf("v=%d", v))
-	ans, err, _ := s.flights.do(key, s.met.coalesced.Inc, func() (_ any, ferr error) {
-		qt := dec.begin("query:label", v, d.Name)
-		defer func() { s.finishTrace(qt, oracle.Stats{}, ferr) }()
-		src := source.TracedView(ns.src, qt.tracer())
-		inst, rec, err := s.build(d, src, p, prefetch, ten, qt.tracer())
+		ns, err := s.sourceFor(r)
 		if err != nil {
-			return nil, err
+			s.writeError(w, err)
+			return
 		}
-		var label int
-		if err := runProbing(func() { label = inst.(core.LabelLCA).QueryLabel(v) }); err != nil {
-			return nil, err
+		p, err := queryParams(r, d, reserved...)
+		if err != nil {
+			s.writeError(w, err)
+			return
 		}
-		st := statsOf(inst)
-		s.met.observeExec(st)
-		ans := labelAnswer{Algo: d.Name, V: v, Label: label,
-			Probes: st.Total(), Telemetry: st.Telemetry}
-		s.recordAudit("label", d, ns, p, map[string]int{"v": v}, rec, map[string]any{"label": label})
-		ans.TraceID, ans.Trace = s.finishTrace(qt, st, nil)
-		return ans, nil
-	})
-	if err != nil {
-		s.failQuery(w, ten, err)
-		return
+		prefetch, err := prefetchParam(r)
+		if err != nil {
+			s.writeError(w, err)
+			return
+		}
+		forced, err := traceParam(r)
+		if err != nil {
+			s.writeError(w, err)
+			return
+		}
+		var q registry.Query
+		at := make(map[string]int, len(coords))
+		keys := make([]string, len(coords))
+		for i, c := range coords {
+			if q[i], err = vertexParam(r, ns.src, c); err != nil {
+				s.writeError(w, err)
+				return
+			}
+			at[c] = q[i]
+			keys[i] = fmt.Sprintf("%s=%d", c, q[i])
+		}
+		dec := s.traceDecision(forced)
+		key := s.queryKey(string(kind), d.Name, ns.name, p, prefetch, dec, ten, strings.Join(keys, ","))
+		ans, err, _ := s.flights.do(key, s.met.coalesced.Inc, func() (_ any, ferr error) {
+			qt := dec.begin(kind.Span(), q[0], d.Name)
+			defer func() { s.finishTrace(qt, oracle.Stats{}, ferr) }()
+			src := source.TracedView(ns.src, qt.tracer())
+			if kind == registry.KindEdge {
+				// The input-edge validation probe runs inside the flight:
+				// it is oracle traffic, shared once per coalesced key like
+				// the query.
+				var isEdge bool
+				if perr := runProbing(func() { isEdge = src.Adjacency(q[0], q[1]) >= 0 }); perr != nil {
+					return nil, perr
+				}
+				if !isEdge {
+					return nil, badRequest("(%d,%d) is not an edge of the graph", q[0], q[1])
+				}
+			}
+			inst, rec, err := s.build(d, src, p, prefetch, ten, qt.tracer())
+			if err != nil {
+				return nil, err
+			}
+			ask, _ := kind.Bind(inst) // build checked the instance answers kind
+			var a registry.Answer
+			if err := runProbing(func() { a = ask(q) }); err != nil {
+				return nil, err
+			}
+			st := statsOf(inst)
+			s.met.observeExec(st)
+			ans := pointAnswer{Algo: d.Name, V: at["v"], Answer: a,
+				Probes: st.Total(), Telemetry: st.Telemetry}
+			if u, ok := at["u"]; ok {
+				ans.U = &u
+			}
+			s.recordAudit(string(kind), d, ns, p, at, rec, a)
+			ans.TraceID, ans.Trace = s.finishTrace(qt, st, nil)
+			return ans, nil
+		})
+		if err != nil {
+			s.failQuery(w, ten, err)
+			return
+		}
+		s.met.observeRequest(string(kind), time.Since(start))
+		s.logQuery(w, string(kind), d.Name, ten, time.Since(start), ans)
+		writeJSON(w, http.StatusOK, ans)
 	}
-	s.met.observeRequest("label", time.Since(start))
-	s.logQuery(w, "label", d.Name, ten, time.Since(start), ans)
-	writeJSON(w, http.StatusOK, ans)
 }
 
 type estimateAnswer struct {
@@ -978,6 +844,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.observeRequest("estimate", time.Since(start))
-	s.logQuery(w, "estimate", d.Name, ten, time.Since(start), ans)
+	// An estimate logs no probe total or telemetry, only its trace ID.
+	s.logQuery(w, "estimate", d.Name, ten, time.Since(start), pointAnswer{TraceID: ans.(estimateAnswer).TraceID})
 	writeJSON(w, http.StatusOK, ans)
 }

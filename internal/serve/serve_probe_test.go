@@ -150,8 +150,8 @@ func TestServeAsShardEndToEnd(t *testing.T) {
 		if code := getJSON(t, fmt.Sprintf("%s/vertex/mis?v=%d", direct.URL, v), &directAns); code != 200 {
 			t.Fatalf("direct query v=%d: status %d", v, code)
 		}
-		if remoteAns.In != directAns.In {
-			t.Fatalf("v=%d: remote-backed answer %v != direct answer %v", v, remoteAns.In, directAns.In)
+		if *remoteAns.In != *directAns.In {
+			t.Fatalf("v=%d: remote-backed answer %v != direct answer %v", v, *remoteAns.In, *directAns.In)
 		}
 		if remoteAns.Probes != directAns.Probes {
 			t.Fatalf("v=%d: remote probing cost %d probes, direct %d — the protocol must be transparent",

@@ -119,13 +119,13 @@ func TestEdgeEndpoint(t *testing.T) {
 	if code := getJSON(t, url, &ans); code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	if ans.U != e.U || ans.V != e.V || ans.Probes == 0 || ans.Algo != "spanner3" {
+	if *ans.U != e.U || ans.V != e.V || ans.Probes == 0 || ans.Algo != "spanner3" {
 		t.Fatalf("answer %+v", ans)
 	}
 	// Consistency across requests (fresh instances, same seed).
 	var again edgeAnswer
 	getJSON(t, url, &again)
-	if again.In != ans.In {
+	if *again.In != *ans.In {
 		t.Fatal("two requests for the same edge disagreed")
 	}
 	// Aliases resolve to the same algorithm.
@@ -133,7 +133,7 @@ func TestEdgeEndpoint(t *testing.T) {
 	if code := getJSON(t, fmt.Sprintf("%s/edge/3?u=%d&v=%d", ts.URL, e.U, e.V), &aliased); code != 200 {
 		t.Fatalf("alias status %d", code)
 	}
-	if aliased.In != ans.In || aliased.Algo != "spanner3" {
+	if *aliased.In != *ans.In || aliased.Algo != "spanner3" {
 		t.Fatalf("alias answer %+v, want consistent with %+v", aliased, ans)
 	}
 }
@@ -189,7 +189,7 @@ func TestVertexAndLabelEndpoints(t *testing.T) {
 		t.Fatalf("mis: %d %+v", code, mis)
 	}
 	var color labelAnswer
-	if code := getJSON(t, ts.URL+"/label/coloring?v=5", &color); code != 200 || color.Label < 0 {
+	if code := getJSON(t, ts.URL+"/label/coloring?v=5", &color); code != 200 || *color.Label < 0 {
 		t.Fatalf("coloring: %d %+v", code, color)
 	}
 }
@@ -208,7 +208,7 @@ func TestParamPassing(t *testing.T) {
 			t.Fatalf("k=%d: status %d", k, code)
 		}
 		getJSON(t, url, &again)
-		if ans.In != again.In {
+		if *ans.In != *again.In {
 			t.Fatalf("k=%d: inconsistent answers", k)
 		}
 	}
@@ -230,7 +230,7 @@ func TestMatchingEndpointConsistent(t *testing.T) {
 		w := g.Neighbor(0, i)
 		var ans edgeAnswer
 		getJSON(t, fmt.Sprintf("%s/edge/matching?u=0&v=%d", ts.URL, w), &ans)
-		if ans.In {
+		if *ans.In {
 			matched++
 		}
 	}
@@ -277,7 +277,7 @@ func TestConcurrentRequestsConsistent(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			answers[i] = ans.In
+			answers[i] = *ans.In
 		}(i)
 	}
 	wg.Wait()
@@ -421,7 +421,7 @@ func TestPrefetchQueryParam(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/vertex/mis?v=7&prefetch=1", &pre); code != 200 {
 		t.Fatalf("prefetch vertex query: status %d", code)
 	}
-	if plain.In != pre.In || plain.Probes != pre.Probes {
+	if *plain.In != *pre.In || plain.Probes != pre.Probes {
 		t.Fatalf("prefetch changed the answer or probe count: %+v vs %+v", plain, pre)
 	}
 	if pre.RoundTrips != 0 {
@@ -455,7 +455,7 @@ func TestPrefetchOverNetworkSourceReportsRoundTrips(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/vertex/mis?v=11&prefetch=1", &pre); code != 200 {
 		t.Fatalf("prefetch: status %d", code)
 	}
-	if plain.In != pre.In || plain.Probes != pre.Probes {
+	if *plain.In != *pre.In || plain.Probes != pre.Probes {
 		t.Fatalf("prefetch changed answer/probes over the network: %+v vs %+v", plain, pre)
 	}
 	if plain.RoundTrips == 0 || pre.RoundTrips == 0 {

@@ -79,10 +79,11 @@ type Session struct {
 }
 
 // boundInstance is one constructed algorithm bound to its oracle chain,
-// with the chain's probe limiter (nil without a budget) that every point
-// query resets.
+// with its query method for the algorithm's kind and the chain's probe
+// limiter (nil without a budget) that every point query resets.
 type boundInstance struct {
 	inst  any
+	ask   func(registry.Query) registry.Answer
 	limit *oracle.LimitOracle
 }
 
@@ -316,7 +317,8 @@ func (s *Session) instance(algo string, kind registry.Kind) (*boundInstance, err
 	if err != nil {
 		return nil, err
 	}
-	bi := &boundInstance{inst: inst, limit: limit}
+	ask, _ := kind.Bind(inst) // Build checked the instance answers kind
+	bi := &boundInstance{inst: inst, ask: ask, limit: limit}
 	s.instances[d.Name] = bi
 	return bi, nil
 }
@@ -375,72 +377,66 @@ func queryPanicErr(r any) error {
 	panic(r)
 }
 
+// point is the one body of the point queries: it checks the query's
+// coordinates (and that an edge query names an input edge), then asks
+// algo's point-query instance under the kind's root span.
+func (s *Session) point(algo string, kind registry.Kind, q registry.Query) (registry.Answer, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	bi, err := s.instance(algo, kind)
+	if err != nil {
+		return registry.Answer{}, err
+	}
+	for i := range kind.Coords() {
+		if err := s.checkVertex(q[i]); err != nil {
+			return registry.Answer{}, err
+		}
+	}
+	if kind == registry.KindEdge {
+		// The non-edge precheck probes the source, so it needs the same
+		// panic-to-error conversion as the query itself.
+		var isEdge bool
+		if err := runRecovered(func() { isEdge = s.src.Adjacency(q[0], q[1]) >= 0 }); err != nil {
+			return registry.Answer{}, err
+		}
+		if !isEdge {
+			return registry.Answer{}, fmt.Errorf("lca: (%d,%d) is not an edge of the graph", q[0], q[1])
+		}
+	}
+	var a registry.Answer
+	h := s.beginQuerySpan(kind.Span(), q[0])
+	err = bi.guarded(func() { a = bi.ask(q) })
+	s.endQuerySpan(h, err)
+	return a, err
+}
+
 // Edge answers an edge-membership point query: whether input edge (u,v)
 // belongs to algo's fixed global solution. (u,v) must be an edge of the
 // graph — the LCA contract only defines answers for input edges.
 func (s *Session) Edge(algo string, u, v int) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	bi, err := s.instance(algo, registry.KindEdge)
+	a, err := s.point(algo, registry.KindEdge, registry.Query{u, v})
 	if err != nil {
 		return false, err
 	}
-	if err := s.checkVertex(u); err != nil {
-		return false, err
-	}
-	if err := s.checkVertex(v); err != nil {
-		return false, err
-	}
-	// The non-edge precheck probes the source, so it needs the same
-	// panic-to-error conversion as the query itself.
-	var isEdge bool
-	if err := runRecovered(func() { isEdge = s.src.Adjacency(u, v) >= 0 }); err != nil {
-		return false, err
-	}
-	if !isEdge {
-		return false, fmt.Errorf("lca: (%d,%d) is not an edge of the graph", u, v)
-	}
-	var in bool
-	h := s.beginQuerySpan("query:edge", u)
-	err = bi.guarded(func() { in = bi.inst.(core.EdgeLCA).QueryEdge(u, v) })
-	s.endQuerySpan(h, err)
-	return in, err
+	return *a.In, nil
 }
 
 // Vertex answers a vertex-membership point query.
 func (s *Session) Vertex(algo string, v int) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	bi, err := s.instance(algo, registry.KindVertex)
+	a, err := s.point(algo, registry.KindVertex, registry.Query{v})
 	if err != nil {
 		return false, err
 	}
-	if err := s.checkVertex(v); err != nil {
-		return false, err
-	}
-	var in bool
-	h := s.beginQuerySpan("query:vertex", v)
-	err = bi.guarded(func() { in = bi.inst.(core.VertexLCA).QueryVertex(v) })
-	s.endQuerySpan(h, err)
-	return in, err
+	return *a.In, nil
 }
 
 // Label answers a vertex-labeling point query.
 func (s *Session) Label(algo string, v int) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	bi, err := s.instance(algo, registry.KindLabel)
+	a, err := s.point(algo, registry.KindLabel, registry.Query{v})
 	if err != nil {
 		return 0, err
 	}
-	if err := s.checkVertex(v); err != nil {
-		return 0, err
-	}
-	var label int
-	h := s.beginQuerySpan("query:label", v)
-	err = bi.guarded(func() { label = bi.inst.(core.LabelLCA).QueryLabel(v) })
-	s.endQuerySpan(h, err)
-	return label, err
+	return *a.Label, nil
 }
 
 func (s *Session) checkVertex(v int) error {
@@ -492,71 +488,47 @@ func (s *Session) batchSetup(algo string, kind registry.Kind) (*registry.Descrip
 	return d, p, inst, limit, nil
 }
 
-// BuildSubgraph materializes algo's full edge solution by querying every
-// edge of the graph, in parallel over the session's worker count (budget
-// enforcement forces serial assembly so exhaustion can abort cleanly).
-func (s *Session) BuildSubgraph(algo string) (*Graph, QueryStats, error) {
-	d, p, inst, limit, err := s.batchSetup(algo, registry.KindEdge)
+// batch is the one body of the batch builds: it resolves algo for kind,
+// builds the first worker's instance, and runs build, one of core's kind
+// assemblies, over the session's graph. A probe budget assembles on one
+// worker and restarts the budget window before every query, so the
+// budget is per query, not per build.
+func batch[L, R any](s *Session, algo string, kind registry.Kind, build func(*graph.Graph, func() L, int, func()) (R, QueryStats)) (R, QueryStats, error) {
+	var r R
+	var qs QueryStats
+	d, p, inst, limit, err := s.batchSetup(algo, kind)
 	if err != nil {
-		return nil, QueryStats{}, err
+		return r, qs, err
 	}
-	if s.budget > 0 {
-		var h *Graph
-		var qs QueryStats
-		err := runRecovered(func() {
-			h, qs = core.BuildSubgraph(s.g, budgetEdge{inst.(core.EdgeLCA), limit})
-		})
-		return h, qs, err
+	var before func()
+	workers := s.workers
+	if limit != nil {
+		workers, before = 1, limit.Reset
 	}
 	first := handoff(inst)
-	h, qs := core.BuildSubgraphParallel(s.g, func() core.EdgeLCA {
-		return s.workerInstance(d, p, first).(core.EdgeLCA)
-	}, s.workers)
-	return h, qs, nil
+	err = runRecovered(func() {
+		r, qs = build(s.g, func() L { return s.workerInstance(d, p, first).(L) }, workers, before)
+	})
+	return r, qs, err
+}
+
+// BuildSubgraph materializes algo's full edge solution by querying every
+// edge of the graph, in parallel over the session's worker count (a
+// probe budget assembles on one worker).
+func (s *Session) BuildSubgraph(algo string) (*Graph, QueryStats, error) {
+	return batch(s, algo, registry.KindEdge, core.Subgraph)
 }
 
 // BuildVertexSet materializes algo's full vertex solution.
 func (s *Session) BuildVertexSet(algo string) ([]bool, QueryStats, error) {
-	d, p, inst, limit, err := s.batchSetup(algo, registry.KindVertex)
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	if s.budget > 0 {
-		var in []bool
-		var qs QueryStats
-		err := runRecovered(func() {
-			in, qs = core.BuildVertexSet(s.g, budgetVertex{inst.(core.VertexLCA), limit})
-		})
-		return in, qs, err
-	}
-	first := handoff(inst)
-	in, qs := core.BuildVertexSetParallel(s.g, func() core.VertexLCA {
-		return s.workerInstance(d, p, first).(core.VertexLCA)
-	}, s.workers)
-	return in, qs, nil
+	return batch(s, algo, registry.KindVertex, core.VertexSet)
 }
 
 // BuildLabels materializes algo's full labeling. Each worker builds its
 // own chain, as every batch build does; with WithRowCache the workers
 // share the session's L2.
 func (s *Session) BuildLabels(algo string) ([]int, QueryStats, error) {
-	d, p, inst, limit, err := s.batchSetup(algo, registry.KindLabel)
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	if s.budget > 0 {
-		var labels []int
-		var qs QueryStats
-		err := runRecovered(func() {
-			labels, qs = core.BuildLabels(s.g, budgetLabel{inst.(core.LabelLCA), limit})
-		})
-		return labels, qs, err
-	}
-	first := handoff(inst)
-	labels, qs := core.BuildLabelsParallel(s.g, func() core.LabelLCA {
-		return s.workerInstance(d, p, first).(core.LabelLCA)
-	}, s.workers)
-	return labels, qs, nil
+	return batch(s, algo, registry.KindLabel, core.Labels)
 }
 
 // handoff returns a take-once accessor for the validated first instance;
@@ -596,62 +568,6 @@ func runRecovered(run func()) (err error) {
 	}()
 	run()
 	return nil
-}
-
-// budgetEdge resets the probe budget window before every query so the
-// budget is per query, not per batch.
-type budgetEdge struct {
-	inner core.EdgeLCA
-	limit *oracle.LimitOracle
-}
-
-func (b budgetEdge) QueryEdge(u, v int) bool {
-	b.limit.Reset()
-	return b.inner.QueryEdge(u, v)
-}
-
-// ProbeStats forwards probe accounting when the wrapped LCA exposes it.
-func (b budgetEdge) ProbeStats() ProbeStats {
-	if rep, ok := b.inner.(core.ProbeReporter); ok {
-		return rep.ProbeStats()
-	}
-	return ProbeStats{}
-}
-
-type budgetVertex struct {
-	inner core.VertexLCA
-	limit *oracle.LimitOracle
-}
-
-func (b budgetVertex) QueryVertex(v int) bool {
-	b.limit.Reset()
-	return b.inner.QueryVertex(v)
-}
-
-// ProbeStats forwards probe accounting when the wrapped LCA exposes it.
-func (b budgetVertex) ProbeStats() ProbeStats {
-	if rep, ok := b.inner.(core.ProbeReporter); ok {
-		return rep.ProbeStats()
-	}
-	return ProbeStats{}
-}
-
-type budgetLabel struct {
-	inner core.LabelLCA
-	limit *oracle.LimitOracle
-}
-
-func (b budgetLabel) QueryLabel(v int) int {
-	b.limit.Reset()
-	return b.inner.QueryLabel(v)
-}
-
-// ProbeStats forwards probe accounting when the wrapped LCA exposes it.
-func (b budgetLabel) ProbeStats() ProbeStats {
-	if rep, ok := b.inner.(core.ProbeReporter); ok {
-		return rep.ProbeStats()
-	}
-	return ProbeStats{}
 }
 
 // EstimateFraction estimates the fraction of elements (edges for edge-kind

@@ -2,6 +2,7 @@ package lca_test
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -95,8 +96,20 @@ func TestSessionErrors(t *testing.T) {
 	if _, err := s.Edge("nosuch", 0, 1); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
+	// Each point method refuses an algorithm of another kind, and accepts
+	// its own on an input edge.
 	if _, err := s.Edge("mis", 0, 1); err == nil || !strings.Contains(err.Error(), "vertex") {
 		t.Errorf("kind mismatch not reported: %v", err)
+	}
+	if _, err := s.Vertex("spanner3", 0); err == nil || !strings.Contains(err.Error(), "edge") {
+		t.Errorf("Vertex accepted an edge-kind algorithm: %v", err)
+	}
+	if _, err := s.Label("matching", 0); err == nil || !strings.Contains(err.Error(), "edge") {
+		t.Errorf("Label accepted an edge-kind algorithm: %v", err)
+	}
+	e := g.Edges()[0]
+	if _, err := s.Edge("spanner3", e.U, e.V); err != nil {
+		t.Errorf("Edge(spanner3) on an input edge: %v", err)
 	}
 	if _, err := s.Vertex("mis", -1); err == nil {
 		t.Error("negative vertex accepted")
@@ -185,6 +198,26 @@ func TestSessionBuildMatchesSerial(t *testing.T) {
 	}
 }
 
+// budgetBuilds runs the batch build of each kind on s and returns the
+// three answers and QueryStats, or the first error.
+func budgetBuilds(s *lca.Session) (answers []any, stats []lca.QueryStats, err error) {
+	h, qs, err := s.BuildSubgraph("spanner3")
+	if err != nil {
+		return nil, nil, err
+	}
+	answers, stats = append(answers, h.Edges()), append(stats, qs)
+	in, qs, err := s.BuildVertexSet("mis")
+	if err != nil {
+		return nil, nil, err
+	}
+	answers, stats = append(answers, in), append(stats, qs)
+	labels, qs, err := s.BuildLabels("coloring")
+	if err != nil {
+		return nil, nil, err
+	}
+	return append(answers, labels), append(stats, qs), nil
+}
+
 func TestSessionProbeBudget(t *testing.T) {
 	g := sessionGraph()
 	// A one-probe budget must trip on any real query.
@@ -192,8 +225,38 @@ func TestSessionProbeBudget(t *testing.T) {
 	if _, err := s.Vertex("mis", 0); !errors.Is(err, lca.ErrProbeBudget) {
 		t.Fatalf("want ErrProbeBudget, got %v", err)
 	}
+	if _, _, err := s.BuildSubgraph("spanner3"); !errors.Is(err, lca.ErrProbeBudget) {
+		t.Fatalf("budgeted BuildSubgraph: want ErrProbeBudget, got %v", err)
+	}
 	if _, _, err := s.BuildVertexSet("mis"); !errors.Is(err, lca.ErrProbeBudget) {
-		t.Fatalf("budgeted build: want ErrProbeBudget, got %v", err)
+		t.Fatalf("budgeted BuildVertexSet: want ErrProbeBudget, got %v", err)
+	}
+	if _, _, err := s.BuildLabels("coloring"); !errors.Is(err, lca.ErrProbeBudget) {
+		t.Fatalf("budgeted BuildLabels: want ErrProbeBudget, got %v", err)
+	}
+	// A generous budget changes nothing a build returns. A budgeted build
+	// assembles on one worker, whatever WithWorkers says, so at 1 and at
+	// 2 workers its answers and QueryStats are the unbudgeted serial
+	// build's; its answers are every unbudgeted build's.
+	serialAns, serialStats, err := budgetBuilds(lca.NewSession(g, lca.WithSeed(5), lca.WithWorkers(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		ans, stats, err := budgetBuilds(lca.NewSession(g, lca.WithSeed(5), lca.WithWorkers(workers), lca.WithProbeBudget(1_000_000)))
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		freeAns, _, err := budgetBuilds(lca.NewSession(g, lca.WithSeed(5), lca.WithWorkers(workers)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ans, serialAns) || !reflect.DeepEqual(ans, freeAns) {
+			t.Errorf("workers=%d: budgeted builds answer differently from unbudgeted ones", workers)
+		}
+		if !reflect.DeepEqual(stats, serialStats) {
+			t.Errorf("workers=%d: budgeted QueryStats %v, unbudgeted serial %v", workers, stats, serialStats)
+		}
 	}
 	// A generous budget must not trip, and answers must match the
 	// unbudgeted session.
