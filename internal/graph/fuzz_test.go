@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"lca/internal/rnd"
 )
 
 // FuzzReadEdgeList hardens the parser: arbitrary bytes must either parse
@@ -78,6 +80,58 @@ func FuzzEdgeCanonKey(f *testing.F) {
 		c := a.Canon()
 		if c.U > c.V {
 			t.Fatalf("canon not ordered: %+v", c)
+		}
+	})
+}
+
+// FuzzAdjacencyIndex checks the Adjacency lookups of a sorted and a
+// shuffled build of one edge list against a map built from their rows,
+// and the rows against the Builder, for every pair of IDs in [-2, n+2),
+// so IDs out of range on either side are covered. The first byte gives
+// n (at most 64); each later pair of bytes is an edge, taken mod n.
+func FuzzAdjacencyIndex(f *testing.F) {
+	f.Add([]byte{})                                // empty graph
+	f.Add([]byte{9})                               // isolated vertices
+	f.Add([]byte{6, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5}) // star
+	complete := []byte{7}
+	for u := byte(0); u < 7; u++ {
+		for v := u + 1; v < 7; v++ {
+			complete = append(complete, u, v)
+		}
+	}
+	f.Add(complete)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := 0
+		if len(data) > 0 {
+			n = int(data[0]) % 65
+		}
+		b := NewBuilder(n)
+		for i := 1; n > 0 && i+1 < len(data); i += 2 {
+			b.AddEdge(int(data[i])%n, int(data[i+1])%n)
+		}
+		for _, g := range []*Graph{b.Build(), b.BuildShuffled(rnd.NewPRG(rnd.Seed(len(data))))} {
+			pos := map[[2]int]int{}
+			for u := range g.N() {
+				for i, w := range g.Neighbors(u) {
+					pos[[2]int{u, w}] = i
+				}
+			}
+			for u := -2; u < n+2; u++ {
+				for v := -2; v < n+2; v++ {
+					want, ok := pos[[2]int{u, v}]
+					if !ok {
+						want = -1
+					}
+					inRange := u >= 0 && u < n && v >= 0 && v < n
+					if inRange && ok != b.HasEdge(u, v) {
+						t.Fatalf("n=%d: rows hold (%d,%d) = %v, builder %v", n, u, v, ok, b.HasEdge(u, v))
+					}
+					if g.AdjacencyIndex(u, v) != want || g.Adjacency(u, v) != want || g.HasEdge(u, v) != ok {
+						t.Fatalf("n=%d (%d,%d): AdjacencyIndex %d, Adjacency %d, HasEdge %v; rows say %d",
+							n, u, v, g.AdjacencyIndex(u, v), g.Adjacency(u, v), g.HasEdge(u, v), want)
+					}
+				}
+			}
 		}
 	})
 }

@@ -1,7 +1,7 @@
 // Package graph provides the static graph substrate behind the LCA probe
 // oracle: simple undirected graphs with fixed, arbitrary adjacency-list
-// orderings, constant-time adjacency-index lookup, and the traversal
-// primitives used by verifiers and baselines.
+// orderings, an adjacency-index lookup that scans u's row in O(deg(u))
+// time, and the traversal primitives used by verifiers and baselines.
 //
 // The adjacency-list ordering is semantically significant in the LCA model:
 // Neighbor probes expose "the i-th neighbor of v", and several spanner
@@ -14,7 +14,7 @@
 // makes *Graph an exploring oracle (oracle.Explorer) whose rows cost no
 // probe loop and no allocation. A cell takes 8 bytes, twice the int32
 // the CSR file stores, in exchange for rows the algorithms read as they
-// are.
+// are. Rows and offsets are all a Graph keeps.
 package graph
 
 import (
@@ -28,14 +28,10 @@ import (
 // Graph is an immutable simple undirected graph on vertices 0..N()-1.
 // Vertex IDs are the indices themselves. The zero value is the empty graph.
 type Graph struct {
-	cells []int            // every row in vertex order, end to end
-	stub  []int            // row v is cells[stub[v]:stub[v+1]]; n+1 offsets
-	pos   map[uint64]int32 // (u,v) -> index of v in row u
-	m     int              // number of undirected edges
+	cells []int // every row in vertex order, end to end
+	stub  []int // row v is cells[stub[v]:stub[v+1]]; n+1 offsets
+	m     int   // number of undirected edges
 }
-
-// pairKey packs an ordered vertex pair into a map key.
-func pairKey(u, v int) uint64 { return uint64(uint32(u))<<32 | uint64(uint32(v)) }
 
 // N returns the number of vertices.
 func (g *Graph) N() int { return max(len(g.stub)-1, 0) }
@@ -87,13 +83,14 @@ func (g *Graph) RandomEdge(prg *rnd.PRG) (u, v int) {
 }
 
 // AdjacencyIndex returns the index of v in Gamma(u), or -1 if (u,v) is not
-// an edge. This mirrors the Adjacency probe semantics of the LCA model: a
-// positive answer reveals the position, not just existence.
+// an edge or u is not a vertex. This mirrors the Adjacency probe semantics
+// of the LCA model: a positive answer reveals the position, not just
+// existence. It scans u's row, in O(deg(u)) time.
 func (g *Graph) AdjacencyIndex(u, v int) int {
-	if i, ok := g.pos[pairKey(u, v)]; ok {
-		return int(i)
+	if u < 0 || u >= g.N() {
+		return -1
 	}
-	return -1
+	return slices.Index(g.Neighbors(u), v)
 }
 
 // Adjacency is AdjacencyIndex under the probe-model name, making *Graph
@@ -101,11 +98,8 @@ func (g *Graph) AdjacencyIndex(u, v int) int {
 // adapter backend of internal/source).
 func (g *Graph) Adjacency(u, v int) int { return g.AdjacencyIndex(u, v) }
 
-// HasEdge reports whether {u,v} is an edge.
-func (g *Graph) HasEdge(u, v int) bool {
-	_, ok := g.pos[pairKey(u, v)]
-	return ok
-}
+// HasEdge reports whether {u,v} is an edge, in O(deg(u)) time.
+func (g *Graph) HasEdge(u, v int) bool { return g.AdjacencyIndex(u, v) >= 0 }
 
 // MaxDegree returns the maximum degree, or 0 for the empty graph.
 func (g *Graph) MaxDegree() int {
@@ -148,7 +142,7 @@ func (e Edge) Canon() Edge {
 // Key packs the canonical edge into a comparable map key.
 func (e Edge) Key() uint64 {
 	c := e.Canon()
-	return pairKey(c.U, c.V)
+	return uint64(uint32(c.U))<<32 | uint64(uint32(c.V))
 }
 
 // Edges returns all edges in canonical orientation, sorted by (U, V).
@@ -221,12 +215,11 @@ func (b *Builder) BuildShuffled(prg *rnd.PRG) *Graph {
 }
 
 func (b *Builder) build(prg *rnd.PRG) *Graph {
+	// Offsets from the degrees, then rows filled in map order (sorted below).
 	keys := make([]uint64, 0, len(b.edges))
 	for k := range b.edges {
 		keys = append(keys, k)
 	}
-	slices.Sort(keys)
-	// Offsets from the degrees, then each row filled in key order.
 	stub := make([]int, b.n+1)
 	for _, k := range keys {
 		u, v := int(k>>32), int(uint32(k))
@@ -245,7 +238,7 @@ func (b *Builder) build(prg *rnd.PRG) *Graph {
 		cells[fill[v]] = u
 		fill[v]++
 	}
-	g := &Graph{cells: cells, stub: stub, m: len(b.edges), pos: make(map[uint64]int32, 2*len(b.edges))}
+	g := &Graph{cells: cells, stub: stub, m: len(b.edges)}
 	// Deterministic sorted order first; optional shuffle second, one
 	// PRG shuffle per row in vertex order.
 	for v := 0; v < b.n; v++ {
@@ -253,9 +246,6 @@ func (b *Builder) build(prg *rnd.PRG) *Graph {
 		slices.Sort(l)
 		if prg != nil {
 			prg.Shuffle(len(l), func(i, j int) { l[i], l[j] = l[j], l[i] })
-		}
-		for i, w := range l {
-			g.pos[pairKey(v, w)] = int32(i)
 		}
 	}
 	return g

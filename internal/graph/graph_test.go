@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -146,6 +147,57 @@ func TestAdjacencyIndexInverse(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestAdjacencyOutOfRange: an ID outside [0, n) is never an endpoint,
+// including one whose low 32 bits name a real vertex, on a sorted build,
+// a shuffled build and the zero Graph.
+func TestAdjacencyOutOfRange(t *testing.T) {
+	b := NewBuilder(4)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	for name, g := range map[string]*Graph{"sorted": b.Build(), "shuffled": b.BuildShuffled(rnd.NewPRG(1)), "zero": {}} {
+		n := g.N()
+		bad := []int{-1, n, 1 << 32, 1<<32 + 1, -(1 << 32)}
+		ids := slices.Clone(bad)
+		for v := range n {
+			ids = append(ids, v)
+		}
+		for _, x := range bad {
+			for _, y := range ids {
+				for _, p := range [][2]int{{x, y}, {y, x}} {
+					if g.AdjacencyIndex(p[0], p[1]) != -1 || g.Adjacency(p[0], p[1]) != -1 || g.HasEdge(p[0], p[1]) {
+						t.Errorf("%s: (%d,%d) answers as an edge: index %d, has %v",
+							name, p[0], p[1], g.AdjacencyIndex(p[0], p[1]), g.HasEdge(p[0], p[1]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGraphResidentBytes pins what a built graph keeps live once its
+// Builder is gone: its rows (8 B per cell) and offsets (8 B per vertex),
+// with a byte of slack on each, and no per-pair index beside them. No
+// test in this package runs in parallel, so the heap's growth is the
+// graph's own.
+func TestGraphResidentBytes(t *testing.T) {
+	const n, deg = 100_000, 8
+	var ms runtime.MemStats
+	live := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := live()
+	g := shuffledGraph(n, deg, 1)
+	grown := live() - before
+	cells := int64(2 * g.M())
+	if limit := 9*cells + 9*n; grown > limit {
+		t.Fatalf("graph on %d vertices and %d cells keeps %d B live, want at most %d (%.1f B per cell)",
+			n, cells, grown, limit, float64(grown)/float64(cells))
 	}
 }
 

@@ -89,6 +89,26 @@ func TestHTTPSurfacePinned(t *testing.T) {
 	}
 }
 
+// TestFailingParamErrorStable: a request with several failing
+// parameters gets the same 400 every time, naming the key that sorts
+// first, however the query map happens to order its keys.
+func TestFailingParamErrorStable(t *testing.T) {
+	ts := httptest.NewServer(New(gen.Gnp(200, 0.1, 7), 42).Handler())
+	defer ts.Close()
+	const want = `{"error":"unknown query parameter \"u\" for algorithm \"mis\"","status":400,"request_id":"pin-0001"}` + "\n"
+	bodies := map[string]int{}
+	for i := 0; i < 200; i++ {
+		status, body := pinGet(t, ts, "/vertex/mis?v=1&u=2&w=3", "")
+		if status != http.StatusBadRequest {
+			t.Fatalf("status %d, want 400: %s", status, body)
+		}
+		bodies[body]++
+	}
+	if len(bodies) != 1 || bodies[want] != 200 {
+		t.Fatalf("200 identical requests got %d bodies %v, want only %s", len(bodies), bodies, want)
+	}
+}
+
 // TestAuditLogPinned: one client's edge, vertex and label queries over
 // ring:n=60, plain and with prefetch=1, write the checked-in log byte for
 // byte (records carry no timestamps), and that log replays.

@@ -90,6 +90,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -507,32 +508,28 @@ func descriptorFor(r *http.Request, kind registry.Kind) (*registry.Descriptor, e
 // samples, ...) are parsed by the caller and listed in reserved; every
 // other key must be a parameter the descriptor declares, parsed per its
 // declared type. Unknown keys are 400s — a typo must never degrade into a
-// silently ignored parameter or a zero-value query.
+// silently ignored parameter or a zero-value query. Of several failing
+// keys the 400 names the one that sorts first, whatever the map's order.
 func queryParams(r *http.Request, d *registry.Descriptor, reserved ...string) (registry.Params, error) {
-	isReserved := func(k string) bool {
-		for _, rk := range reserved {
-			if k == rk {
-				return true
-			}
-		}
-		return false
-	}
 	p := registry.Params{}
+	var bad string // the failing key that sorts first so far, once err is set
+	var err error
 	for key, vals := range r.URL.Query() {
-		if isReserved(key) {
+		if slices.Contains(reserved, key) || (err != nil && key > bad) {
 			continue
 		}
 		if !d.HasParam(key) {
-			return nil, badRequest("unknown query parameter %q for algorithm %q", key, d.Name)
+			bad, err = key, badRequest("unknown query parameter %q for algorithm %q", key, d.Name)
+		} else if len(vals) != 1 {
+			bad, err = key, badRequest("parameter %q given %d times, want 1", key, len(vals))
+		} else if v, perr := d.ParseValue(key, vals[0]); perr != nil {
+			bad, err = key, badRequest("%v", perr)
+		} else {
+			p[key] = v
 		}
-		if len(vals) != 1 {
-			return nil, badRequest("parameter %q given %d times, want 1", key, len(vals))
-		}
-		v, err := d.ParseValue(key, vals[0])
-		if err != nil {
-			return nil, badRequest("%v", err)
-		}
-		p[key] = v
+	}
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
 }
