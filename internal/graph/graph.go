@@ -192,8 +192,13 @@ func (b *Builder) AddEdge(u, v int) {
 	b.edges[Edge{U: u, V: v}.Key()] = struct{}{}
 }
 
-// HasEdge reports whether {u,v} has been added.
+// HasEdge reports whether {u,v} has been added; false for vertices
+// outside [0,n), which AddEdge refuses (the edge key keeps only the low
+// 32 bits of each ID, so it must not see them).
 func (b *Builder) HasEdge(u, v int) bool {
+	if u < 0 || v < 0 || u >= b.n || v >= b.n {
+		return false
+	}
 	_, ok := b.edges[Edge{U: u, V: v}.Key()]
 	return ok
 }

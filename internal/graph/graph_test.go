@@ -80,6 +80,21 @@ func TestBuilderPanicsOutOfRange(t *testing.T) {
 	NewBuilder(3).AddEdge(0, 3)
 }
 
+// TestBuilderHasEdgeOutOfRange: IDs outside [0,n) name no added edge,
+// even those whose low 32 bits match an added endpoint.
+func TestBuilderHasEdgeOutOfRange(t *testing.T) {
+	b := NewBuilder(4)
+	b.AddEdge(0, 1)
+	if !b.HasEdge(0, 1) || !b.HasEdge(1, 0) {
+		t.Fatal("added edge (0,1) not reported")
+	}
+	for _, e := range [][2]int{{0, 1<<32 + 1}, {-1 << 32, 1}, {1<<32 + 0, 1}, {0, -1}, {4, 1}} {
+		if b.HasEdge(e[0], e[1]) {
+			t.Errorf("HasEdge(%d,%d) = true for an out-of-range ID", e[0], e[1])
+		}
+	}
+}
+
 func TestDegreeAndNeighbors(t *testing.T) {
 	g := path(5)
 	wantDeg := []int{1, 2, 2, 2, 1}

@@ -229,17 +229,31 @@ func (l *limitTripsOracle) Prefetch(vs ...int) {
 
 // WithinBudget runs fn and reports whether it completed without exhausting
 // the budget; the budget window is reset first. Other panics propagate.
-func (l *LimitOracle) WithinBudget(fn func()) (ok bool) {
+func (l *LimitOracle) WithinBudget(fn func()) bool {
 	l.Reset()
+	err := Catch(fn)
+	if _, isBudget := err.(ErrBudgetExceeded); err != nil && !isBudget {
+		panic(err)
+	}
+	return err == nil
+}
+
+// Catch runs fn and returns, as an error, the typed panic a probing call
+// raises when it cannot answer: ErrBudgetExceeded, ErrTripBudgetExceeded
+// or a *source.ProbeError (the Oracle and Source interfaces have no error
+// returns). It is the one place those panics are recovered; callers map
+// the error to their own surface. Any other panic propagates.
+func Catch(fn func()) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if _, isBudget := r.(ErrBudgetExceeded); isBudget {
-				ok = false
-				return
+			switch r.(type) {
+			case ErrBudgetExceeded, ErrTripBudgetExceeded, *source.ProbeError:
+				err = r.(error)
+			default:
+				panic(r)
 			}
-			panic(r)
 		}
 	}()
 	fn()
-	return true
+	return nil
 }

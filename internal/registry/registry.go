@@ -99,6 +99,39 @@ func (k Kind) Bind(inst any) (ask func(Query) Answer, ok bool) {
 	return spec.bind(inst)
 }
 
+// NotEdgeError reports an edge query whose (U,V) is not an edge of the
+// input graph: an LCA's answers are defined for input edges only.
+type NotEdgeError struct{ U, V int }
+
+// Error implements the error interface.
+func (e *NotEdgeError) Error() string {
+	return fmt.Sprintf("(%d,%d) is not an edge of the graph", e.U, e.V)
+}
+
+// Ask answers one k query q: for an edge kind it first checks that q is
+// an edge of src (a *NotEdgeError when it is not), then it asks the query
+// method bind returns. Probing panics from the check and the query come
+// back as errors (oracle.Catch); bind's own errors come back unchanged.
+// bind runs after the check, so an instance built there sees only its own
+// query's traffic.
+func (k Kind) Ask(src source.Source, bind func() (func(Query) Answer, error), q Query) (a Answer, err error) {
+	if k == KindEdge {
+		var isEdge bool
+		if err := oracle.Catch(func() { isEdge = src.Adjacency(q[0], q[1]) >= 0 }); err != nil {
+			return a, err
+		}
+		if !isEdge {
+			return a, &NotEdgeError{U: q[0], V: q[1]}
+		}
+	}
+	ask, err := bind()
+	if err != nil {
+		return a, err
+	}
+	err = oracle.Catch(func() { a = ask(q) })
+	return a, err
+}
+
 // Queries lists every k query over g in g's order: one per edge for an
 // edge kind, one per vertex otherwise.
 func (k Kind) Queries(g *graph.Graph) []Query {

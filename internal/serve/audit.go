@@ -346,15 +346,6 @@ func replayRecord(rec *AuditRecord) (proofs int, err error) {
 // replayQuery re-runs the recorded query on the rebuilt instance,
 // converting transcript misses (a *source.ProbeError panic) into errors.
 func replayQuery(rec *AuditRecord, inst any) (ans registry.Answer, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			pe, ok := r.(*source.ProbeError)
-			if !ok {
-				panic(r)
-			}
-			ans, err = registry.Answer{}, fmt.Errorf("replay diverged from the transcript: %v", pe)
-		}
-	}()
 	kind := registry.Kind(rec.Kind)
 	coords := kind.Coords()
 	if coords == nil {
@@ -368,7 +359,10 @@ func replayQuery(rec *AuditRecord, inst any) (ans registry.Answer, err error) {
 	for i, c := range coords {
 		q[i] = rec.Coords[c]
 	}
-	return ask(q), nil
+	if err := oracle.Catch(func() { ans = ask(q) }); err != nil {
+		return registry.Answer{}, fmt.Errorf("replay diverged from the transcript: %v", err)
+	}
+	return ans, nil
 }
 
 // verifyRecordRows checks every embedded row proof against the record's

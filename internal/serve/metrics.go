@@ -1,11 +1,10 @@
 package serve
 
 // The metrics plane and per-request correlation. Every server owns a
-// metrics.Registry (injectable with WithMetricsRegistry for aggregation
-// across servers in one process); handlers record through pre-resolved
-// handles so the per-request cost is a few atomic adds. GET /metrics
-// exports the registry as JSON (the machine-readable default) or text
-// (?format=text, the greppable runbook form).
+// metrics.Registry; handlers record through pre-resolved handles so the
+// per-request cost is a few atomic adds. GET /metrics exports the
+// registry as JSON (the machine-readable default) or text (?format=text,
+// the greppable runbook form).
 //
 // Metric names fold dimensions in Prometheus style; every dimension is
 // drawn from a fixed set (query kinds, HTTP statuses, configured
@@ -123,17 +122,6 @@ func (m *serverMetrics) observeRequest(kind string, elapsed time.Duration) {
 // bounded.
 func (m *serverMetrics) errCounter(status int) *metrics.Counter {
 	return m.reg.Counter(fmt.Sprintf("serve_errors_total{status=%d}", status))
-}
-
-// WithMetricsRegistry makes the server record into reg instead of a
-// fresh private registry — several servers in one process can share one
-// metrics plane.
-func WithMetricsRegistry(reg *metrics.Registry) Option {
-	return func(s *Server) {
-		if reg != nil {
-			s.met = newServerMetrics(reg)
-		}
-	}
 }
 
 // Metrics returns the server's metrics registry (for CLIs and tests; the

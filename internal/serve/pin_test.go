@@ -42,9 +42,10 @@ func pinGet(t *testing.T, ts *httptest.Server, path, token string) (int, string)
 	return resp.StatusCode, string(body)
 }
 
-// TestHTTPSurfacePinned: one answer per kind, plain and through the row
-// tier, and the error envelopes of every request check the query plane
-// makes, each byte-identical to its recorded body.
+// TestHTTPSurfacePinned: one answer per kind and the estimates of a
+// vertex and an edge kind, plain and through the row tier, and the error
+// envelopes of every request check the query plane makes, each
+// byte-identical to its recorded body.
 func TestHTTPSurfacePinned(t *testing.T) {
 	g := gen.Gnp(200, 0.1, 7) // (0,47) is an edge, (0,2) is not
 	ts := httptest.NewServer(New(g, 42).Handler())
@@ -80,6 +81,16 @@ func TestHTTPSurfacePinned(t *testing.T) {
 		{ts, "", "/vertex/mis?v=1&u=2", 400, `{"error":"unknown query parameter \"u\" for algorithm \"mis\"","status":400,"request_id":"pin-0001"}`},
 		{ts, "", "/label/coloring?v=1&u=2", 400, `{"error":"unknown query parameter \"u\" for algorithm \"coloring\"","status":400,"request_id":"pin-0001"}`},
 		{tsCapped, "tiny", "/vertex/mis?v=7", 429, `{"error":"per-query probe budget 1 exhausted; narrow the query or raise the tenant budget","status":429,"request_id":"pin-0001"}`},
+		{ts, "", "/estimate/mis?samples=50", 200, `{"algo":"mis","kind":"vertex","fraction":0.24,"error_bound":0.19206455826398416,"samples":50}`},
+		{ts, "", "/estimate/mis?samples=50&prefetch=1", 200, `{"algo":"mis","kind":"vertex","fraction":0.24,"error_bound":0.19206455826398416,"samples":50}`},
+		{ts, "", "/estimate/spanner3?samples=50", 200, `{"algo":"spanner3","kind":"edge","fraction":1,"error_bound":0.19206455826398416,"samples":50}`},
+		{ts, "", "/estimate/nosuch?samples=10", 404, `{"error":"unknown algorithm \"nosuch\" (see /algos)","status":404,"request_id":"pin-0001"}`},
+		{ts, "", "/estimate/coloring?samples=10", 404, `{"error":"algorithm \"coloring\" answers label queries; fractions are estimable for edge and vertex kinds","status":404,"request_id":"pin-0001"}`},
+		{ts, "", "/estimate/mis?samples=-3", 400, `{"error":"parameter \"samples\": \"-3\" is not an integer in [1,1000000]","status":400,"request_id":"pin-0001"}`},
+		{ts, "", "/estimate/mis?samples=zebra", 400, `{"error":"parameter \"samples\": \"zebra\" is not an integer in [1,1000000]","status":400,"request_id":"pin-0001"}`},
+		{ts, "", "/estimate/mis?samples=10&w=3", 400, `{"error":"unknown query parameter \"w\" for algorithm \"mis\"","status":400,"request_id":"pin-0001"}`},
+		{ts, "", "/estimate/coloring?samples=zebra", 404, `{"error":"algorithm \"coloring\" answers label queries; fractions are estimable for edge and vertex kinds","status":404,"request_id":"pin-0001"}`},
+		{tsCapped, "tiny", "/estimate/mis?samples=50", 429, `{"error":"per-query probe budget 1 exhausted; narrow the query or raise the tenant budget","status":429,"request_id":"pin-0001"}`},
 	}
 	for _, c := range cases {
 		status, body := pinGet(t, c.ts, c.path, c.token)

@@ -287,32 +287,27 @@ func writeHTTPError(w http.ResponseWriter, err error) {
 	writeErr(w, http.StatusInternalServerError, "%v", err)
 }
 
-// runProbing runs fn, converting the expected typed probe panics — the
-// Source and Oracle interfaces have no error returns — into envelope
-// errors: a remote-shard probe failure becomes a 502 (the server
-// degrades instead of crashing the connection), and a tenant budget
-// exhaustion becomes a 429 (the admission-control contract: the query
-// cost more probes or round trips than the tenant is allowed per
-// query).
-func runProbing(fn func()) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			switch e := r.(type) {
-			case *source.ProbeError:
-				err = &httpError{status: http.StatusBadGateway, msg: e.Error()}
-			case oracle.ErrBudgetExceeded:
-				err = &httpError{status: http.StatusTooManyRequests,
-					msg: fmt.Sprintf("per-query probe budget %d exhausted; narrow the query or raise the tenant budget", e.Budget)}
-			case oracle.ErrTripBudgetExceeded:
-				err = &httpError{status: http.StatusTooManyRequests,
-					msg: fmt.Sprintf("per-query round-trip budget %d exhausted; narrow the query or raise the tenant budget", e.Budget)}
-			default:
-				panic(r)
-			}
-		}
-	}()
-	fn()
-	return nil
+// probeErr maps an error of a probing call (oracle.Catch, Kind.Ask) to
+// its envelope — the Source and Oracle interfaces have no error returns,
+// so these arrive as typed panics: a remote-shard probe failure becomes a
+// 502 (the server degrades instead of crashing the connection), a tenant
+// budget exhaustion a 429 (the admission-control contract: the query cost
+// more probes or round trips than the tenant is allowed per query), and
+// an edge query off the graph a 400. Other errors pass through.
+func probeErr(err error) error {
+	switch e := err.(type) {
+	case *source.ProbeError:
+		return &httpError{status: http.StatusBadGateway, msg: e.Error()}
+	case oracle.ErrBudgetExceeded:
+		return &httpError{status: http.StatusTooManyRequests,
+			msg: fmt.Sprintf("per-query probe budget %d exhausted; narrow the query or raise the tenant budget", e.Budget)}
+	case oracle.ErrTripBudgetExceeded:
+		return &httpError{status: http.StatusTooManyRequests,
+			msg: fmt.Sprintf("per-query round-trip budget %d exhausted; narrow the query or raise the tenant budget", e.Budget)}
+	case *registry.NotEdgeError:
+		return badRequest("%v", e)
+	}
+	return err
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -371,7 +366,7 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	stubs := 0
-	if err := runProbing(func() {
+	if err := probeErr(oracle.Catch(func() {
 		for v := 0; v < info.N; v++ {
 			d := ns.src.Degree(v)
 			stubs += d
@@ -379,7 +374,7 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 				info.MaxDegree = d
 			}
 		}
-	}); err != nil {
+	})); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -489,20 +484,6 @@ func (s *Server) handleAlgos(w http.ResponseWriter, _ *http.Request) {
 }
 
 // request parsing ------------------------------------------------------
-
-// descriptorFor resolves the path's algorithm name against the registry
-// and checks its kind.
-func descriptorFor(r *http.Request, kind registry.Kind) (*registry.Descriptor, error) {
-	name := r.PathValue("algo")
-	d, err := registry.Get(name)
-	if err != nil {
-		return nil, notFound("unknown algorithm %q (see /algos)", name)
-	}
-	if d.Kind != kind {
-		return nil, notFound("algorithm %q answers %s queries, not %s (see /algos)", d.Name, d.Kind, kind)
-	}
-	return d, nil
-}
 
 // queryParams validates the full query string: positional keys (u, v,
 // samples, ...) are parsed by the caller and listed in reserved; every
@@ -651,40 +632,63 @@ type pointAnswer struct {
 	Trace   []trace.Span `json:"trace,omitempty"`
 }
 
+// request is what the prelude of a query request resolves: its start,
+// the admitted tenant, the algorithm, the named source, the algorithm's
+// parameters, the prefetch selector and whether the request forces a
+// trace.
+type request struct {
+	start    time.Time
+	ten      *tenantState
+	d        *registry.Descriptor
+	ns       *namedSource
+	p        registry.Params
+	prefetch bool
+	forced   bool
+}
+
+// prelude makes the checks every query request makes first, in this
+// order: tenant admission, the path's algorithm (unknown is a 404, and
+// accept rejects the kinds the route does not answer), the source, the
+// parameters (every key outside reserved), prefetch and trace.
+func (s *Server) prelude(w http.ResponseWriter, r *http.Request, accept func(*registry.Descriptor) error, reserved []string) (req request, err error) {
+	req.start = time.Now()
+	if req.ten, err = s.admitTenant(w, r); err != nil {
+		return req, err
+	}
+	name := r.PathValue("algo")
+	if req.d, err = registry.Get(name); err != nil {
+		return req, notFound("unknown algorithm %q (see /algos)", name)
+	}
+	if err = accept(req.d); err != nil {
+		return req, err
+	}
+	if req.ns, err = s.sourceFor(r); err != nil {
+		return req, err
+	}
+	if req.p, err = queryParams(r, req.d, reserved...); err != nil {
+		return req, err
+	}
+	if req.prefetch, err = prefetchParam(r); err != nil {
+		return req, err
+	}
+	req.forced, err = traceParam(r)
+	return req, err
+}
+
 // handleQuery answers /edge, /vertex and /label: kind is the route's
 // query kind, whose coordinates, answer and root span the registry's
 // kind table gives.
 func (s *Server) handleQuery(kind registry.Kind) http.HandlerFunc {
 	coords := kind.Coords()
 	reserved := append([]string{"source", "prefetch", "trace"}, coords...)
+	accept := func(d *registry.Descriptor) error {
+		if d.Kind != kind {
+			return notFound("algorithm %q answers %s queries, not %s (see /algos)", d.Name, d.Kind, kind)
+		}
+		return nil
+	}
 	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		ten, err := s.admitTenant(w, r)
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		d, err := descriptorFor(r, kind)
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		ns, err := s.sourceFor(r)
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		p, err := queryParams(r, d, reserved...)
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		prefetch, err := prefetchParam(r)
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		forced, err := traceParam(r)
+		req, err := s.prelude(w, r, accept, reserved)
 		if err != nil {
 			s.writeError(w, err)
 			return
@@ -693,57 +697,54 @@ func (s *Server) handleQuery(kind registry.Kind) http.HandlerFunc {
 		at := make(map[string]int, len(coords))
 		keys := make([]string, len(coords))
 		for i, c := range coords {
-			if q[i], err = vertexParam(r, ns.src, c); err != nil {
+			if q[i], err = vertexParam(r, req.ns.src, c); err != nil {
 				s.writeError(w, err)
 				return
 			}
 			at[c] = q[i]
 			keys[i] = fmt.Sprintf("%s=%d", c, q[i])
 		}
-		dec := s.traceDecision(forced)
-		key := s.queryKey(string(kind), d.Name, ns.name, p, prefetch, dec, ten, strings.Join(keys, ","))
-		ans, err, _ := s.flights.do(key, s.met.coalesced.Inc, func() (_ any, ferr error) {
-			qt := dec.begin(kind.Span(), q[0], d.Name)
-			defer func() { s.finishTrace(qt, oracle.Stats{}, ferr) }()
-			src := source.TracedView(ns.src, qt.tracer())
-			if kind == registry.KindEdge {
-				// The input-edge validation probe runs inside the flight:
-				// it is oracle traffic, shared once per coalesced key like
-				// the query.
-				var isEdge bool
-				if perr := runProbing(func() { isEdge = src.Adjacency(q[0], q[1]) >= 0 }); perr != nil {
-					return nil, perr
+		dec := s.traceDecision(req.forced)
+		key := s.queryKey(string(kind), req.d.Name, req.ns.name, req.p, req.prefetch, dec, req.ten, strings.Join(keys, ","))
+		ans, err, _ := s.flights.do(key, s.met.coalesced.Inc, func() (any, error) {
+			qt := dec.begin()
+			tr := qt.tracer()
+			root := tr.Root(kind.Span(), q[0], req.d.Name)
+			src := source.TracedView(req.ns.src, tr)
+			var inst any
+			var rec *auditOracle
+			// The input-edge check runs inside the flight: it is oracle
+			// traffic, shared once per coalesced key like the query.
+			a, err := kind.Ask(src, func() (func(registry.Query) registry.Answer, error) {
+				var err error
+				if inst, rec, err = s.build(req.d, src, req.p, req.prefetch, req.ten, tr); err != nil {
+					return nil, err
 				}
-				if !isEdge {
-					return nil, badRequest("(%d,%d) is not an edge of the graph", q[0], q[1])
-				}
-			}
-			inst, rec, err := s.build(d, src, p, prefetch, ten, qt.tracer())
+				ask, _ := kind.Bind(inst) // build checked the instance answers kind
+				return ask, nil
+			}, q)
+			tr.EndRoot(root, err)
 			if err != nil {
-				return nil, err
-			}
-			ask, _ := kind.Bind(inst) // build checked the instance answers kind
-			var a registry.Answer
-			if err := runProbing(func() { a = ask(q) }); err != nil {
-				return nil, err
+				s.finishTrace(qt, oracle.Stats{})
+				return nil, probeErr(err)
 			}
 			st := statsOf(inst)
 			s.met.observeExec(st)
-			ans := pointAnswer{Algo: d.Name, V: at["v"], Answer: a,
+			ans := pointAnswer{Algo: req.d.Name, V: at["v"], Answer: a,
 				Probes: st.Total(), Telemetry: st.Telemetry}
 			if u, ok := at["u"]; ok {
 				ans.U = &u
 			}
-			s.recordAudit(string(kind), d, ns, p, at, rec, a)
-			ans.TraceID, ans.Trace = s.finishTrace(qt, st, nil)
+			s.recordAudit(string(kind), req.d, req.ns, req.p, at, rec, a)
+			ans.TraceID, ans.Trace = s.finishTrace(qt, st)
 			return ans, nil
 		})
 		if err != nil {
-			s.failQuery(w, ten, err)
+			s.failQuery(w, req.ten, err)
 			return
 		}
-		s.met.observeRequest(string(kind), time.Since(start))
-		s.logQuery(w, string(kind), d.Name, ten, time.Since(start), ans)
+		s.met.observeRequest(string(kind), time.Since(req.start))
+		s.logQuery(w, string(kind), req.d.Name, req.ten, time.Since(req.start), ans)
 		writeJSON(w, http.StatusOK, ans)
 	}
 }
@@ -758,41 +759,19 @@ type estimateAnswer struct {
 	Trace      []trace.Span `json:"trace,omitempty"`
 }
 
+// estimable accepts the edge- and vertex-kind algorithms, whose solution
+// fractions /estimate estimates.
+func estimable(d *registry.Descriptor) error {
+	if d.Kind == registry.KindLabel {
+		return notFound("algorithm %q answers label queries; fractions are estimable for edge and vertex kinds", d.Name)
+	}
+	return nil
+}
+
 // handleEstimate estimates the solution fraction of any edge- or
 // vertex-kind algorithm by sampled point queries (Hoeffding-bounded, 95%).
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	ten, err := s.admitTenant(w, r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	name := r.PathValue("algo")
-	d, err := registry.Get(name)
-	if err != nil {
-		s.writeError(w, notFound("unknown algorithm %q (see /algos)", name))
-		return
-	}
-	if d.Kind == registry.KindLabel {
-		s.writeError(w, notFound("algorithm %q answers label queries; fractions are estimable for edge and vertex kinds", d.Name))
-		return
-	}
-	ns, err := s.sourceFor(r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	p, err := queryParams(r, d, "samples", "source", "prefetch", "trace")
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	prefetch, err := prefetchParam(r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	forced, err := traceParam(r)
+	req, err := s.prelude(w, r, estimable, []string{"samples", "source", "prefetch", "trace"})
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -807,41 +786,45 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		samples = parsed
 	}
 	const delta = 0.05
-	dec := s.traceDecision(forced)
-	key := s.queryKey("estimate", d.Name, ns.name, p, prefetch, dec, ten, fmt.Sprintf("samples=%d", samples))
-	ans, err, _ := s.flights.do(key, s.met.coalesced.Inc, func() (_ any, flightErr error) {
-		qt := dec.begin("query:estimate", -1, d.Name)
-		defer func() { s.finishTrace(qt, oracle.Stats{}, flightErr) }()
-		src := source.TracedView(ns.src, qt.tracer())
-		o := oracle.NewChain(src, ten.chainConfig(prefetch, qt.tracer()))
+	dec := s.traceDecision(req.forced)
+	key := s.queryKey("estimate", req.d.Name, req.ns.name, req.p, req.prefetch, dec, req.ten, fmt.Sprintf("samples=%d", samples))
+	ans, err, _ := s.flights.do(key, s.met.coalesced.Inc, func() (any, error) {
+		qt := dec.begin()
+		tr := qt.tracer()
+		root := tr.Root("query:estimate", -1, req.d.Name)
+		src := source.TracedView(req.ns.src, tr)
+		o := oracle.NewChain(src, req.ten.chainConfig(req.prefetch, tr))
 		var res estimate.Result
 		var ferr error
-		if perr := runProbing(func() {
-			res, ferr = estimate.Fraction(d, src, o, s.seed, p, samples, delta)
-		}); perr != nil {
-			return nil, perr
-		}
-		if ferr != nil {
+		err := oracle.Catch(func() {
+			res, ferr = estimate.Fraction(req.d, src, o, s.seed, req.p, samples, delta)
+		})
+		if err == nil && ferr != nil {
 			// Kind and samples were validated above; what remains is bad
 			// parameter values, which are the client's.
-			return nil, badRequest("%v", ferr)
+			err = badRequest("%v", ferr)
 		}
-		ans := estimateAnswer{
-			Algo:       d.Name,
-			Kind:       string(d.Kind),
+		tr.EndRoot(root, err)
+		id, spans := s.finishTrace(qt, oracle.Stats{})
+		if err != nil {
+			return nil, probeErr(err)
+		}
+		return estimateAnswer{
+			Algo:       req.d.Name,
+			Kind:       string(req.d.Kind),
 			Fraction:   res.Fraction,
 			ErrorBound: res.ErrorBound,
 			Samples:    res.Samples,
-		}
-		ans.TraceID, ans.Trace = s.finishTrace(qt, oracle.Stats{}, nil)
-		return ans, nil
+			TraceID:    id,
+			Trace:      spans,
+		}, nil
 	})
 	if err != nil {
-		s.failQuery(w, ten, err)
+		s.failQuery(w, req.ten, err)
 		return
 	}
-	s.met.observeRequest("estimate", time.Since(start))
+	s.met.observeRequest("estimate", time.Since(req.start))
 	// An estimate logs no probe total or telemetry, only its trace ID.
-	s.logQuery(w, "estimate", d.Name, ten, time.Since(start), pointAnswer{TraceID: ans.(estimateAnswer).TraceID})
+	s.logQuery(w, "estimate", req.d.Name, req.ten, time.Since(req.start), pointAnswer{TraceID: ans.(estimateAnswer).TraceID})
 	writeJSON(w, http.StatusOK, ans)
 }

@@ -121,30 +121,23 @@ func (d traceDecision) key() string {
 	}
 }
 
-// queryTrace is one traced execution: the tracer, its root span and the
-// wall-clock start. The nil *queryTrace — the untraced execution — is
-// valid everywhere and costs a nil test per call.
+// queryTrace is one traced execution: the tracer and the wall-clock
+// start. The nil *queryTrace — the untraced execution — is valid
+// everywhere and costs a nil test per call.
 type queryTrace struct {
 	tr     *trace.Tracer
 	attach bool
-	root   trace.Handle
 	start  time.Time
-	done   bool
 }
 
-// begin opens a traced execution's root span (nil for untraced). The
-// root is pushed as the implicit parent, so every span the layers below
-// record on this goroutine nests under it.
-func (d traceDecision) begin(rootOp string, target int, algo string) *queryTrace {
+// begin starts a traced execution (nil for untraced). The flight opens
+// its root span on the tracer (trace.Tracer.Root), so every span the
+// layers below record on this goroutine nests under it.
+func (d traceDecision) begin() *queryTrace {
 	if !d.traced {
 		return nil
 	}
-	tr := trace.New(trace.NewID(), TraceMaxSpans)
-	qt := &queryTrace{tr: tr, attach: d.attach, start: time.Now()}
-	qt.root = tr.Start(rootOp, target)
-	tr.Tag(qt.root, "algo="+algo)
-	tr.Push(qt.root)
-	return qt
+	return &queryTrace{tr: trace.New(trace.NewID(), TraceMaxSpans), attach: d.attach, start: time.Now()}
 }
 
 // tracer returns the execution's tracer, nil when untraced.
@@ -155,26 +148,18 @@ func (qt *queryTrace) tracer() *trace.Tracer {
 	return qt.tr
 }
 
-// finishTrace ends the root span, applies the slow-query verdict and
-// retains the record in the rings; it returns the trace id and span
-// tree to attach to the answer (empty for slow-capture-only
-// executions). Idempotent: the success path calls it to build the
-// answer, and a deferred call with the flight's error covers the early
-// returns — budget exhaustions and shard failures leave their partial
-// tree as evidence, tagged error.
-func (s *Server) finishTrace(qt *queryTrace, st oracle.Stats, qerr error) (id string, spans []trace.Span) {
-	if qt == nil || qt.done {
+// finishTrace runs once the flight has ended its root span: it applies
+// the slow-query verdict and retains the record in the rings, and returns
+// the trace id and span tree to attach to the answer (empty for
+// slow-capture-only executions). A failed execution passes zero stats;
+// budget exhaustions and shard failures leave their partial tree, root
+// tagged error, as evidence.
+func (s *Server) finishTrace(qt *queryTrace, st oracle.Stats) (id string, spans []trace.Span) {
+	if qt == nil {
 		return "", nil
 	}
-	qt.done = true
 	tr := qt.tr
-	tr.Pop()
 	elapsed := time.Since(qt.start)
-	if qerr != nil {
-		tr.End(qt.root, "error")
-	} else {
-		tr.End(qt.root)
-	}
 	slow := (s.slowDur > 0 && elapsed >= s.slowDur) ||
 		(s.slowProbes > 0 && st.Total() > s.slowProbes)
 	if !qt.attach && !slow {

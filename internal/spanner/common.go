@@ -19,7 +19,6 @@ package spanner
 
 import (
 	"math"
-	"sort"
 
 	"lca/internal/oracle"
 	"lca/internal/rnd"
@@ -249,14 +248,6 @@ func (s *scanPart) scanKeep(w, x int) bool {
 // keep reports whether either endpoint's rule keeps the edge.
 func (s *scanPart) keep(u, v int) bool {
 	return s.memberEdge(u, v) || s.scanKeep(u, v) || s.scanKeep(v, u)
-}
-
-// sortedCopy returns a sorted copy of xs.
-func sortedCopy(xs []int) []int {
-	out := make([]int, len(xs))
-	copy(out, xs)
-	sort.Ints(out)
-	return out
 }
 
 // edgeLess orders directed candidate edges lexicographically by

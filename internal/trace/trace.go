@@ -138,6 +138,34 @@ func (t *Tracer) IDString() string {
 	return fmt.Sprintf("%016x", t.id)
 }
 
+// Root opens a query's root span: a parentless op span over target,
+// tagged with the algorithm that answers it, and pushed as the implicit
+// parent, so every span the layers below record nests under it. Close it
+// with EndRoot.
+func (t *Tracer) Root(op string, target int, algo string) Handle {
+	if t == nil {
+		return Handle{}
+	}
+	h := t.StartUnder(0, op, target)
+	t.Tag(h, "algo="+algo)
+	t.Push(h)
+	return h
+}
+
+// EndRoot closes a root span opened by Root, tagging it error when the
+// query failed.
+func (t *Tracer) EndRoot(h Handle, err error) {
+	if t == nil {
+		return
+	}
+	t.Pop()
+	if err != nil {
+		t.End(h, "error")
+		return
+	}
+	t.End(h)
+}
+
 // Start opens a span under the current implicit parent.
 func (t *Tracer) Start(op string, target int) Handle {
 	if t == nil {

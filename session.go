@@ -17,7 +17,6 @@ import (
 	"lca/internal/oracle"
 	"lca/internal/registry"
 	"lca/internal/source"
-	"lca/internal/trace"
 )
 
 // ErrProbeBudget is returned (wrapped) by Session queries that exhaust the
@@ -79,13 +78,18 @@ type Session struct {
 }
 
 // boundInstance is one constructed algorithm bound to its oracle chain,
-// with its query method for the algorithm's kind and the chain's probe
-// limiter (nil without a budget) that every point query resets.
+// with its canonical name, its query method for the algorithm's kind and
+// the chain's probe limiter (nil without a budget) that every point query
+// resets.
 type boundInstance struct {
+	algo  string
 	inst  any
 	ask   func(registry.Query) registry.Answer
 	limit *oracle.LimitOracle
 }
+
+// bind returns the instance's query method, for Kind.Ask.
+func (bi *boundInstance) bind() (func(registry.Query) registry.Answer, error) { return bi.ask, nil }
 
 // SessionOption configures a Session at construction.
 type SessionOption func(*Session)
@@ -147,11 +151,12 @@ func WithRowCache(entries int) SessionOption {
 }
 
 // WithTracer records probe-level span trees into tr: every point query
-// opens a query:edge/query:vertex/query:label root span, the oracle
-// layers add exploration, cache-hit and budget spans, and network
-// sources add per-round-trip rpc spans — with remote shards' serverside
-// spans stitched in over the X-LCA-Trace wire header. Spans from
-// successive queries accumulate in tr (one tree per query, side by
+// opens a query:edge/query:vertex/query:label root span tagged with the
+// algorithm's canonical name (algo=NAME), and also error when the query
+// fails; the oracle layers add exploration, cache-hit and budget spans,
+// and network sources add per-round-trip rpc spans — with remote shards'
+// serverside spans stitched in over the X-LCA-Trace wire header. Spans
+// from successive queries accumulate in tr (one tree per query, side by
 // side) up to its span cap; use a fresh session and tracer per traced
 // run to keep trees separate. Point queries are mutex-serialized, so
 // one tracer serves them all. A nil tracer leaves tracing off — the
@@ -318,68 +323,28 @@ func (s *Session) instance(algo string, kind registry.Kind) (*boundInstance, err
 		return nil, err
 	}
 	ask, _ := kind.Bind(inst) // Build checked the instance answers kind
-	bi := &boundInstance{inst: inst, ask: ask, limit: limit}
+	bi := &boundInstance{algo: d.Name, inst: inst, ask: ask, limit: limit}
 	s.instances[d.Name] = bi
 	return bi, nil
 }
 
-// guarded runs one query against a bound instance, resetting the probe
-// budget window first and converting budget exhaustion — and remote-shard
-// probe failure — into errors.
-func (bi *boundInstance) guarded(fn func()) (err error) {
-	if bi.limit != nil {
-		bi.limit.Reset()
+// queryErr maps an error of a probing call (oracle.Catch, Kind.Ask) to
+// the session's surface: budget exhaustion wraps ErrProbeBudget, and
+// anything else — a network source's probe failure, a non-edge — gains
+// the lca: prefix.
+func queryErr(err error) error {
+	if err == nil {
+		return nil
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = queryPanicErr(r)
-		}
-	}()
-	fn()
-	return nil
-}
-
-// beginQuerySpan opens a point query's root span and pushes it as the
-// implicit parent, so every span the layers below record nests under it.
-// No-op (zero Handle) on untraced sessions.
-func (s *Session) beginQuerySpan(op string, v int) trace.Handle {
-	if s.tracer == nil {
-		return trace.Handle{}
-	}
-	h := s.tracer.Start(op, v)
-	s.tracer.Push(h)
-	return h
-}
-
-// endQuerySpan closes a point query's root span, tagging failures.
-func (s *Session) endQuerySpan(h trace.Handle, err error) {
-	if s.tracer == nil {
-		return
-	}
-	s.tracer.Pop()
-	if err != nil {
-		s.tracer.End(h, "error")
-		return
-	}
-	s.tracer.End(h)
-}
-
-// queryPanicErr converts the two expected query panics — the probe
-// limiter's budget signal and a network source's probe failure — into
-// errors, repanicking on anything else.
-func queryPanicErr(r any) error {
-	if be, ok := r.(oracle.ErrBudgetExceeded); ok {
+	if be, ok := err.(oracle.ErrBudgetExceeded); ok {
 		return fmt.Errorf("%w (budget %d)", ErrProbeBudget, be.Budget)
 	}
-	if pe, ok := r.(*source.ProbeError); ok {
-		return fmt.Errorf("lca: %w", pe)
-	}
-	panic(r)
+	return fmt.Errorf("lca: %w", err)
 }
 
 // point is the one body of the point queries: it checks the query's
-// coordinates (and that an edge query names an input edge), then asks
-// algo's point-query instance under the kind's root span.
+// coordinates, restarts the probe budget and asks algo's point-query
+// instance through Kind.Ask under the kind's root span.
 func (s *Session) point(algo string, kind registry.Kind, q registry.Query) (registry.Answer, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -392,21 +357,13 @@ func (s *Session) point(algo string, kind registry.Kind, q registry.Query) (regi
 			return registry.Answer{}, err
 		}
 	}
-	if kind == registry.KindEdge {
-		// The non-edge precheck probes the source, so it needs the same
-		// panic-to-error conversion as the query itself.
-		var isEdge bool
-		if err := runRecovered(func() { isEdge = s.src.Adjacency(q[0], q[1]) >= 0 }); err != nil {
-			return registry.Answer{}, err
-		}
-		if !isEdge {
-			return registry.Answer{}, fmt.Errorf("lca: (%d,%d) is not an edge of the graph", q[0], q[1])
-		}
+	if bi.limit != nil {
+		bi.limit.Reset()
 	}
-	var a registry.Answer
-	h := s.beginQuerySpan(kind.Span(), q[0])
-	err = bi.guarded(func() { a = bi.ask(q) })
-	s.endQuerySpan(h, err)
+	root := s.tracer.Root(kind.Span(), q[0], bi.algo)
+	a, err := kind.Ask(s.src, bi.bind, q)
+	err = queryErr(err)
+	s.tracer.EndRoot(root, err)
 	return a, err
 }
 
@@ -506,9 +463,9 @@ func batch[L, R any](s *Session, algo string, kind registry.Kind, build func(*gr
 		workers, before = 1, limit.Reset
 	}
 	first := handoff(inst)
-	err = runRecovered(func() {
+	err = queryErr(oracle.Catch(func() {
 		r, qs = build(s.g, func() L { return s.workerInstance(d, p, first).(L) }, workers, before)
-	})
+	}))
 	return r, qs, err
 }
 
@@ -557,19 +514,6 @@ func (s *Session) workerInstance(d *registry.Descriptor, p registry.Params, firs
 	return inst
 }
 
-// runRecovered runs a probing code path — a serial batch assembly, an
-// estimator, a single source probe — converting budget exhaustion and
-// remote probe failure into errors.
-func runRecovered(run func()) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = queryPanicErr(r)
-		}
-	}()
-	run()
-	return nil
-}
-
 // EstimateFraction estimates the fraction of elements (edges for edge-kind
 // algorithms, vertices for vertex-kind) that belong to algo's solution
 // from the given number of sampled point queries, with a Hoeffding
@@ -589,10 +533,10 @@ func (s *Session) EstimateFraction(algo string, samples int, delta float64) (Est
 	// The estimator probes the source directly, so a network source's
 	// probe failure surfaces here exactly as in point queries: as an
 	// error, never a panic through user code.
-	if perr := runRecovered(func() {
+	if perr := queryErr(oracle.Catch(func() {
 		o := oracle.NewChain(s.src, oracle.ChainConfig{Prefetch: s.prefetch, RowCache: s.rowCache})
 		res, ferr = estimate.Fraction(d, s.src, o, s.seed, s.declaredParams(d), samples, delta)
-	}); perr != nil {
+	})); perr != nil {
 		return EstimateResult{}, perr
 	}
 	return res, ferr

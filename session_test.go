@@ -362,3 +362,52 @@ func TestSessionEstimateUsesRowCache(t *testing.T) {
 		t.Fatalf("second estimate reached the source %d times, the first %d: the shared L2 was not used", warm, cold)
 	}
 }
+
+// TestSessionTracing: each point query of a traced session records one
+// parentless query:<kind> root tagged with the algorithm's name, with the
+// oracle's spans nested under it; a non-edge query and a query past the
+// probe budget leave their root tagged error as well.
+func TestSessionTracing(t *testing.T) {
+	g := lca.Gnp(200, 0.1, 7) // (0,47) is an edge, (0,2) is not
+	tr := lca.NewTracer()
+	s := lca.NewSession(g, lca.WithSeed(42), lca.WithPrefetch(true), lca.WithProbeBudget(1200), lca.WithTracer(tr))
+	cases := []struct {
+		query    func() error
+		op, algo string
+		wantErr  string // "" for a query that answers
+	}{
+		{func() error { _, err := s.Edge("spanner3", 0, 47); return err }, "query:edge", "spanner3", ""},
+		{func() error { _, err := s.Vertex("mis", 3); return err }, "query:vertex", "mis", ""},
+		{func() error { _, err := s.Label("coloring", 9); return err }, "query:label", "coloring", ""},
+		{func() error { _, err := s.Edge("spanner3", 0, 2); return err }, "query:edge", "spanner3", "lca: (0,2) is not an edge of the graph"},
+		{func() error { _, err := s.Vertex("mis", 150); return err }, "query:vertex", "mis", "lca: probe budget exceeded (budget 1200)"},
+	}
+	for _, c := range cases {
+		before := tr.Len()
+		if err := c.query(); (err == nil) != (c.wantErr == "") || (err != nil && err.Error() != c.wantErr) {
+			t.Fatalf("%s %s: error %v, want %q", c.op, c.algo, err, c.wantErr)
+		}
+		spans := tr.Spans()[before:]
+		if len(spans) == 0 {
+			t.Fatalf("%s %s recorded no span", c.op, c.algo)
+		}
+		root := spans[0]
+		wantTags := []string{"algo=" + c.algo}
+		if c.wantErr != "" {
+			wantTags = append(wantTags, "error")
+		}
+		if root.Op != c.op || root.Parent != 0 || !reflect.DeepEqual(root.Tags, wantTags) {
+			t.Errorf("%s %s: root %+v, want a parentless %s tagged %v", c.op, c.algo, root, c.op, wantTags)
+		}
+		under := map[uint32]bool{root.ID: true}
+		for _, sp := range spans[1:] {
+			if !under[sp.Parent] {
+				t.Errorf("%s %s: span %+v is not under the query's root", c.op, c.algo, sp)
+			}
+			under[sp.ID] = true
+		}
+		if c.wantErr == "" && len(spans) < 2 {
+			t.Errorf("%s %s: no oracle span under the root", c.op, c.algo)
+		}
+	}
+}
