@@ -163,7 +163,9 @@ func RandomRegular(n, d int, seed rnd.Seed) (*graph.Graph, error) {
 	return nil, fmt.Errorf("gen: failed to sample %d-regular graph on %d vertices after %d attempts", d, n, maxAttempts)
 }
 
-// tryRegular attempts one configuration-model draw with local repair.
+// tryRegular attempts one configuration-model draw with local repair. It
+// checks the pairing against its own set of edges and hands the Builder
+// only the final, defect-free pairing.
 func tryRegular(n, d int, prg *rnd.PRG) (*graph.Graph, bool) {
 	stubs := make([]int, 0, n*d)
 	for v := 0; v < n; v++ {
@@ -172,53 +174,51 @@ func tryRegular(n, d int, prg *rnd.PRG) (*graph.Graph, bool) {
 		}
 	}
 	prg.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-	b := graph.NewBuilder(n)
+	seen := make(graph.EdgeSet, n*d/2)
+	// pair pairs the stubs at i and i+1 unless that pair is a self-loop
+	// or an edge already paired; it reports whether it did.
+	pair := func(i int) bool {
+		u, v := stubs[i], stubs[i+1]
+		if u == v || seen.Has(u, v) {
+			return false
+		}
+		seen.Add(u, v)
+		return true
+	}
 	// Pair consecutive stubs; collect defective pairs for repair.
 	var bad []int // indices of stub pairs (even index) that failed
 	for i := 0; i < len(stubs); i += 2 {
-		u, v := stubs[i], stubs[i+1]
-		if u == v || b.HasEdge(u, v) {
+		if !pair(i) {
 			bad = append(bad, i)
-			continue
 		}
-		b.AddEdge(u, v)
 	}
 	// Repair pass: re-pair defective stubs against random positions by
 	// edge swaps. A bounded number of sweeps keeps the run finite.
 	for sweep := 0; sweep < 100 && len(bad) > 0; sweep++ {
-		var still []int
 		for _, i := range bad {
-			u, v := stubs[i], stubs[i+1]
-			if u != v && !b.HasEdge(u, v) {
-				b.AddEdge(u, v)
+			if pair(i) {
 				continue
 			}
 			// Swap stub i+1 with a random stub position j.
 			j := prg.Intn(len(stubs))
 			stubs[i+1], stubs[j] = stubs[j], stubs[i+1]
-			still = append(still, i)
-			if j%2 == 0 {
-				still = append(still, j)
-			} else {
-				still = append(still, j-1)
-			}
 		}
-		// Rebuild from scratch using the updated stub pairing. This is
+		// Re-pair from scratch using the updated stub pairing. This is
 		// O(m) per sweep but sweeps are rare and instances moderate.
-		b = graph.NewBuilder(n)
-		still = still[:0]
+		clear(seen)
+		bad = bad[:0]
 		for i := 0; i < len(stubs); i += 2 {
-			u, v := stubs[i], stubs[i+1]
-			if u == v || b.HasEdge(u, v) {
-				still = append(still, i)
-				continue
+			if !pair(i) {
+				bad = append(bad, i)
 			}
-			b.AddEdge(u, v)
 		}
-		bad = still
 	}
 	if len(bad) > 0 {
 		return nil, false
+	}
+	b := graph.NewBuilder(n)
+	for i := 0; i < len(stubs); i += 2 {
+		b.AddEdge(stubs[i], stubs[i+1])
 	}
 	return b.BuildShuffled(prg), true
 }

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -133,5 +135,163 @@ func FuzzAdjacencyIndex(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// refBuilder is the map-based Builder that a key list and a counting
+// build replaced: every AddEdge inserts the canonical key into a set, and
+// build fills rows from the set's keys in map order, then sorts each row.
+// FuzzBuilder checks Builder against it.
+type refBuilder struct {
+	n     int
+	edges map[uint64]struct{}
+}
+
+func newRefBuilder(n int) *refBuilder {
+	return &refBuilder{n: n, edges: make(map[uint64]struct{})}
+}
+
+func (b *refBuilder) AddEdge(u, v int) {
+	if u < 0 || v < 0 || u >= b.n || v >= b.n {
+		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n))
+	}
+	if u == v {
+		return
+	}
+	b.edges[Edge{U: u, V: v}.Key()] = struct{}{}
+}
+
+func (b *refBuilder) HasEdge(u, v int) bool {
+	if u < 0 || v < 0 || u >= b.n || v >= b.n {
+		return false
+	}
+	_, ok := b.edges[Edge{U: u, V: v}.Key()]
+	return ok
+}
+
+func (b *refBuilder) NumEdges() int { return len(b.edges) }
+
+func (b *refBuilder) build(prg *rnd.PRG) *Graph {
+	keys := make([]uint64, 0, len(b.edges))
+	for k := range b.edges {
+		keys = append(keys, k)
+	}
+	stub := make([]int, b.n+1)
+	for _, k := range keys {
+		u, v := int(k>>32), int(uint32(k))
+		stub[u+1]++
+		stub[v+1]++
+	}
+	for v := 0; v < b.n; v++ {
+		stub[v+1] += stub[v]
+	}
+	cells := make([]int, stub[b.n])
+	fill := slices.Clone(stub[:b.n])
+	for _, k := range keys {
+		u, v := int(k>>32), int(uint32(k))
+		cells[fill[u]] = v
+		fill[u]++
+		cells[fill[v]] = u
+		fill[v]++
+	}
+	g := &Graph{cells: cells, stub: stub, m: len(b.edges)}
+	for v := 0; v < b.n; v++ {
+		l := g.Neighbors(v)
+		slices.Sort(l)
+		if prg != nil {
+			prg.Shuffle(len(l), func(i, j int) { l[i], l[j] = l[j], l[i] })
+		}
+	}
+	return g
+}
+
+// Builder ops for FuzzBuilder: an op byte (taken mod numOps) and its
+// operands, read as 0 past the end of the input.
+const (
+	opAdd      = iota // AddEdge(u, v): two bytes, each taken mod n
+	opHas             // HasEdge(u, v): two bytes, each an ID in [-2, n+2), or 2^32+1 for 255
+	opNum             // NumEdges()
+	opBuild           // Build()
+	opShuffled        // BuildShuffled(PRG seeded by the next byte)
+	numOps
+)
+
+// FuzzBuilder runs one sequence of Builder calls on Builder and on
+// refBuilder, the map-based builder it replaced, and requires every
+// answer, every M and every row to match. The first byte gives n (at most
+// 64); the rest is a sequence of ops (see opAdd). Builds may come in the
+// middle, with more edges after them, and every sequence ends in a Build.
+func FuzzBuilder(f *testing.F) {
+	f.Add([]byte{})
+	// A self-loop only.
+	f.Add([]byte{3, opAdd, 1, 1, opNum, opHas, 3, 3})
+	// One edge, three times each way, asked about in between.
+	f.Add([]byte{4, opAdd, 1, 2, opAdd, 2, 1, opAdd, 1, 2, opHas, 3, 4, opNum, opAdd, 2, 1, opAdd, 1, 2, opAdd, 2, 1})
+	// K8 in descending key order.
+	k8 := []byte{8}
+	for u := 6; u >= 0; u-- {
+		for v := 7; v > u; v-- {
+			k8 = append(k8, opAdd, byte(u), byte(v))
+		}
+	}
+	f.Add(append(k8, opShuffled, 9, opNum))
+	// Build, add edges, build again; ask about an edge added after the
+	// first question.
+	f.Add([]byte{6, opAdd, 0, 1, opAdd, 4, 5, opBuild, opAdd, 1, 0, opAdd, 2, 3, opShuffled, 1, opHas, 2, 3, opAdd, 5, 0, opNum, opHas, 7, 2, opBuild})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := 0
+		if len(data) > 0 {
+			n, data = int(data[0])%65, data[1:]
+		}
+		next := func() byte { // the next byte, or 0 past the end
+			if len(data) == 0 {
+				return 0
+			}
+			x := data[0]
+			data = data[1:]
+			return x
+		}
+		id := func(x byte) int {
+			if x == 255 {
+				return 1<<32 + 1
+			}
+			return int(x)%(n+4) - 2
+		}
+		same := func(what string, g, want *Graph) {
+			if g.N() != want.N() || g.M() != want.M() {
+				t.Fatalf("%s: N %d, M %d; map builder N %d, M %d", what, g.N(), g.M(), want.N(), want.M())
+			}
+			for v := range g.N() {
+				if !slices.Equal(g.Neighbors(v), want.Neighbors(v)) {
+					t.Fatalf("%s: row %d is %v; map builder %v", what, v, g.Neighbors(v), want.Neighbors(v))
+				}
+			}
+		}
+		b, ref := NewBuilder(n), newRefBuilder(n)
+		for len(data) > 0 {
+			switch next() % numOps {
+			case opAdd:
+				u, v := next(), next()
+				if n > 0 {
+					b.AddEdge(int(u)%n, int(v)%n)
+					ref.AddEdge(int(u)%n, int(v)%n)
+				}
+			case opHas:
+				u, v := id(next()), id(next())
+				if got, want := b.HasEdge(u, v), ref.HasEdge(u, v); got != want {
+					t.Fatalf("HasEdge(%d, %d) = %v, map builder %v", u, v, got, want)
+				}
+			case opNum:
+				if got, want := b.NumEdges(), ref.NumEdges(); got != want {
+					t.Fatalf("NumEdges() = %d, map builder %d", got, want)
+				}
+			case opBuild:
+				same("Build", b.Build(), ref.build(nil))
+			case opShuffled:
+				seed := rnd.Seed(next())
+				same("BuildShuffled", b.BuildShuffled(rnd.NewPRG(seed)), ref.build(rnd.NewPRG(seed)))
+			}
+		}
+		same("final Build", b.Build(), ref.build(nil))
 	})
 }

@@ -167,9 +167,19 @@ func (g *Graph) Edges() []Edge {
 // Builder accumulates edges and produces an immutable Graph. Duplicate
 // edges are merged and self-loops rejected. The zero value is unusable;
 // construct with NewBuilder.
+//
+// Cost model: until Build, a Builder holds 8 B per AddEdge call, repeats
+// included, and no per-edge index. Build counts degrees, fills each row
+// in the order the edges were added, sorts it and drops its repeats, in
+// O(m + Σ deg·log deg) time for m AddEdge calls; a row filled in
+// ascending order sorts in one linear pass. HasEdge and NumEdges build a
+// set of the distinct edges on first use, and AddEdge keeps it current
+// from then on, so a caller that interleaves them with AddEdge pays what
+// a map costs.
 type Builder struct {
-	n     int
-	edges map[uint64]struct{}
+	n    int
+	keys []uint64 // Edge.Key of every AddEdge call, in call order
+	set  EdgeSet  // the distinct keys; nil until HasEdge or NumEdges
 }
 
 // NewBuilder returns a builder for a graph on n vertices.
@@ -177,7 +187,7 @@ func NewBuilder(n int) *Builder {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
-	return &Builder{n: n, edges: make(map[uint64]struct{})}
+	return &Builder{n: n}
 }
 
 // AddEdge records the undirected edge {u,v}. Self-loops and duplicates are
@@ -189,7 +199,22 @@ func (b *Builder) AddEdge(u, v int) {
 	if u == v {
 		return
 	}
-	b.edges[Edge{U: u, V: v}.Key()] = struct{}{}
+	k := Edge{U: u, V: v}.Key()
+	b.keys = append(b.keys, k)
+	if b.set != nil {
+		b.set[k] = struct{}{}
+	}
+}
+
+// distinct returns the set of distinct edges, building it on first use.
+func (b *Builder) distinct() EdgeSet {
+	if b.set == nil {
+		b.set = make(EdgeSet, len(b.keys))
+		for _, k := range b.keys {
+			b.set[k] = struct{}{}
+		}
+	}
+	return b.set
 }
 
 // HasEdge reports whether {u,v} has been added; false for vertices
@@ -199,12 +224,11 @@ func (b *Builder) HasEdge(u, v int) bool {
 	if u < 0 || v < 0 || u >= b.n || v >= b.n {
 		return false
 	}
-	_, ok := b.edges[Edge{U: u, V: v}.Key()]
-	return ok
+	return b.distinct().Has(u, v)
 }
 
 // NumEdges returns the number of distinct edges added so far.
-func (b *Builder) NumEdges() int { return len(b.edges) }
+func (b *Builder) NumEdges() int { return b.distinct().Len() }
 
 // Build produces the graph with adjacency lists sorted by neighbor ID
 // (a fixed, canonical order).
@@ -220,40 +244,45 @@ func (b *Builder) BuildShuffled(prg *rnd.PRG) *Graph {
 }
 
 func (b *Builder) build(prg *rnd.PRG) *Graph {
-	// Offsets from the degrees, then rows filled in map order (sorted below).
-	keys := make([]uint64, 0, len(b.edges))
-	for k := range b.edges {
-		keys = append(keys, k)
-	}
+	// Offsets from the degrees, repeats included, then rows filled in
+	// key order. Afterwards fill[v] is where row v's cells end.
 	stub := make([]int, b.n+1)
-	for _, k := range keys {
-		u, v := int(k>>32), int(uint32(k))
-		stub[u+1]++
-		stub[v+1]++
+	for _, k := range b.keys {
+		stub[int(k>>32)+1]++
+		stub[int(uint32(k))+1]++
 	}
 	for v := 0; v < b.n; v++ {
 		stub[v+1] += stub[v]
 	}
 	cells := make([]int, stub[b.n])
 	fill := slices.Clone(stub[:b.n])
-	for _, k := range keys {
+	for _, k := range b.keys {
 		u, v := int(k>>32), int(uint32(k))
 		cells[fill[u]] = v
 		fill[u]++
 		cells[fill[v]] = u
 		fill[v]++
 	}
-	g := &Graph{cells: cells, stub: stub, m: len(b.edges)}
-	// Deterministic sorted order first; optional shuffle second, one
-	// PRG shuffle per row in vertex order.
+	// Sort each row, drop its repeats and move it down over the gaps the
+	// rows before it left; then the optional shuffle, one PRG shuffle per
+	// row in vertex order.
+	at, lo := 0, 0
 	for v := 0; v < b.n; v++ {
-		l := g.Neighbors(v)
-		slices.Sort(l)
+		row := cells[lo:fill[v]]
+		slices.Sort(row)
+		row = slices.Compact(row)
+		lo, stub[v] = fill[v], at
+		row = cells[at : at+copy(cells[at:], row)]
+		at += len(row)
 		if prg != nil {
-			prg.Shuffle(len(l), func(i, j int) { l[i], l[j] = l[j], l[i] })
+			prg.Shuffle(len(row), func(i, j int) { row[i], row[j] = row[j], row[i] })
 		}
 	}
-	return g
+	stub[b.n] = at
+	if at < len(cells) { // a repeat was dropped: keep 8 B per cell, no more
+		cells = append(make([]int, 0, at), cells[:at]...)
+	}
+	return &Graph{cells: cells, stub: stub, m: at / 2}
 }
 
 // FromEdges builds a graph on n vertices from an edge list (duplicates and

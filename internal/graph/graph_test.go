@@ -194,9 +194,11 @@ func TestAdjacencyOutOfRange(t *testing.T) {
 
 // TestGraphResidentBytes pins what a built graph keeps live once its
 // Builder is gone: its rows (8 B per cell) and offsets (8 B per vertex),
-// with a byte of slack on each, and no per-pair index beside them. No
-// test in this package runs in parallel, so the heap's growth is the
-// graph's own.
+// with a byte of slack on each, and no per-pair index beside them. It
+// also reads the graph back from its CSR file, as ReadCSR and
+// source.Materialize do, adding every edge from both endpoints, which
+// the Builder must not keep twice. No test in this package runs in
+// parallel, so the heap's growth is the graph's own.
 func TestGraphResidentBytes(t *testing.T) {
 	const n, deg = 100_000, 8
 	var ms runtime.MemStats
@@ -206,13 +208,33 @@ func TestGraphResidentBytes(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return int64(ms.HeapAlloc)
 	}
-	before := live()
-	g := shuffledGraph(n, deg, 1)
-	grown := live() - before
-	cells := int64(2 * g.M())
-	if limit := 9*cells + 9*n; grown > limit {
-		t.Fatalf("graph on %d vertices and %d cells keeps %d B live, want at most %d (%.1f B per cell)",
-			n, cells, grown, limit, float64(grown)/float64(cells))
+	twice := func() *Graph {
+		var buf bytes.Buffer
+		if err := WriteCSR(&buf, shuffledGraph(n, deg, 1)); err != nil {
+			t.Fatal(err)
+		}
+		g, err := ReadCSR(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	for _, c := range []struct {
+		name  string
+		build func() *Graph
+	}{
+		{"added once", func() *Graph { return shuffledGraph(n, deg, 1) }},
+		{"added from both endpoints", twice},
+	} {
+		before := live()
+		g := c.build()
+		grown := live() - before
+		cells := int64(2 * g.M())
+		t.Logf("%s: %.1f B per cell", c.name, float64(grown)/float64(cells))
+		if limit := 9*cells + 9*n; grown > limit {
+			t.Errorf("%s: graph on %d vertices and %d cells keeps %d B live, want at most %d (%.1f B per cell)",
+				c.name, n, cells, grown, limit, float64(grown)/float64(cells))
+		}
 	}
 }
 
