@@ -5,8 +5,11 @@ package oracle
 // and the benchmarks — comes from NewChain, so layer order is decided in
 // exactly one place.
 //
-// A traced chain hands its tracer to each layer as the layer is built:
-// the source view records the backend's rpc spans, the row tier spans
+// Every chain sits on its own scoped view of the source (source.Scope),
+// so a network source's round trips, failovers, hedges and attestation
+// figures are counted per chain; a local source is its own view. A traced
+// chain hands its tracer to each layer as the layer is built: the source
+// view records the backend's rpc spans, the row tier spans
 // its row fetches (so those rpc spans nest under the miss that caused
 // them) and marks rows served from a tier with cache-hit events, and
 // the budget layers mark the exact probe at which a budget ran out.
@@ -32,20 +35,19 @@ type ChainConfig struct {
 	// TripBudget, when positive, caps the chain's network round trips
 	// (NewLimitTrips).
 	TripBudget uint64
-	// Tracer, when non-nil, roots the chain at a traced view of the
-	// source (source.TracedView) and is handed to every layer.
+	// Tracer, when non-nil, is handed to the source view
+	// (source.Scope) and to every layer.
 	Tracer *trace.Tracer
 }
 
 // NewChain builds the oracle chain cfg describes over src, bottom to
 // top: the source view, then the row tier, then the probe budget, then
-// the round-trip budget. The zero config returns src itself. When cfg
-// has a probe budget and no round-trip budget, the result is the
-// *LimitOracle whose window the caller resets.
+// the round-trip budget. The zero config returns the source view alone,
+// which is src itself for a local source. When cfg has a probe budget
+// and no round-trip budget, the result is the *LimitOracle whose window
+// the caller resets.
 func NewChain(src source.Source, cfg ChainConfig) Oracle {
-	if cfg.Tracer != nil {
-		src = source.TracedView(src, cfg.Tracer)
-	}
+	src = source.Scope(src, cfg.Tracer)
 	var o Oracle = src
 	if cfg.Prefetch || cfg.RowCache != nil {
 		t := NewTiered(src, cfg.RowCache)

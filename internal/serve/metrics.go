@@ -12,7 +12,7 @@ package serve
 //
 //	serve_queries_total{kind=edge|vertex|label|estimate}
 //	serve_query_latency_us{kind=...}        histogram, microseconds
-//	serve_probes_total                      cell probes charged by queries
+//	serve_probes_total                      cell probes charged by queries and estimates
 //	serve_<name>_total                      one per oracle.Telemetry counter; the
 //	                                        table is in ARCHITECTURE.md, "Telemetry"
 //	serve_audit_records_total               signed audit-log records written
@@ -95,15 +95,21 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 	return m
 }
 
-// observeExec records one oracle execution's probe and transport
-// figures. Called inside the coalescing flight, so a shared hot key is
-// charged exactly once.
+// observeExec records one point query's probe and transport figures:
+// the totals and the per-query histograms. Called inside the coalescing
+// flight, so a shared hot key is charged exactly once.
 func (m *serverMetrics) observeExec(st oracle.Stats) {
-	m.probes.Add(st.Total())
+	m.observeTotals(st)
 	m.probesPerQuery.Observe(float64(st.Total()))
 	if st.RoundTrips > 0 {
 		m.rtPerQuery.Observe(float64(st.RoundTrips))
 	}
+}
+
+// observeTotals adds one execution's probes and telemetry to
+// serve_probes_total and the serve_<name>_total counters.
+func (m *serverMetrics) observeTotals(st oracle.Stats) {
+	m.probes.Add(st.Total())
 	for i, f := range oracle.TelemetryFields {
 		m.telemetry[i].Add(f.Value(&st.Telemetry))
 	}

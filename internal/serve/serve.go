@@ -545,7 +545,7 @@ func prefetchParam(r *http.Request) (bool, error) {
 }
 
 // build constructs a fresh per-request instance over src — the
-// request's view of its named source (source.TracedView), so the round
+// request's view of its named source (source.Scope), so the round
 // trips it counts are the request's own and its spans land in the
 // request's trace — through the oracle chain the request and tenant
 // select (tenantState.chainConfig), behind the
@@ -710,7 +710,7 @@ func (s *Server) handleQuery(kind registry.Kind) http.HandlerFunc {
 			qt := dec.begin()
 			tr := qt.tracer()
 			root := tr.Root(kind.Span(), q[0], req.d.Name)
-			src := source.TracedView(req.ns.src, tr)
+			src := source.Scope(req.ns.src, tr)
 			var inst any
 			var rec *auditOracle
 			// The input-edge check runs inside the flight: it is oracle
@@ -757,6 +757,9 @@ type estimateAnswer struct {
 	Samples    int          `json:"samples"`
 	TraceID    string       `json:"trace_id,omitempty"`
 	Trace      []trace.Span `json:"trace,omitempty"`
+	// st is the estimate's probes and telemetry, which its request-log
+	// line carries and its answer does not.
+	st oracle.Stats
 }
 
 // estimable accepts the edge- and vertex-kind algorithms, whose solution
@@ -792,12 +795,12 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		qt := dec.begin()
 		tr := qt.tracer()
 		root := tr.Root("query:estimate", -1, req.d.Name)
-		src := source.TracedView(req.ns.src, tr)
-		o := oracle.NewChain(src, req.ten.chainConfig(req.prefetch, tr))
+		src := source.Scope(req.ns.src, tr)
+		c := oracle.NewCounter(oracle.NewChain(src, req.ten.chainConfig(req.prefetch, tr)))
 		var res estimate.Result
 		var ferr error
 		err := oracle.Catch(func() {
-			res, ferr = estimate.Fraction(req.d, src, o, s.seed, req.p, samples, delta)
+			res, ferr = estimate.Fraction(req.d, src, c, s.seed, req.p, samples, delta)
 		})
 		if err == nil && ferr != nil {
 			// Kind and samples were validated above; what remains is bad
@@ -809,6 +812,11 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, probeErr(err)
 		}
+		// One estimate is many point queries: its probes and telemetry add
+		// to the totals once per flight, but it is not one query of the
+		// per-query histograms.
+		st := c.Stats()
+		s.met.observeTotals(st)
 		return estimateAnswer{
 			Algo:       req.d.Name,
 			Kind:       string(req.d.Kind),
@@ -817,6 +825,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			Samples:    res.Samples,
 			TraceID:    id,
 			Trace:      spans,
+			st:         st,
 		}, nil
 	})
 	if err != nil {
@@ -824,7 +833,8 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.observeRequest("estimate", time.Since(req.start))
-	// An estimate logs no probe total or telemetry, only its trace ID.
-	s.logQuery(w, "estimate", req.d.Name, req.ten, time.Since(req.start), pointAnswer{TraceID: ans.(estimateAnswer).TraceID})
+	est := ans.(estimateAnswer)
+	s.logQuery(w, "estimate", req.d.Name, req.ten, time.Since(req.start),
+		pointAnswer{Probes: est.st.Total(), Telemetry: est.st.Telemetry, TraceID: est.TraceID})
 	writeJSON(w, http.StatusOK, ans)
 }

@@ -7,11 +7,14 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -283,6 +286,29 @@ func TestMetricsEndpoint(t *testing.T) {
 	n, _ := resp.Body.Read(text[:])
 	if resp.StatusCode != 200 || n == 0 {
 		t.Fatalf("text export: status %d, %d bytes", resp.StatusCode, n)
+	}
+}
+
+// TestEstimateProbesReachMetrics: an estimate's probes add to
+// serve_probes_total and reach its request-log line, but not the
+// per-query histograms: one estimate is many point queries.
+func TestEstimateProbesReachMetrics(t *testing.T) {
+	var log strings.Builder
+	srv := New(gen.Gnp(200, 0.1, 7), 42, WithLogger(slog.New(slog.NewTextHandler(&log, nil))))
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/estimate/mis?samples=50", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("estimate: status %d: %s", rec.Code, rec.Body)
+	}
+	probes := srv.Metrics().Counter("serve_probes_total").Value()
+	if probes == 0 {
+		t.Fatal("serve_probes_total is zero after an estimate")
+	}
+	if h := srv.Metrics().Snapshot().Histograms["serve_probes_per_query"]; h.Count != 0 {
+		t.Errorf("an estimate observed serve_probes_per_query: %+v", h)
+	}
+	if want := fmt.Sprintf("probes=%d", probes); !slices.Contains(strings.Fields(log.String()), want) {
+		t.Errorf("the estimate's request-log line lacks %s: %s", want, log.String())
 	}
 }
 

@@ -258,17 +258,17 @@ func TestShardedHedgeSpec(t *testing.T) {
 	}
 }
 
-// TestScopedTripAttribution pins the TripScoper contract: two views of
+// TestScopedTripAttribution pins the Scoper contract: two views of
 // one shared network source each count exactly their own round trips,
 // interleaved traffic included — the per-request attribution serve relies
 // on.
 func TestScopedTripAttribution(t *testing.T) {
 	remote := openRemoteShard(t, Ring(50))
-	ts, ok := remote.(TripScoper)
+	ts, ok := remote.(Scoper)
 	if !ok {
-		t.Fatal("remote lacks the TripScoper capability")
+		t.Fatal("remote lacks the Scoper capability")
 	}
-	viewA, viewB := ts.ScopeTrips(), ts.ScopeTrips()
+	viewA, viewB := ts.Scope(nil), ts.Scope(nil)
 	for v := 0; v < 6; v++ {
 		viewA.Degree(v)
 		if v%2 == 0 {
@@ -291,7 +291,7 @@ func TestScopedTripAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := fleet.(TripScoper).ScopeTrips()
+	view := fleet.(Scoper).Scope(nil)
 	for v := 0; v < 8; v++ {
 		view.Degree(v)
 	}

@@ -74,92 +74,77 @@ type Pinger interface {
 	Ping() error
 }
 
-// TripScoper is the optional capability of deriving a request-scoped view
-// of a network source. The view answers identically and shares the
-// backend's connections, caches and health state, but its RoundTrips()
-// (and Failovers()/Hedges() on fleets) count only traffic issued through
-// the view — so concurrent requests against one shared source each see
-// exactly their own transport bill. Views are cheap, need no Close, and
-// must not outlive the source they scope.
-type TripScoper interface {
-	ScopeTrips() Source
+// Scoper is the optional capability of handing out a scoped view of a
+// network source: one oracle chain's or request's window onto it. The
+// view answers identically and shares the source's connections and
+// health state, but its RoundTrips, Failovers, Hedges, AttestFailures
+// and ProofBytes count only the traffic issued through it; the source's
+// own figures count that traffic too. tr, when non-nil, receives the
+// view's rpc and probe spans. A view is not scoped again: its Scope
+// returns the view itself. Views are cheap, need no Close, and must not
+// outlive their source. Discover the capability through Scope.
+type Scoper interface {
+	Scope(tr *trace.Tracer) Source
 }
 
-// tripCount is a nil-safe atomic request counter shared between a source
-// and the scoped views attributing traffic to it.
-type tripCount struct{ n atomic.Uint64 }
+// The figures a tally counts, indexes into tally.counts.
+const (
+	figTrips = iota
+	figFailovers
+	figHedges
+	figAttestFails
+	figProofBytes
+	numFigures
+)
 
-func (t *tripCount) add(d uint64) {
-	if t != nil {
-		t.n.Add(d)
+// tally is the transport accounting of one network source or view: the
+// round trips, failovers, hedges, attestation failures and proof bytes of
+// the probes issued through it, and the tracer its spans go to (nil on a
+// source). A view's tally also adds to its source's (up). Remote, Sharded
+// and view embed one, and through it answer RoundTripCounter,
+// FailoverCounter and AttestCounter.
+type tally struct {
+	counts [numFigures]atomic.Uint64
+	tr     *trace.Tracer
+	up     *tally
+}
+
+// add adds d to figure f on t and on every tally t adds to. The nil tally
+// (the zero probeScope) counts nothing.
+func (t *tally) add(f int, d uint64) {
+	for ; t != nil; t = t.up {
+		t.counts[f].Add(d)
 	}
 }
 
-func (t *tripCount) load() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.n.Load()
+// scope returns the probe scope of a probe issued through t now: the
+// tracer's current span is the parent of its rpc spans. Read it on the
+// issuing goroutine, before any fan-out.
+func (t *tally) scope() probeScope {
+	return probeScope{t: t, tr: t.tr, parent: t.tr.Parent()}
 }
 
-// scopeSink accumulates one view's transport accounting: round trips,
-// failovers and hedges, plus the request's tracer when the view is
-// traced (TracerSetter). The nil sink (unscoped probing) is valid
-// everywhere.
-type scopeSink struct {
-	trips tripCount
-	// af and pb are the view's attestation accounting: verification
-	// failures detected and proof bytes transported for probes issued
-	// through the view. tripCounts (not bare atomics) so they thread down
-	// probeScope like the trip counter does.
-	af tripCount
-	pb tripCount
-	fo atomic.Uint64
-	he atomic.Uint64
-	tr *trace.Tracer
-}
+// RoundTrips implements RoundTripCounter: logical shard requests (one per
+// probe, row batch or meta fetch; retries of one request are not
+// re-counted, health-plane pings never count).
+func (t *tally) RoundTrips() uint64 { return t.counts[figTrips].Load() }
 
-// tracer returns the view's tracer, nil for untraced or unscoped
-// probing.
-func (s *scopeSink) tracer() *trace.Tracer {
-	if s == nil {
-		return nil
-	}
-	return s.tr
-}
+// Failovers implements FailoverCounter: probe operations a fleet served
+// away from their rendezvous winner because it was dead or erring.
+func (t *tally) Failovers() uint64 { return t.counts[figFailovers].Load() }
 
-func (s *scopeSink) tripsCounter() *tripCount {
-	if s == nil {
-		return nil
-	}
-	return &s.trips
-}
+// Hedges implements FailoverCounter: hedged requests a fleet fired
+// because the first-ranked replica exceeded the hedge delay.
+func (t *tally) Hedges() uint64 { return t.counts[figHedges].Load() }
 
-func (s *scopeSink) afCounter() *tripCount {
-	if s == nil {
-		return nil
-	}
-	return &s.af
-}
+// AttestFailures implements AttestCounter: answers that failed
+// verification against the pinned commitment. Each is a detected lie,
+// discarded and, on a fleet, re-routed.
+func (t *tally) AttestFailures() uint64 { return t.counts[figAttestFails].Load() }
 
-func (s *scopeSink) pbCounter() *tripCount {
-	if s == nil {
-		return nil
-	}
-	return &s.pb
-}
-
-func (s *scopeSink) failover() {
-	if s != nil {
-		s.fo.Add(1)
-	}
-}
-
-func (s *scopeSink) hedge() {
-	if s != nil {
-		s.he.Add(1)
-	}
-}
+// ProofBytes implements AttestCounter: attestation proof bytes
+// transported.
+func (t *tally) ProofBytes() uint64 { return t.counts[figProofBytes].Load() }
 
 // Internal state codes; ShardHealth reports the string names.
 const (

@@ -103,7 +103,7 @@ func statusOf(err error) int {
 // view (Caps; discover them with the *Of accessors), which always holds
 // RowFetcher: every shard serves the rowfull op. Remote additionally
 // implements Pinger (health-plane liveness checks for Sharded's reviver)
-// and TripScoper (request-scoped round-trip attribution).
+// and Scoper (per-chain views).
 type Remote struct {
 	base      string // scheme://host[:port], no trailing slash
 	name      string // optional ?source= selector on the shard
@@ -123,14 +123,10 @@ type Remote struct {
 	root      attest.Root
 	pinned    bool
 	closeOnce sync.Once
-	// attestFails counts answers that failed verification; proofBytes the
-	// proof bytes transported — the AttestCounter capability.
-	attestFails tripCount
-	proofBytes  tripCount
-	// requests counts logical shard requests (one per probe, batch or meta
-	// fetch; retries of one request are not re-counted) — the
-	// RoundTripCounter capability. Health-plane pings are not counted.
-	requests tripCount
+	// tally counts the traffic issued on the remote and through its views:
+	// the RoundTripCounter and AttestCounter capabilities, and
+	// FailoverCounter, always zero on one shard.
+	tally
 }
 
 var (
@@ -139,7 +135,7 @@ var (
 	_ Closer           = (*Remote)(nil)
 	_ RoundTripCounter = (*Remote)(nil)
 	_ Pinger           = (*Remote)(nil)
-	_ TripScoper       = (*Remote)(nil)
+	_ Scoper           = (*Remote)(nil)
 	_ AttestCounter    = (*Remote)(nil)
 )
 
@@ -317,8 +313,11 @@ func parseRemoteFragment(frag string) (name string, root attest.Root, err error)
 // Caps implements CapSource from the construction-time /probe/meta
 // snapshot: the remote advertises M / MaxDegree / RandomEdge exactly when
 // the shard's backing source does, and FetchRows always.
-func (r *Remote) Caps() Caps {
-	c := Caps{FetchRows: func(vs []int) ([][]int, error) { return r.fetchRowsScoped(probeScope{}, vs) }}
+func (r *Remote) Caps() Caps { return r.caps(&r.tally) }
+
+// caps is the capability view with RandomEdge and FetchRows counted on t.
+func (r *Remote) caps(t *tally) Caps {
+	c := Caps{FetchRows: func(vs []int) ([][]int, error) { return r.fetchRowsScoped(t.scope(), vs) }}
 	if r.hasM {
 		m := r.m
 		c.M = func() int { return m }
@@ -328,7 +327,7 @@ func (r *Remote) Caps() Caps {
 		c.MaxDegree = func() int { return d }
 	}
 	if r.hasRE {
-		c.RandomEdge = func(prg *rnd.PRG) (int, int) { return r.randomEdge(probeScope{}, prg) }
+		c.RandomEdge = func(prg *rnd.PRG) (int, int) { return r.randomEdge(t.scope(), prg) }
 	}
 	return c
 }
@@ -341,32 +340,17 @@ func (r *Remote) Base() string { return r.base }
 func (r *Remote) N() int { return r.n }
 
 // Degree implements Source.
-func (r *Remote) Degree(v int) int { return r.probe(probeScope{}, OpDegree, v, 0) }
+func (r *Remote) Degree(v int) int { return r.probe(r.scope(), OpDegree, v, 0) }
 
 // Neighbor implements Source.
-func (r *Remote) Neighbor(v, i int) int { return r.probe(probeScope{}, OpNeighbor, v, i) }
+func (r *Remote) Neighbor(v, i int) int { return r.probe(r.scope(), OpNeighbor, v, i) }
 
 // Adjacency implements Source.
-func (r *Remote) Adjacency(u, v int) int {
-	// Out-of-range endpoints answer -1 locally (the wire contract answers
-	// the same), saving the round trip algorithms never need.
-	if u < 0 || u >= r.n || v < 0 || v >= r.n {
-		return -1
-	}
-	return r.probe(probeScope{}, OpAdjacency, u, v)
-}
+func (r *Remote) Adjacency(u, v int) int { return r.probe(r.scope(), OpAdjacency, u, v) }
 
-// RoundTrips implements RoundTripCounter: logical shard requests issued so
-// far (probes, row fetches and the construction-time meta fetch; retries
-// of a failing request are not re-counted, health-plane pings never
-// count).
-func (r *Remote) RoundTrips() uint64 { return r.requests.load() }
-
-// ScopeTrips implements TripScoper: the view shares this remote's
-// connections but counts round trips (and attestation accounting) into
-// its own counters only.
-func (r *Remote) ScopeTrips() Source {
-	return &remoteScope{r: r, tc: &tripCount{}, af: &tripCount{}, pb: &tripCount{}}
+// Scope implements Scoper: the view shares this remote's connections.
+func (r *Remote) Scope(tr *trace.Tracer) Source {
+	return &view{tally: tally{tr: tr, up: &r.tally}, src: r}
 }
 
 // Ping implements Pinger: one uncounted, unretried health-plane request
@@ -424,7 +408,14 @@ func (r *Remote) randomEdgeScoped(ps probeScope, seed uint64) (int, int, *ProbeE
 	return ans.U, ans.V, nil
 }
 
+// probe answers one scalar probe issued with ps, panicking with
+// *ProbeError on failure.
 func (r *Remote) probe(ps probeScope, op string, a, b int) int {
+	if op == OpAdjacency && (a < 0 || a >= r.n || b < 0 || b >= r.n) {
+		// Out-of-range endpoints answer -1 locally (the wire contract
+		// answers the same), saving the round trip algorithms never need.
+		return -1
+	}
 	ans, err := r.probeScoped(context.Background(), ps, op, a, b)
 	if err != nil {
 		panic(err)
@@ -432,10 +423,10 @@ func (r *Remote) probe(ps probeScope, op string, a, b int) int {
 	return ans
 }
 
-// probeScoped issues one scalar probe, attributing the round trip to
-// ps.tc (nil: unscoped), recording an rpc span when ps is traced, and
-// honouring ctx cancellation — the hedging hook: the loser of a hedged
-// race is cancelled rather than completed. Against a pinned shard the
+// probeScoped issues one scalar probe, counting the round trip on ps's
+// tally, recording an rpc span when ps is traced, and honouring ctx
+// cancellation — the hedging hook: the loser of a hedged race is
+// cancelled rather than completed. Against a pinned shard the
 // probe carries attest=1 and the answer is verified before use:
 // verification sits outside the retry loop, so a liar is never retried,
 // only reported.
@@ -521,19 +512,15 @@ func scalarFromRow(op string, row []int, b int) int {
 	}
 }
 
-// countProof attributes transported proof bytes to the remote and the
-// per-request view.
+// countProof counts transported proof bytes on ps's tally.
 func (r *Remote) countProof(ps probeScope, proof []string) {
-	n := uint64(attest.ProofBytes(proof))
-	r.proofBytes.add(n)
-	ps.pb.add(n)
+	ps.t.add(figProofBytes, uint64(attest.ProofBytes(proof)))
 }
 
-// attestErr records one verification failure and wraps it for the
-// failover machinery.
+// attestErr counts one verification failure on ps's tally and wraps it
+// for the failover machinery.
 func (r *Remote) attestErr(ps probeScope, op string, a, b int, err error) *ProbeError {
-	r.attestFails.add(1)
-	ps.af.add(1)
+	ps.t.add(figAttestFails, 1)
 	return &ProbeError{Shard: r.base, Op: op, A: a, B: b, Err: err}
 }
 
@@ -552,14 +539,6 @@ func (r *Remote) verifyRows(ps probeScope, vs []int, out *probeBatchAnswer) *Pro
 	}
 	return nil
 }
-
-// AttestFailures implements AttestCounter: probe answers that failed
-// verification against the pinned commitment so far.
-func (r *Remote) AttestFailures() uint64 { return r.attestFails.load() }
-
-// ProofBytes implements AttestCounter: attestation proof bytes
-// transported so far.
-func (r *Remote) ProofBytes() uint64 { return r.proofBytes.load() }
 
 // fetchRowsScoped implements the RowFetcher capability over the wire:
 // one POST of rowfull probes per MaxProbeBatch chunk, each answering the
@@ -667,9 +646,10 @@ func (r *Remote) wireParams() string {
 	return s
 }
 
-// getJSON fetches one unscoped, untraced document (the meta plane).
+// getJSON fetches one untraced document (the meta plane), counted on the
+// remote.
 func (r *Remote) getJSON(u string, out any) error {
-	return r.doJSON(context.Background(), probeScope{}, "rpc:meta", -1, nil, func(ctx context.Context) (*http.Request, error) {
+	return r.doJSON(context.Background(), r.scope(), "rpc:meta", -1, nil, func(ctx context.Context) (*http.Request, error) {
 		return http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	}, out)
 }
@@ -683,16 +663,15 @@ type traceCarrier interface {
 // doJSON issues one logical request with retry-with-backoff and decodes
 // a 200 body into out. Transport errors, 5xx and 429 retry; other
 // statuses are terminal (the request itself is wrong, sending it again
-// cannot help). One logical request counts one round trip — on the
-// shared counter and, when scoped, on ps.tc — regardless of retries.
+// cannot help). One logical request counts one round trip on ps's tally
+// (and the tallies it adds to), regardless of retries.
 // When ps is traced, the logical request records one rpc span under
 // ps.parent (retries fold into an attempts tag), every attempt carries
 // the X-LCA-Trace header, and shard-side spans returned in the answer
 // are grafted under the rpc span. ctx cancellation aborts both
 // in-flight attempts and backoff sleeps.
 func (r *Remote) doJSON(ctx context.Context, ps probeScope, spanOp string, target int, tags []string, build func(context.Context) (*http.Request, error), out any) error {
-	r.requests.add(1)
-	ps.tc.add(1)
+	ps.t.add(figTrips, 1)
 	if ps.tr == nil {
 		_, err := r.attempt(ctx, "", build, out)
 		return err
@@ -776,65 +755,3 @@ func shardErrText(body []byte) string {
 	}
 	return s
 }
-
-// remoteScope is the TripScoper view of a Remote: same shard, same
-// connections, round trips counted into the view's own counter, spans
-// recorded into the view's tracer when one is set.
-type remoteScope struct {
-	r      *Remote
-	tc     *tripCount
-	af, pb *tripCount
-	tr     *trace.Tracer
-}
-
-var (
-	_ Source           = (*remoteScope)(nil)
-	_ CapSource        = (*remoteScope)(nil)
-	_ RoundTripCounter = (*remoteScope)(nil)
-	_ TracerSetter     = (*remoteScope)(nil)
-)
-
-// SetTracer implements TracerSetter: subsequent probes through this
-// view record rpc spans (and stitch the shard's spans) into tr. Set it
-// before probing; the view is per-request, not concurrent with setup.
-func (s *remoteScope) SetTracer(tr *trace.Tracer) { s.tr = tr }
-
-// scope captures the per-call probe scope. The parent is read at call
-// time: this view is probed serially (by the query's oracle stack), so
-// the tracer's implicit parent is the enclosing oracle span.
-func (s *remoteScope) scope() probeScope {
-	return probeScope{tc: s.tc, af: s.af, pb: s.pb, tr: s.tr, parent: s.tr.Parent()}
-}
-
-func (s *remoteScope) N() int { return s.r.n }
-
-func (s *remoteScope) Degree(v int) int { return s.r.probe(s.scope(), OpDegree, v, 0) }
-
-func (s *remoteScope) Neighbor(v, i int) int { return s.r.probe(s.scope(), OpNeighbor, v, i) }
-
-func (s *remoteScope) Adjacency(u, v int) int {
-	if u < 0 || u >= s.r.n || v < 0 || v >= s.r.n {
-		return -1
-	}
-	return s.r.probe(s.scope(), OpAdjacency, u, v)
-}
-
-// Caps forwards the remote's capability view, with RandomEdge and
-// FetchRows attributed to this scope.
-func (s *remoteScope) Caps() Caps {
-	c := s.r.Caps()
-	if c.RandomEdge != nil {
-		c.RandomEdge = func(prg *rnd.PRG) (int, int) { return s.r.randomEdge(s.scope(), prg) }
-	}
-	c.FetchRows = func(vs []int) ([][]int, error) { return s.r.fetchRowsScoped(s.scope(), vs) }
-	return c
-}
-
-// RoundTrips reports only the trips issued through this view.
-func (s *remoteScope) RoundTrips() uint64 { return s.tc.load() }
-
-// AttestFailures implements AttestCounter for this view only.
-func (s *remoteScope) AttestFailures() uint64 { return s.af.load() }
-
-// ProofBytes implements AttestCounter for this view only.
-func (s *remoteScope) ProofBytes() uint64 { return s.pb.load() }

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"lca/internal/attest"
@@ -52,13 +51,12 @@ const (
 )
 
 // scopedProber is the internal seam between a fleet and its network
-// shards: probes carry the per-view probe scope (trip counter, tracer,
-// parent span) down, so request-scoped accounting (TripScoper)
-// attributes every shard request — failover retries and hedges included
-// — to the view that caused it, and a traced request's rpc spans land
-// under the right probe span. *Remote implements it; shards without it
-// (local backends, nested fleets) are probed through the plain Source
-// interface.
+// shards: probes carry the issuer's probe scope (tally, tracer, parent
+// span) down, so every shard request — failover retries and hedges
+// included — is counted on the fleet or view that caused it, and a
+// traced request's rpc spans land under the right probe span. *Remote
+// implements it; shards without it (local backends, nested fleets) are
+// probed through the plain Source interface.
 type scopedProber interface {
 	probeScoped(ctx context.Context, ps probeScope, op string, a, b int) (int, *ProbeError)
 	randomEdgeScoped(ps probeScope, seed uint64) (int, int, *ProbeError)
@@ -73,7 +71,7 @@ type scopedProber interface {
 // Optional capabilities (EdgeCounter, DegreeBounder, RandomEdger) are
 // exposed on the dynamic capability view exactly when every shard has
 // them; FetchRows (RowFetcher), Health (HealthReporter), Failovers/Hedges
-// (FailoverCounter) and ScopeTrips (TripScoper) are always present.
+// (FailoverCounter) and Scope (Scoper) are always present.
 type Sharded struct {
 	shards []Source
 	labels []string
@@ -104,11 +102,12 @@ type Sharded struct {
 	// reviveMu serializes reviver spawning against Close: wg.Add must
 	// never race wg.Wait, even from detached hedge-loser harvesters that
 	// can outlive the probe that spawned them.
-	reviveMu  sync.Mutex
-	closed    bool
-	wg        sync.WaitGroup
-	failovers atomic.Uint64
-	hedges    atomic.Uint64
+	reviveMu sync.Mutex
+	closed   bool
+	wg       sync.WaitGroup
+	// tally counts the traffic issued on the fleet and through its views:
+	// the RoundTripCounter, FailoverCounter and AttestCounter capabilities.
+	tally
 
 	closeOnce sync.Once
 	closeErr  error
@@ -121,7 +120,7 @@ var (
 	_ RoundTripCounter = (*Sharded)(nil)
 	_ HealthReporter   = (*Sharded)(nil)
 	_ FailoverCounter  = (*Sharded)(nil)
-	_ TripScoper       = (*Sharded)(nil)
+	_ Scoper           = (*Sharded)(nil)
 	_ AttestCounter    = (*Sharded)(nil)
 )
 
@@ -285,10 +284,13 @@ func (s *Sharded) label() string { return fmt.Sprintf("sharded(%d replicas)", le
 // Caps implements CapSource: the summary capabilities are the
 // intersection of the replicas' (snapshotted at construction), and the
 // fleet-level FetchRows and Health capabilities are always present.
-func (s *Sharded) Caps() Caps {
+func (s *Sharded) Caps() Caps { return s.caps(&s.tally) }
+
+// caps is the capability view with RandomEdge and FetchRows counted on t.
+func (s *Sharded) caps(t *tally) Caps {
 	c := Caps{
 		Health:    s.Health,
-		FetchRows: func(vs []int) ([][]int, error) { return s.fanOut(nil, vs) },
+		FetchRows: func(vs []int) ([][]int, error) { return s.fanOut(t.scope(), vs) },
 	}
 	if s.hasM {
 		m := s.m
@@ -299,7 +301,7 @@ func (s *Sharded) Caps() Caps {
 		c.MaxDegree = func() int { return d }
 	}
 	if s.hasRE {
-		c.RandomEdge = func(prg *rnd.PRG) (int, int) { return s.randomEdge(nil, prg) }
+		c.RandomEdge = func(prg *rnd.PRG) (int, int) { return s.randomEdge(t.scope(), prg) }
 	}
 	return c
 }
@@ -314,55 +316,10 @@ func (s *Sharded) Health() []ShardHealth {
 	return out
 }
 
-// Failovers implements FailoverCounter: probe operations served by a
-// replica other than their rendezvous winner (because it was dead or
-// erroring).
-func (s *Sharded) Failovers() uint64 { return s.failovers.Load() }
-
-// Hedges implements FailoverCounter: hedged requests fired because the
-// first-ranked replica exceeded the hedge delay.
-func (s *Sharded) Hedges() uint64 { return s.hedges.Load() }
-
-// ScopeTrips implements TripScoper: the view shares the fleet's shards
-// and health state, but counts round trips, failovers and hedges into its
-// own counters only.
-func (s *Sharded) ScopeTrips() Source { return &shardedScope{s: s} }
-
-// RoundTrips implements RoundTripCounter by summing the shards that report
-// (local shards cost no round trips and don't count).
-func (s *Sharded) RoundTrips() uint64 {
-	var total uint64
-	for _, sh := range s.shards {
-		if rt, ok := sh.(RoundTripCounter); ok {
-			total += rt.RoundTrips()
-		}
-	}
-	return total
-}
-
-// AttestFailures implements AttestCounter by summing the shards that
-// verify (pinned Remotes; local shards prove nothing and count nothing).
-// Each failure is one detected Byzantine answer that was discarded and
-// re-routed — the fleet's answers stay correct, this counts the lies.
-func (s *Sharded) AttestFailures() uint64 {
-	var total uint64
-	for _, sh := range s.shards {
-		if ac, ok := sh.(AttestCounter); ok {
-			total += ac.AttestFailures()
-		}
-	}
-	return total
-}
-
-// ProofBytes implements AttestCounter by summing the shards that verify.
-func (s *Sharded) ProofBytes() uint64 {
-	var total uint64
-	for _, sh := range s.shards {
-		if ac, ok := sh.(AttestCounter); ok {
-			total += ac.ProofBytes()
-		}
-	}
-	return total
+// Scope implements Scoper: the view shares the fleet's shards and health
+// state.
+func (s *Sharded) Scope(tr *trace.Tracer) Source {
+	return &view{tally: tally{tr: tr, up: &s.tally}, src: s}
 }
 
 // SpotCheck cross-audits the replicas for interchangeability: k vertices
@@ -485,19 +442,6 @@ func (s *Sharded) markFailure(i int, err error) {
 	go s.reviveLoop(i)
 }
 
-// noteFailover counts one probe operation served away from its rendezvous
-// winner, globally and on the issuing view.
-func (s *Sharded) noteFailover(sink *scopeSink) {
-	s.failovers.Add(1)
-	sink.failover()
-}
-
-// noteHedge counts one hedged request fired.
-func (s *Sharded) noteHedge(sink *scopeSink) {
-	s.hedges.Add(1)
-	sink.hedge()
-}
-
 // noteLatency feeds one successful probe's round-trip duration on shard i
 // into its latency sketch (no-op unless adaptive hedging is on).
 func (s *Sharded) noteLatency(i int, d time.Duration) {
@@ -528,37 +472,28 @@ func (s *Sharded) hedgeDelay(i int) time.Duration {
 func (s *Sharded) N() int { return s.n }
 
 // Degree implements Source, routed by v.
-func (s *Sharded) Degree(v int) int { return s.scalar(nil, OpDegree, v, 0) }
+func (s *Sharded) Degree(v int) int { return s.probe(s.scope(), OpDegree, v, 0) }
 
 // Neighbor implements Source, routed by v.
-func (s *Sharded) Neighbor(v, i int) int { return s.neighbor(nil, v, i) }
-
-func (s *Sharded) neighbor(sink *scopeSink, v, i int) int {
-	if i < 0 {
-		return -1
-	}
-	return s.scalar(sink, OpNeighbor, v, i)
-}
+func (s *Sharded) Neighbor(v, i int) int { return s.probe(s.scope(), OpNeighbor, v, i) }
 
 // Adjacency implements Source, routed by the list owner u.
-func (s *Sharded) Adjacency(u, v int) int { return s.adjacency(nil, u, v) }
+func (s *Sharded) Adjacency(u, v int) int { return s.probe(s.scope(), OpAdjacency, u, v) }
 
-func (s *Sharded) adjacency(sink *scopeSink, u, v int) int {
-	if u < 0 || u >= s.n || v < 0 || v >= s.n {
+// probe answers one scalar probe issued with ps, with failover. A
+// negative neighbor index and an out-of-range adjacency endpoint answer
+// -1 locally. Otherwise the probe is tried on a's highest-ranked live
+// replica (hedged against the second-ranked one when a hedge delay is
+// configured), temporary failures mark the shard and re-route to the
+// next live replica, and only when no live replica can serve does the
+// probe fail — a typed *ProbeError panic, the network source contract.
+// Non-temporary failures (4xx: the request itself is wrong) propagate
+// immediately; no replica would answer differently.
+func (s *Sharded) probe(ps probeScope, op string, a, b int) int {
+	if op == OpNeighbor && b < 0 || op == OpAdjacency && (a < 0 || a >= s.n || b < 0 || b >= s.n) {
 		return -1
 	}
-	return s.scalar(sink, OpAdjacency, u, v)
-}
-
-// scalar answers one scalar probe with failover: the probe is tried on
-// a's highest-ranked live replica (hedged against the second-ranked one
-// when a hedge delay is configured), temporary failures mark the shard
-// and re-route to the next live replica, and only when no live replica
-// can serve does the probe fail — a typed *ProbeError panic, the network
-// source contract. Non-temporary failures (4xx: the request itself is
-// wrong) propagate immediately; no replica would answer differently.
-func (s *Sharded) scalar(sink *scopeSink, op string, a, b int) int {
-	tr := sink.tracer()
+	tr := ps.tr
 	var h trace.Handle
 	var tagFailover, tagHedge, tagHedgeWon, done bool
 	if tr != nil {
@@ -580,7 +515,7 @@ func (s *Sharded) scalar(sink *scopeSink, op string, a, b int) int {
 			tr.End(h, tags...)
 		}()
 	}
-	ps := probeScope{tc: sink.tripsCounter(), af: sink.afCounter(), pb: sink.pbCounter(), tr: tr, parent: h.ID()}
+	ps.parent = h.ID()
 	var exclude []bool
 	var lastErr error
 	for tries := 0; tries <= len(s.shards); tries++ {
@@ -593,7 +528,7 @@ func (s *Sharded) scalar(sink *scopeSink, op string, a, b int) int {
 		var perr *ProbeError
 		var failed []shardFailure
 		if delay := s.hedgeDelay(primary); delay > 0 && secondary >= 0 {
-			ans, served, hedged, failed, perr = s.hedgedProbe(sink, ps, primary, secondary, delay, op, a, b)
+			ans, served, hedged, failed, perr = s.hedgedProbe(ps, primary, secondary, delay, op, a, b)
 			tagHedge = tagHedge || hedged
 		} else {
 			served = primary
@@ -620,7 +555,7 @@ func (s *Sharded) scalar(sink *scopeSink, op string, a, b int) int {
 				}
 			}
 			if primary != want || (served != primary && primaryFailed) {
-				s.noteFailover(sink)
+				ps.t.add(figFailovers, 1)
 				tagFailover = true
 			}
 			if hedged && served != primary && !primaryFailed {
@@ -665,7 +600,7 @@ type hedgeResult struct {
 // success wins and the loser's request is cancelled via context. Returns
 // whether the hedge timer fired and the temporary failures observed so
 // the caller can record and exclude them.
-func (s *Sharded) hedgedProbe(sink *scopeSink, ps probeScope, primary, secondary int, delay time.Duration, op string, a, b int) (ans, served int, hedged bool, failed []shardFailure, perr *ProbeError) {
+func (s *Sharded) hedgedProbe(ps probeScope, primary, secondary int, delay time.Duration, op string, a, b int) (ans, served int, hedged bool, failed []shardFailure, perr *ProbeError) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ch := make(chan hedgeResult, 2)
@@ -738,7 +673,7 @@ func (s *Sharded) hedgedProbe(sink *scopeSink, ps probeScope, primary, secondary
 				continue
 			default:
 			}
-			s.noteHedge(sink)
+			ps.t.add(figHedges, 1)
 			hedged = true
 			launch(secondary)
 			launched = 2
@@ -796,8 +731,8 @@ func (s *Sharded) probeOnShard(ctx context.Context, ps probeScope, i int, op str
 // answer is a function of the caller's PRG state alone — any shard would
 // answer identically — and a failing replica is simply skipped (and
 // marked) in favour of the next live one.
-func (s *Sharded) randomEdge(sink *scopeSink, prg *rnd.PRG) (int, int) {
-	tr := sink.tracer()
+func (s *Sharded) randomEdge(ps probeScope, prg *rnd.PRG) (int, int) {
+	tr := ps.tr
 	var h trace.Handle
 	var tagFailover, done bool
 	if tr != nil {
@@ -813,7 +748,7 @@ func (s *Sharded) randomEdge(sink *scopeSink, prg *rnd.PRG) (int, int) {
 			tr.End(h, tags...)
 		}()
 	}
-	ps := probeScope{tc: sink.tripsCounter(), af: sink.afCounter(), pb: sink.pbCounter(), tr: tr, parent: h.ID()}
+	ps.parent = h.ID()
 	seed := prg.Uint64()
 	derived := rnd.Seed(seed).Derive(0x5e)
 	var live []int
@@ -834,7 +769,7 @@ func (s *Sharded) randomEdge(sink *scopeSink, prg *rnd.PRG) (int, int) {
 		if perr == nil {
 			s.health[i].noteSuccess()
 			if k > 0 {
-				s.noteFailover(sink)
+				ps.t.add(figFailovers, 1)
 				tagFailover = true
 			}
 			done = true
@@ -871,22 +806,23 @@ func (s *Sharded) randomEdgeOnShard(ps probeScope, i int, derived rnd.Seed) (u, 
 }
 
 // fanOut implements the RowFetcher capability: it fetches the rows of vs
-// across the fleet, counted on sink's view. Each vertex goes to its
+// across the fleet, counted on ps's tally. Each vertex goes to its
 // highest-ranked live replica, and each shard's group is fetched in its
 // own goroutine (rowsOnShard). A group that fails temporarily marks its
 // shard and is re-routed to the next-ranked live replicas, round by
 // round; fanOut errors only when vertices remain that no live replica
 // can serve. Each row served away from its rendezvous winner counts one
 // failover. Groups are never hedged: only scalar probes consult
-// hedgeDelay. Rows are index-aligned with vs.
-func (s *Sharded) fanOut(sink *scopeSink, vs []int) ([][]int, error) {
+// hedgeDelay. Each round settles its groups in shard order, so shard
+// health is recorded in a fixed order. Rows are index-aligned with vs.
+func (s *Sharded) fanOut(ps probeScope, vs []int) ([][]int, error) {
 	if len(vs) == 0 {
 		return nil, nil
 	}
 	if len(vs) > MaxProbeBatch {
 		return nil, fmt.Errorf("source: sharded: %s request of %d rows exceeds the maximum %d", OpRowFull, len(vs), MaxProbeBatch)
 	}
-	tr := sink.tracer()
+	tr := ps.tr
 	var h trace.Handle
 	done := false
 	if tr != nil {
@@ -899,7 +835,7 @@ func (s *Sharded) fanOut(sink *scopeSink, vs []int) ([][]int, error) {
 			tr.End(h, tags...)
 		}()
 	}
-	ps := probeScope{tc: sink.tripsCounter(), af: sink.afCounter(), pb: sink.pbCounter(), tr: tr, parent: h.ID()}
+	ps.parent = h.ID()
 	out := make([][]int, len(vs))
 	pending := make([]int, len(vs)) // indices into vs still unanswered
 	for i := range pending {
@@ -914,9 +850,13 @@ func (s *Sharded) fanOut(sink *scopeSink, vs []int) ([][]int, error) {
 		return &ProbeError{Shard: s.label(), Op: OpRowFull, A: len(vs),
 			Err: fmt.Errorf("no live replica can serve the %s request: %w", OpRowFull, lastErr)}
 	}
+	groups := make([][]int, len(s.shards)) // per shard, the indices into vs it serves this round
+	errs := make([]error, len(s.shards))
+	wants := make([]int, len(vs)) // per index into vs, its rendezvous winner
 	for round := 0; len(pending) > 0 && round <= len(s.shards); round++ {
-		groups := make(map[int][]int)            // shard -> indices into vs
-		wants := make(map[int]int, len(pending)) // index -> rendezvous winner
+		for shard := range groups {
+			groups[shard], errs[shard] = groups[shard][:0], nil
+		}
 		for _, i := range pending {
 			primary, _, want := s.pickLive(vs[i], exclude)
 			if primary < 0 {
@@ -926,8 +866,10 @@ func (s *Sharded) fanOut(sink *scopeSink, vs []int) ([][]int, error) {
 			wants[i] = want
 		}
 		var wg sync.WaitGroup
-		errs := make([]error, len(s.shards))
 		for shard, idxs := range groups {
+			if len(idxs) == 0 {
+				continue
+			}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -953,12 +895,15 @@ func (s *Sharded) fanOut(sink *scopeSink, vs []int) ([][]int, error) {
 		wg.Wait()
 		pending = pending[:0]
 		for shard, idxs := range groups {
+			if len(idxs) == 0 {
+				continue
+			}
 			err := errs[shard]
 			if err == nil {
 				s.health[shard].noteSuccess()
 				for _, i := range idxs {
 					if shard != wants[i] {
-						s.noteFailover(sink)
+						ps.t.add(figFailovers, 1)
 					}
 				}
 				continue
@@ -1036,62 +981,3 @@ func (s *Sharded) Close() error {
 	})
 	return s.closeErr
 }
-
-// shardedScope is the TripScoper view of a fleet: same shards, same
-// health machine — round trips, failovers and hedges counted into the
-// view's own sink, spans recorded into the view's tracer when one is set.
-type shardedScope struct {
-	s    *Sharded
-	sink scopeSink
-}
-
-var (
-	_ Source           = (*shardedScope)(nil)
-	_ CapSource        = (*shardedScope)(nil)
-	_ RoundTripCounter = (*shardedScope)(nil)
-	_ FailoverCounter  = (*shardedScope)(nil)
-	_ TracerSetter     = (*shardedScope)(nil)
-	_ AttestCounter    = (*shardedScope)(nil)
-)
-
-// SetTracer implements TracerSetter: subsequent probes through this view
-// record probe spans (with failover/hedge outcome tags) and per-round-trip
-// rpc spans into tr. Set it before probing; the view is per-request, not
-// concurrent with setup.
-func (sc *shardedScope) SetTracer(tr *trace.Tracer) { sc.sink.tr = tr }
-
-func (sc *shardedScope) N() int { return sc.s.n }
-
-func (sc *shardedScope) Degree(v int) int { return sc.s.scalar(&sc.sink, OpDegree, v, 0) }
-
-func (sc *shardedScope) Neighbor(v, i int) int { return sc.s.neighbor(&sc.sink, v, i) }
-
-func (sc *shardedScope) Adjacency(u, v int) int { return sc.s.adjacency(&sc.sink, u, v) }
-
-// Caps forwards the fleet's capability view with RandomEdge and FetchRows
-// attributed to this scope.
-func (sc *shardedScope) Caps() Caps {
-	c := sc.s.Caps()
-	if c.RandomEdge != nil {
-		c.RandomEdge = func(prg *rnd.PRG) (int, int) { return sc.s.randomEdge(&sc.sink, prg) }
-	}
-	c.FetchRows = func(vs []int) ([][]int, error) { return sc.s.fanOut(&sc.sink, vs) }
-	return c
-}
-
-// RoundTrips reports only the shard requests issued through this view.
-func (sc *shardedScope) RoundTrips() uint64 { return sc.sink.trips.load() }
-
-// Failovers reports only the failovers of probes issued through this view.
-func (sc *shardedScope) Failovers() uint64 { return sc.sink.fo.Load() }
-
-// Hedges reports only the hedges fired for probes issued through this view.
-func (sc *shardedScope) Hedges() uint64 { return sc.sink.he.Load() }
-
-// AttestFailures reports only the verification failures detected on
-// probes issued through this view.
-func (sc *shardedScope) AttestFailures() uint64 { return sc.sink.af.load() }
-
-// ProofBytes reports only the proof bytes transported for probes issued
-// through this view.
-func (sc *shardedScope) ProofBytes() uint64 { return sc.sink.pb.load() }

@@ -1,62 +1,78 @@
 package source
 
-// Trace context for the network probing paths. The Source interface is
-// deliberately context-free (probes are the model's unit of cost, not
-// an RPC framework), so trace context rides the same seam as round-trip
-// attribution: the per-request scoped views (TripScoper.ScopeTrips)
-// optionally accept a tracer, and every layer below threads a probeScope
-// value instead of growing its signatures one tracing argument at a
-// time. The zero probeScope — unscoped, untraced — is valid everywhere
-// and costs a nil test per site.
+// Scoped views and trace context for the network probing paths. The
+// Source interface is deliberately context-free (probes are the model's
+// unit of cost, not an RPC framework), so per-chain accounting and trace
+// context ride one seam: Scope hands each chain or request its own view
+// of a network source, and every layer below threads a probeScope value
+// instead of growing its signatures one argument at a time.
 
 import "lca/internal/trace"
 
-// TracerSetter is the optional capability of request-scoped source
-// views (the values returned by TripScoper.ScopeTrips on Remote and
-// Sharded) to record probe-level spans into a trace: rpc spans per
-// shard round trip, probe spans with failover/hedge outcome tags, and
-// shard-side spans stitched back over the wire. Set the tracer before
-// issuing probes through the view; a nil tracer disables tracing.
-type TracerSetter interface {
-	SetTracer(*trace.Tracer)
-}
-
-// probeScope bundles the per-request attribution state threaded down
-// the network probing paths: the view's round-trip counter plus, when
-// the request is traced, the tracer and the span id that rpc spans
-// parent under. Parent is captured by the caller before any concurrent
-// fan-out (hedges, per-shard batch goroutines), so the implicit Push/Pop
-// parent is never read from a goroutine.
+// probeScope is the attribution state threaded down the network probing
+// paths: the issuer's tally plus, when traced, the tracer and the span id
+// that rpc spans parent under. Parent is captured by the caller before
+// any concurrent fan-out (hedges, per-shard batch goroutines), so the
+// implicit Push/Pop parent is never read from a goroutine. The zero
+// probeScope counts nothing and traces nothing.
 type probeScope struct {
-	tc *tripCount
-	// af and pb attribute attestation accounting (verification failures,
-	// proof bytes transported) to the view, alongside the trip counter.
-	af     *tripCount
-	pb     *tripCount
+	t      *tally
 	tr     *trace.Tracer
 	parent uint32
 }
 
-// TracedView returns a view of src that records its network spans into
-// tr: the request-scoped view (TripScoper) with the tracer attached
-// (TracerSetter). Shard servers use it so a probe shard that is itself
-// backed by remote shards shows the whole chain in the client's trace,
-// and Sessions use it to root a traced oracle chain. Sources without
-// request scoping (local backends) are returned unchanged: their probes
-// are memory reads, not spans.
-func TracedView(src Source, tr *trace.Tracer) Source {
-	ts, ok := src.(TripScoper)
-	if !ok {
-		return src
+// Scope returns src's scoped view recording its spans into tr when src
+// is a Scoper (Remote, Sharded), and src itself otherwise: a local
+// backend's probes are memory reads, with no transport to count and no
+// spans to record. oracle.NewChain scopes every chain with it, so each
+// chain counts only its own traffic; serve scopes each request before its
+// input-edge check, and the wire handlers each shard request.
+func Scope(src Source, tr *trace.Tracer) Source {
+	if s, ok := src.(Scoper); ok {
+		return s.Scope(tr)
 	}
-	scoped := ts.ScopeTrips()
-	set, ok := scoped.(TracerSetter)
-	if !ok {
-		return src
-	}
-	set.SetTracer(tr)
-	return scoped
+	return src
 }
+
+// scopable is a network source as its views probe it: the scalar probe
+// and the capability view, each counted on the issuer's tally.
+type scopable interface {
+	Source
+	probe(ps probeScope, op string, a, b int) int
+	caps(t *tally) Caps
+}
+
+// view is the scoped view of a Remote or a Sharded (Scoper): it probes
+// through its source and counts into its own tally, which also adds to
+// the source's.
+type view struct {
+	tally
+	src scopable
+}
+
+var (
+	_ Source           = (*view)(nil)
+	_ CapSource        = (*view)(nil)
+	_ Scoper           = (*view)(nil)
+	_ RoundTripCounter = (*view)(nil)
+	_ FailoverCounter  = (*view)(nil)
+	_ AttestCounter    = (*view)(nil)
+)
+
+// Scope implements Scoper: a view is already scoped, so it is its own.
+func (v *view) Scope(*trace.Tracer) Source { return v }
+
+func (v *view) N() int { return v.src.N() }
+
+func (v *view) Degree(u int) int { return v.src.probe(v.scope(), OpDegree, u, 0) }
+
+func (v *view) Neighbor(u, i int) int { return v.src.probe(v.scope(), OpNeighbor, u, i) }
+
+func (v *view) Adjacency(u, w int) int { return v.src.probe(v.scope(), OpAdjacency, u, w) }
+
+// Caps implements CapSource: the source's capabilities, with RandomEdge
+// and FetchRows counted on the view.
+func (v *view) Caps() Caps { return v.src.caps(&v.tally) }
 
 // Span op names for the client-side probing layers. Constants, so the
 // untraced path never concatenates.

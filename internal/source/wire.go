@@ -313,12 +313,11 @@ func ServeProbe(w http.ResponseWriter, r *http.Request, src Source) {
 		serveRowFull(w, src, a, at, tr)
 		return
 	}
-	view := src
+	view := Scope(src, tr)
 	var h trace.Handle
 	if tr != nil {
 		h = tr.Start(shardSpanOp(op), a)
 		tr.Push(h)
-		view = TracedView(src, tr)
 	}
 	ans, status, msg := answerProbeRecover(view, op, a, b)
 	if tr != nil {
@@ -372,13 +371,12 @@ func ServeProbeBatch(w http.ResponseWriter, r *http.Request, src Source) {
 		vs[i] = p.A
 	}
 	tr := shardTracer(r)
-	view := src
+	view := Scope(src, tr)
 	var h trace.Handle
 	if tr != nil {
 		h = tr.Start("shard:batch", -1)
 		tr.Tag(h, fmt.Sprintf("batch=%d", len(req.Probes)))
 		tr.Push(h)
-		view = TracedView(src, tr)
 	}
 	rows, status, msg := fetchRowsFrom(view, vs)
 	if tr != nil {
@@ -413,12 +411,11 @@ func serveRowFull(w http.ResponseWriter, src Source, a int, at Attestor, tr *tra
 		writeWireErr(w, status, "%s", msg)
 		return
 	}
-	view := src
+	view := Scope(src, tr)
 	var h trace.Handle
 	if tr != nil {
 		h = tr.Start(shardSpanOp(OpRowFull), a)
 		tr.Push(h)
-		view = TracedView(src, tr)
 	}
 	rows, status, msg := fetchRowsFrom(view, []int{a})
 	if tr != nil {
@@ -483,10 +480,7 @@ func readRows(src Source, vs []int) ([][]int, error) {
 // effectively edgeless source (string payload by the RandomEdge
 // convention) is also the client's 400, not a crashed connection.
 func serveRandomEdge(w http.ResponseWriter, rawSeed string, src Source, tr *trace.Tracer) {
-	view := src
-	if tr != nil {
-		view = TracedView(src, tr)
-	}
+	view := Scope(src, tr)
 	re, ok := RandomEdgerOf(view)
 	if !ok {
 		writeWireErr(w, http.StatusBadRequest, "source does not support probe op %q (no RandomEdge capability)", OpRandomEdge)
